@@ -1,27 +1,22 @@
-# Developer entry points. `make check` is the gate a change must pass;
-# `make diff` runs the full differential-oracle harness (1000 generated
-# programs against the in-order reference model — see DESIGN.md §9);
-# `make fuzz` runs the coverage-guided version of the same harness for
-# a bounded time; `make bench-metrics` regenerates BENCH_metrics.json,
-# the tracked record of the metrics registry's hot-loop overhead (< 5%
-# budget); `make bench-runner` regenerates BENCH_runner.json, the
-# tracked sequential-vs-parallel record of the experiment runner
-# (byte-identical metrics required, >= 2x speedup on >= 4 cores);
-# `make bench-core` regenerates BENCH_core.json, the tracked record of
-# the cycle-level core's own speed (>= 8x wall-clock and >= 10x fewer
-# allocations per instruction vs the recorded baseline, byte-identical
-# metrics required — see DESIGN.md §10); `make bench-full` asserts the
-# ROADMAP's one-core 68-scenario sweep target; `make bench-obs` regenerates
-# BENCH_obs.json, the tracked overhead record of the execution-tracing
-# layer (untraced runs within 2% of the BENCH_core speed, metrics
-# exports byte-identical with tracing on — see DESIGN.md §12).
+# Developer entry points. `make check` is the gate a change must pass:
+# vet, build, race-enabled tests, the allocation budgets, the scheduler
+# ordering gate, the differential oracle, the scenario, cache-benchmark
+# and defense registries, documentation coverage and the experiment
+# server suite. `make diff` runs the full differential-oracle harness
+# (1000 generated programs against the in-order reference model — see
+# DESIGN.md §9); `make fuzz` runs the coverage-guided version of the
+# same harness for a bounded time; `make bench` runs the root package's
+# per-table Go benchmarks. Performance is measured by one harness,
+# tools/bench (see tools/bench/README.md):
+#
+#	bash tools/bench/run.sh --workload registry-sweep --seed 0 --seconds 36 --trace 0
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build test vet race bench bench-metrics bench-runner bench-core bench-obs bench-full alloc-budget sched-order docs diff fuzz scenarios cachebench defense-check server-check
+.PHONY: check build test vet race bench alloc-budget sched-order docs diff fuzz scenarios cachebench defense-check server-check
 
-check: vet build race alloc-budget sched-order diff scenarios cachebench defense-check docs bench-obs server-check
+check: vet build race alloc-budget sched-order diff scenarios cachebench defense-check docs server-check
 
 # Defense-architecture gate (DESIGN.md §14): the mechanism registry is
 # exhaustive (every mechanism addressable and round-tripping through
@@ -61,12 +56,12 @@ cachebench:
 	$(GO) test ./internal/scenario -run 'TestCacheMatrixGolden|TestCacheMatrixHashJobsInvariant' -count=1
 
 # Steady-state allocation budgets of the simulator hot loop and the
-# batched trial driver (DESIGN.md §10). Runs without -race: the race
+# trial driver (DESIGN.md §10). Runs without -race: the race
 # detector instruments allocations and the tests exclude themselves
 # under that build tag.
 alloc-budget:
 	$(GO) test ./internal/cpu -run TestMachineRunSteadyStateAllocs -count=1
-	$(GO) test ./internal/attacks -run TestBatchedTrialDisabledPathAllocs -count=1
+	$(GO) test ./internal/attacks -run TestTrialDisabledPathAllocs -count=1
 
 # Bitmap-scheduler ordering gate: within a cycle, issue must stay
 # strictly oldest-first (the contract the old seq-sorted ready list
@@ -102,43 +97,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$
-
-# Compare the simulator hot loop with and without an attached metrics
-# registry and write the overhead record. benchtime=5x keeps the noise
-# below the effect; bump it locally if the two runs look unstable.
-bench-metrics:
-	$(GO) run ./tools/benchmetrics -benchtime 5x -count 3 -o BENCH_metrics.json
-
-# Run the same attack sweep at -jobs 1 and -jobs <cores>, verify the
-# metrics exports are byte-identical, and write the wall-clock record.
-bench-runner:
-	$(GO) run ./tools/benchmetrics -runner -runs 100 -o BENCH_runner.json
-
-# Re-measure the cycle-level core on the Fig. 5 Train+Test sweep and
-# compare against the recorded baseline in BENCH_core.json (fails
-# below the speedup/allocation budgets — >= 8x wall-clock and >= 10x
-# fewer allocations since the bitmap-scoreboard rework — or on any
-# metrics-export difference; the batched-vs-per-trial setup column is
-# re-measured alongside). `go run ./tools/benchcore -rebase` moves the
-# baseline.
-bench-core:
-	$(GO) run ./tools/benchcore -o BENCH_core.json
-
-# The ROADMAP's standing one-core target as an executable gate: the
-# full 68-scenario registry sweep (cachebench families excluded) at
-# paper-default sample size must finish in single-digit seconds on a
-# single core. Heavyweight, so gated behind VPBENCH_FULL.
-bench-full:
-	VPBENCH_FULL=1 $(GO) test ./internal/scenario -run TestRegistrySweepWallClock -count=1 -v
-
-# Measure the tracing layer's overhead on the same sweep: the untraced
-# (nil-tracer) path must stay within 2% of the BENCH_core wall clock,
-# and the metrics exports must be byte-identical with tracing on and
-# off. Wall clocks only compare on the machine that recorded
-# BENCH_core.json — run `make bench-core` first after switching
-# hardware.
-bench-obs:
-	$(GO) run ./tools/benchobs -o BENCH_obs.json
 
 # Documentation gate: vet, formatting, and doc coverage of the
 # experiment surface (every exported symbol in the runner, attacks,

@@ -10,6 +10,7 @@
 package vpsec_test
 
 import (
+	"context"
 	"testing"
 
 	"vpsec/internal/attacks"
@@ -18,7 +19,6 @@ import (
 	"vpsec/internal/defense"
 	"vpsec/internal/isa"
 	"vpsec/internal/locality"
-	"vpsec/internal/metrics"
 	"vpsec/internal/predictor"
 	"vpsec/internal/rsa"
 	"vpsec/internal/stats"
@@ -118,7 +118,7 @@ func BenchmarkTableII(b *testing.B) {
 // reproduce.
 func BenchmarkTableIII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := attacks.TableIII(attacks.LVP, attacks.Options{Runs: benchRuns, Seed: 3})
+		rows, err := attacks.TableIII(context.Background(), attacks.LVP, attacks.Options{Runs: benchRuns, Seed: 3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,11 +161,11 @@ func BenchmarkDefenseWindowSweep(b *testing.B) {
 	// paper's 100-run evaluation.
 	base := attacks.Options{Channel: core.TimingWindow, Runs: 60, Seed: 5}
 	for i := 0; i < b.N; i++ {
-		tt, err := defense.SweepRWindow(core.TrainTest, 4, base)
+		tt, err := defense.SweepRWindow(context.Background(), core.TrainTest, 4, base)
 		if err != nil {
 			b.Fatal(err)
 		}
-		th, err := defense.SweepRWindow(core.TestHit, 10, base)
+		th, err := defense.SweepRWindow(context.Background(), core.TestHit, 10, base)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func BenchmarkDefenseMatrix(b *testing.B) {
 		{Name: "A+R(9)+D", Stack: attacks.Stack(attacks.AlwaysPredict(false), attacks.RandomWindow(9), attacks.DelayEffects())},
 	}
 	for i := 0; i < b.N; i++ {
-		cells, err := defense.Matrix(base, strategies)
+		cells, err := defense.Matrix(context.Background(), base, strategies)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,41 +245,6 @@ func BenchmarkSimulator(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(cycles)/float64(b.N), "sim_cycles/op")
-}
-
-// BenchmarkSimulatorMetrics is BenchmarkSimulator with a metrics
-// registry attached — the same RSA-victim hot loop, now paying the
-// per-cycle ROB-occupancy observation, the per-access latency
-// observation and the end-of-run counter publishes. The delta of its
-// time/op against BenchmarkSimulator is the registry's overhead
-// (tracked in BENCH_metrics.json; the budget is 5%).
-func BenchmarkSimulatorMetrics(b *testing.B) {
-	cfg := rsa.VictimConfig{Base: 3, Mod: 1000003, Exponent: 0xA5A5, ExpBits: 16}
-	prog, err := rsa.BuildVictim(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := cpu.NewMachine(cpu.Config{}, nil, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.AttachMetrics(reg)
-		proc, err := m.NewProcess(1, prog, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.Run(proc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.FinalizeMetrics()
 		cycles += res.Cycles
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim_cycles/op")
@@ -378,7 +343,7 @@ func BenchmarkTableIIVariants(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		effective := 0
 		for _, v := range variants {
-			r, err := attacks.RunVariant(v, attacks.Options{Runs: benchRuns, Seed: 9})
+			r, err := attacks.RunVariant(context.Background(), v, attacks.Options{Runs: benchRuns, Seed: 9})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -396,7 +361,7 @@ func BenchmarkTableIIVariants(b *testing.B) {
 // BenchmarkSMTVolatile measures the co-runner volatile channel.
 func BenchmarkSMTVolatile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := attacks.RunTestHitVolatileSMT(attacks.Options{Runs: benchRuns, Seed: 6})
+		r, err := attacks.RunTestHitVolatileSMT(context.Background(), attacks.Options{Runs: benchRuns, Seed: 6})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -81,7 +81,7 @@ func main() {
 		cfg.Metrics = reg
 	}
 	start := time.Now()
-	r, err := report.Generate(cfg, start)
+	r, err := report.Generate(context.Background(), cfg, start)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpreport:", err)
 		os.Exit(1)

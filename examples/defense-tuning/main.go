@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	base := attacks.Options{Channel: core.TimingWindow, Runs: 60, Seed: 9}
 
 	fmt.Println("security sweep: R-type window vs attack effectiveness")
@@ -27,11 +29,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ttPts, err := defense.SweepRWindow(core.TrainTest, 9, base)
+	ttPts, err := defense.SweepRWindow(ctx, core.TrainTest, 9, base)
 	if err != nil {
 		log.Fatal(err)
 	}
-	thPts, err := defense.SweepRWindow(core.TestHit, 9, base)
+	thPts, err := defense.SweepRWindow(ctx, core.TestHit, 9, base)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 	fmt.Println()
 
 	for _, pk := range []attacks.PredictorKind{attacks.NoVP, attacks.LVP} {
-		r, err := attacks.RunTestHitVolatileSMT(attacks.Options{
+		r, err := attacks.RunTestHitVolatileSMT(context.Background(), attacks.Options{
 			Predictor: pk, Runs: 40, Seed: 11,
 		})
 		if err != nil {

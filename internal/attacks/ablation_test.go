@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -257,7 +258,7 @@ func TestTrainTestSenderTrainedVariant(t *testing.T) {
 func TestConfidenceSweep(t *testing.T) {
 	base := testOpt(core.TimingWindow, LVP)
 	base.NoSyncCost = true // expose the raw per-trial cost
-	pts, err := ConfidenceSweep(core.TrainTest, []int{2, 4, 8}, base)
+	pts, err := ConfidenceSweep(context.Background(), core.TrainTest, []int{2, 4, 8}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestConfidenceSweep(t *testing.T) {
 	if !(pts[0].RateBps > pts[1].RateBps && pts[1].RateBps > pts[2].RateBps) {
 		t.Errorf("raw rate should fall with training cost: %+v", pts)
 	}
-	if _, err := ConfidenceSweep(core.TrainTest, []int{0}, base); err == nil {
+	if _, err := ConfidenceSweep(context.Background(), core.TrainTest, []int{0}, base); err == nil {
 		t.Error("confidence 0 should fail")
 	}
 }
@@ -280,7 +281,7 @@ func TestConfidenceSweep(t *testing.T) {
 // works identically (Sec. II: the miss "can be forced by a malicious
 // attacker that invalidates or flushes the cache").
 func TestEvictionBasedTrainTest(t *testing.T) {
-	vp, err := RunTrainTestEviction(Options{Predictor: LVP, Channel: core.TimingWindow, Runs: 25, Seed: 61})
+	vp, err := RunTrainTestEviction(context.Background(), Options{Predictor: LVP, Channel: core.TimingWindow, Runs: 25, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestEvictionBasedTrainTest(t *testing.T) {
 	if vp.SuccessRate < 0.9 {
 		t.Errorf("success %.2f, want >= 0.9", vp.SuccessRate)
 	}
-	novp, err := RunTrainTestEviction(Options{Predictor: NoVP, Channel: core.TimingWindow, Runs: 25, Seed: 61})
+	novp, err := RunTrainTestEviction(context.Background(), Options{Predictor: NoVP, Channel: core.TimingWindow, Runs: 25, Seed: 61})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestEvictionBasedTrainTest(t *testing.T) {
 func TestNoiseRobustness(t *testing.T) {
 	base := testOpt(core.TimingWindow, LVP)
 	base.Runs = 40
-	pts, err := NoiseSweep(core.TrainTest, []uint64{12, 80, 200, 600}, base)
+	pts, err := NoiseSweep(context.Background(), core.TrainTest, []uint64{12, 80, 200, 600}, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Steady-state allocation budget for the batched trial driver. Like
+// Steady-state allocation budget for the trial driver. Like
 // internal/cpu's allocbudget_test.go, the counts are only meaningful
 // without the race detector's instrumentation.
 
@@ -13,27 +13,27 @@ import (
 )
 
 // trialAllocBudget bounds the average heap allocations one mapped +
-// unmapped trial pair may make through the batched sequential driver
-// once the trial pool is warm, with tracing and metrics off — the
-// disabled-observability path the wall-clock record rests on. Each
-// pair simulates tens of thousands of instructions and hundreds of
-// cache misses; the budget only covers the per-case result assembly
+// unmapped trial pair may make through runCaseTrials once the trial
+// pool is warm, with tracing and metrics off — the disabled-
+// observability path the wall-clock numbers rest on. Each pair
+// simulates tens of thousands of instructions and hundreds of cache
+// misses; the budget only covers the per-case result assembly
 // (observation slices, trajectory, stats), so any per-instruction or
 // per-miss allocation sneaking back into the pipeline, the hierarchy
 // or the RNG reseed blows through it immediately.
 const trialAllocBudget = 64
 
-// TestBatchedTrialDisabledPathAllocs pins the batched driver's
-// steady-state allocation behavior: at Jobs=1 with no Tracer and no
-// Registry attached, a whole Train+Test case recycles one held trial
-// state through every trial — machine, caches, predictor table,
-// kernel images — and the per-trial allocation count stays within the
+// TestTrialDisabledPathAllocs pins the trial driver's steady-state
+// allocation behavior: at Jobs=1 with no Tracer and no Registry
+// attached, every trial of a Train+Test case takes a trial state —
+// machine, caches, predictor table — from the sync.Pool and hands it
+// back, and the per-trial allocation count stays within the
 // result-assembly budget.
-func TestBatchedTrialDisabledPathAllocs(t *testing.T) {
+func TestTrialDisabledPathAllocs(t *testing.T) {
 	const runs = 10
 	opt := Options{Predictor: LVP, Channel: core.TimingWindow,
 		Runs: runs, Seed: 7, Jobs: 1}
-	// Warm the trial pool, kernel caches and per-state memos.
+	// Warm the trial pool and the kernel image caches.
 	if _, err := Run(core.TrainTest, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +44,6 @@ func TestBatchedTrialDisabledPathAllocs(t *testing.T) {
 	})
 	perPair := avg / runs
 	if perPair > trialAllocBudget {
-		t.Errorf("batched trial pair allocates %.1f objects with tracing off, budget %d", perPair, trialAllocBudget)
+		t.Errorf("trial pair allocates %.1f objects with tracing off, budget %d", perPair, trialAllocBudget)
 	}
 }

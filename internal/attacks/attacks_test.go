@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"testing"
 
 	"vpsec/internal/core"
@@ -186,7 +187,7 @@ func TestSuccessRate(t *testing.T) {
 
 func TestTableIIIFull(t *testing.T) {
 	opt := Options{Runs: 15, Seed: 5}
-	rows, err := TableIII(LVP, opt)
+	rows, err := TableIII(context.Background(), LVP, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,15 +115,6 @@ type Options struct {
 
 	Noise cpu.Noise // zero value means the default jitter
 
-	// PerTrialSetup disables the batched sequential driver: at Jobs ==
-	// 1 runCaseTrials normally holds one trial state (machine, RNG,
-	// predictor table) for the whole case and recycles it through every
-	// trial; with PerTrialSetup each trial goes through the shared
-	// sync.Pool instead, exactly like the parallel path. Results are
-	// byte-identical either way — this is tools/benchcore's comparison
-	// knob, excluded from JSON because it cannot change any result.
-	PerTrialSetup bool `json:"-"`
-
 	// Metrics, when non-nil, receives every trial machine's pipeline,
 	// memory and predictor counters plus the per-trial observation
 	// histograms and end-of-case decision gauges (see
@@ -278,13 +269,6 @@ type trialState struct {
 	lvp *predictor.LVP
 	env env
 	opt Options
-
-	// kmemo/pmemo front the global kernelCache/probeCache with per-state
-	// linear memos (see kernelImage/probeImage): the same few compiled
-	// images recur for every trial this state serves, and images are
-	// immutable, so stale entries are harmless and never invalidated.
-	kmemo []kernelMemo
-	pmemo []probeMemo
 }
 
 var trialPool sync.Pool
@@ -301,20 +285,10 @@ func (e *env) release() {
 	trialPool.Put(ts)
 }
 
+// newEnv builds one trial's env on a trial state taken from the pool
+// (or a fresh one); release hands it back.
 func newEnv(opt *Options, seed int64) (*env, error) {
-	return newEnvWith(opt, seed, nil)
-}
-
-// newEnvWith is newEnv with an optional held trial state: the batched
-// sequential driver (runCaseTrials at Jobs == 1) passes the state back
-// in for every trial of a case, guaranteeing one machine is recycled
-// through all of them without a sync.Pool round trip per trial. held
-// == nil is the ordinary pooled path.
-func newEnvWith(opt *Options, seed int64, held *trialState) (*env, error) {
-	ts := held
-	if ts == nil {
-		ts, _ = trialPool.Get().(*trialState)
-	}
+	ts, _ := trialPool.Get().(*trialState)
 	if ts == nil {
 		ts = &trialState{rng: rand.New(xrand.NewSource(seed))}
 	} else {

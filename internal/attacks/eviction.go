@@ -129,10 +129,11 @@ func (e *env) trialTrainTestEviction(mapped bool) (float64, error) {
 // RunTrainTestEviction evaluates the eviction-based Train+Test over
 // opt.Runs trials per case. Trials run opt.Jobs at a time (see
 // Options.Jobs); the result is byte-identical at any worker count.
-func RunTrainTestEviction(opt Options) (CaseResult, error) {
+// ctx aborts in-flight trials and surfaces ctx.Err().
+func RunTrainTestEviction(ctx context.Context, opt Options) (CaseResult, error) {
 	opt.setDefaults()
 	res := CaseResult{Category: "Train + Test (eviction)", Channel: opt.Channel, Opt: opt}
-	_, err := runCaseTrials(context.Background(), &opt, &res, true,
+	_, err := runCaseTrials(ctx, &opt, &res, true,
 		func(e *env, mapped bool) (float64, uint64, error) {
 			obs, err := e.trialTrainTestEviction(mapped)
 			return obs, 0, err

@@ -1,6 +1,7 @@
 package attacks_test
 
 import (
+	"context"
 	"fmt"
 
 	"vpsec/internal/attacks"
@@ -23,7 +24,7 @@ func ExampleRunVariant() {
 		Seed:      42,
 		Jobs:      8,
 	}
-	res, err := attacks.RunVariant(v, opt)
+	res, err := attacks.RunVariant(context.Background(), v, opt)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -150,69 +150,6 @@ func buildKernelCached(volatile bool, p kernelParams) (*isa.Image, error) {
 	return v.(*isa.Image), nil
 }
 
-// memoCap bounds the per-trial-state image memos; past it lookups fall
-// through to the global sync.Maps (which stay correct, just slower).
-const memoCap = 32
-
-// kernelMemo is one entry of trialState.kmemo — see kernelImage.
-type kernelMemo struct {
-	volatile bool
-	p        kernelParams
-	img      *isa.Image
-}
-
-// probeMemo is one entry of trialState.pmemo — see probeImage.
-type probeMemo struct {
-	addr uint64
-	img  *isa.Image
-}
-
-// kernelImage resolves a kernel's compiled image through the env's
-// trial-state memo. A case reuses the same handful of kernels for every
-// trial, so after the first trial the lookup is a short linear scan
-// over comparable structs instead of a sync.Map hit, which boxes and
-// hashes the composite key on every call.
-func (e *env) kernelImage(volatile bool, p kernelParams) (*isa.Image, error) {
-	ts := e.ts
-	if ts != nil {
-		for i := range ts.kmemo {
-			m := &ts.kmemo[i]
-			if m.volatile == volatile && m.p == p {
-				return m.img, nil
-			}
-		}
-	}
-	img, err := buildKernelCached(volatile, p)
-	if err != nil {
-		return nil, err
-	}
-	if ts != nil && len(ts.kmemo) < memoCap {
-		ts.kmemo = append(ts.kmemo, kernelMemo{volatile: volatile, p: p, img: img})
-	}
-	return img, nil
-}
-
-// probeImage is kernelImage's analogue for the reload-probe programs,
-// keyed by probe address.
-func (e *env) probeImage(addr uint64) (*isa.Image, error) {
-	ts := e.ts
-	if ts != nil {
-		for i := range ts.pmemo {
-			if ts.pmemo[i].addr == addr {
-				return ts.pmemo[i].img, nil
-			}
-		}
-	}
-	img, err := buildProbeCached(addr)
-	if err != nil {
-		return nil, err
-	}
-	if ts != nil && len(ts.pmemo) < memoCap {
-		ts.pmemo = append(ts.pmemo, probeMemo{addr: addr, img: img})
-	}
-	return img, nil
-}
-
 // runKernel builds the kernel, runs it in a process at physBase, and
 // returns the per-iteration timings plus the run result.
 func (e *env) runKernel(pid uint64, p kernelParams, physBase uint64) ([]uint64, cpu.RunResult, error) {
@@ -221,7 +158,7 @@ func (e *env) runKernel(pid uint64, p kernelParams, physBase uint64) ([]uint64, 
 		ks := e.span.Child("kernel", obs.Str("kernel", p.name), obs.Int("iters", p.iters))
 		defer ks.End()
 	}
-	img, err := e.kernelImage(false, p)
+	img, err := buildKernelCached(false, p)
 	if err != nil {
 		return nil, cpu.RunResult{}, err
 	}
@@ -306,7 +243,7 @@ func (e *env) probeLatency(pid uint64, physBase uint64, line uint64) (uint64, er
 		defer ps.End()
 	}
 	addr := probeBase + (line&valueMask)<<probeShift
-	img, err := e.probeImage(addr)
+	img, err := buildProbeCached(addr)
 	if err != nil {
 		return 0, err
 	}
@@ -395,7 +332,7 @@ func (e *env) runVolatileTrigger(pid uint64, p kernelParams, physBase uint64) (f
 		ks := e.span.Child("kernel", obs.Str("kernel", p.name), obs.Int("iters", p.iters))
 		defer ks.End()
 	}
-	img, err := e.kernelImage(true, p)
+	img, err := buildKernelCached(true, p)
 	if err != nil {
 		return 0, cpu.RunResult{}, err
 	}

@@ -166,8 +166,9 @@ type TableIIIRow struct {
 
 // TableIII reproduces Table III for the given predictor kind: for each
 // of the six attack categories, p-values with no VP and with the
-// predictor enabled, plus transmission rates.
-func TableIII(kind PredictorKind, base Options) ([]TableIIIRow, error) {
+// predictor enabled, plus transmission rates. ctx cancels the whole
+// table (see RunContext).
+func TableIII(ctx context.Context, kind PredictorKind, base Options) ([]TableIIIRow, error) {
 	var rows []TableIIIRow
 	for _, cat := range core.Categories() {
 		row := TableIIIRow{Category: cat}
@@ -179,7 +180,7 @@ func TableIII(kind PredictorKind, base Options) ([]TableIIIRow, error) {
 				opt := base
 				opt.Predictor = pk
 				opt.Channel = ch
-				r, err := Run(cat, opt)
+				r, err := RunContext(ctx, cat, opt)
 				if err != nil {
 					return nil, err
 				}
@@ -212,8 +213,8 @@ type ConfPoint struct {
 // (the paper's footnote 3 parameter). The attacks adapt — the train
 // step always makes a confidence number of accesses — so effectiveness
 // is expected at every threshold, while the transmission rate falls as
-// training gets longer.
-func ConfidenceSweep(cat core.Category, confs []int, base Options) ([]ConfPoint, error) {
+// training gets longer. ctx cancels the whole sweep (see RunContext).
+func ConfidenceSweep(ctx context.Context, cat core.Category, confs []int, base Options) ([]ConfPoint, error) {
 	var out []ConfPoint
 	for _, c := range confs {
 		if c < 1 {
@@ -221,7 +222,7 @@ func ConfidenceSweep(cat core.Category, confs []int, base Options) ([]ConfPoint,
 		}
 		opt := base
 		opt.Confidence = c
-		r, err := Run(cat, opt)
+		r, err := RunContext(ctx, cat, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -240,13 +241,14 @@ type NoisePoint struct {
 // NoiseSweep evaluates an attack under growing memory-latency jitter —
 // the robustness curve real systems decide an attack's practicality
 // by. The timing-window separations here are ~170 cycles, so the
-// attacks survive jitter well past the DRAM latency itself.
-func NoiseSweep(cat core.Category, jitters []uint64, base Options) ([]NoisePoint, error) {
+// attacks survive jitter well past the DRAM latency itself. ctx
+// cancels the whole sweep (see RunContext).
+func NoiseSweep(ctx context.Context, cat core.Category, jitters []uint64, base Options) ([]NoisePoint, error) {
 	var out []NoisePoint
 	for _, j := range jitters {
 		opt := base
 		opt.Noise = cpuNoise(j)
-		r, err := Run(cat, opt)
+		r, err := RunContext(ctx, cat, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -31,23 +31,6 @@ type trialOut struct {
 // legacy loop). The returned total is the sum of per-trial cycle
 // counts in trial order.
 func runCaseTrials(ctx context.Context, opt *Options, res *CaseResult, record bool, fn trialFunc) (totalCycles float64, err error) {
-	// The batched sequential driver: at Jobs == 1 the runner executes
-	// items inline in index order on this goroutine, so one trial state
-	// — machine (hierarchy, arena, pipeline pool), RNG, predictor table
-	// — can be held across the whole case and recycled through every
-	// trial, with the compiled kernel images installed into it by
-	// Machine.Reset + InitProcessImage. The state is identical to what
-	// the sync.Pool would hand back (results are byte-identical; the
-	// pool round trip and its cold misses just disappear).
-	// opt.PerTrialSetup opts back into the per-trial pool path for
-	// benchmark comparison.
-	var held *trialState
-	batched := opt.Jobs == 1 && !opt.PerTrialSetup
-	defer func() {
-		if held != nil {
-			trialPool.Put(held)
-		}
-	}()
 	outs, err := runner.Map(ctx, runner.Config{Jobs: opt.Jobs, Metrics: opt.Metrics, Trace: opt.Trace}, 2*opt.Runs,
 		func(ctx context.Context, k int, reg *metrics.Registry) (trialOut, error) {
 			i := k / 2
@@ -68,7 +51,7 @@ func runCaseTrials(ctx context.Context, opt *Options, res *CaseResult, record bo
 			if span.Traced() {
 				setup = span.Child("setup", obs.Int("trial", i))
 			}
-			e, err := newEnvWith(&o, seed, held)
+			e, err := newEnv(&o, seed)
 			setup.End()
 			if err != nil {
 				return trialOut{}, err
@@ -81,11 +64,7 @@ func runCaseTrials(ctx context.Context, opt *Options, res *CaseResult, record bo
 			if record {
 				e.recordTrial(mapped, ob, cyc)
 			}
-			if batched {
-				held = e.ts // keep the state for the case's next trial
-			} else {
-				e.release()
-			}
+			e.release()
 			return trialOut{obs: ob, cyc: cyc}, nil
 		})
 	if err != nil {

@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -24,32 +25,6 @@ func snapJSON(t *testing.T, reg *metrics.Registry) string {
 func stripEnv(r CaseResult) CaseResult {
 	r.Opt = Options{}
 	return r
-}
-
-// TestPerTrialSetupDeterminism: the batched sequential driver (one
-// trial state held across a case) and the per-trial sync.Pool path
-// must produce identical CaseResult observations and a byte-identical
-// metrics export — PerTrialSetup is benchcore's comparison knob and
-// may never change a result.
-func TestPerTrialSetupDeterminism(t *testing.T) {
-	runWith := func(perTrial bool) (CaseResult, string) {
-		reg := metrics.NewRegistry()
-		opt := Options{Predictor: LVP, Channel: core.Persistent,
-			Runs: 8, Seed: 42, Jobs: 1, Metrics: reg, PerTrialSetup: perTrial}
-		r, err := Run(core.TrainTest, opt)
-		if err != nil {
-			t.Fatalf("perTrial=%v: %v", perTrial, err)
-		}
-		return stripEnv(r), snapJSON(t, reg)
-	}
-	batched, batchedJSON := runWith(false)
-	pooled, pooledJSON := runWith(true)
-	if !reflect.DeepEqual(batched, pooled) {
-		t.Errorf("CaseResult differs between batched and per-trial setup:\nbatched: %+v\npooled:  %+v", batched, pooled)
-	}
-	if batchedJSON != pooledJSON {
-		t.Error("metrics export differs between batched and per-trial setup")
-	}
 }
 
 // TestRunJobsDeterminism is the determinism contract's regression
@@ -88,7 +63,7 @@ func TestRunVariantJobsDeterminism(t *testing.T) {
 	runAt := func(jobs int) (CaseResult, string) {
 		reg := metrics.NewRegistry()
 		opt := Options{Predictor: LVP, Runs: 8, Seed: 7, Jobs: jobs, Metrics: reg}
-		r, err := RunVariant(v, opt)
+		r, err := RunVariant(context.Background(), v, opt)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

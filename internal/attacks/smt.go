@@ -198,16 +198,17 @@ func (e *env) trialFillUpVolatileSMT(mapped bool) (float64, uint64, error) {
 // RunTestHitVolatileSMT evaluates the SMT co-runner variant of the
 // Test+Hit volatile channel over opt.Runs trials per case and returns
 // the standard case result.
-func RunTestHitVolatileSMT(opt Options) (CaseResult, error) {
-	return RunVolatileSMT(core.TestHit, opt)
+func RunTestHitVolatileSMT(ctx context.Context, opt Options) (CaseResult, error) {
+	return RunVolatileSMT(ctx, core.TestHit, opt)
 }
 
 // RunVolatileSMT evaluates the SMT co-runner volatile channel for the
 // categories with an SMT variant (Test+Hit, Train+Test and Fill Up)
 // over opt.Runs trials per case and returns the standard case result.
 // Trials run opt.Jobs at a time (see Options.Jobs); the result is
-// byte-identical at any worker count.
-func RunVolatileSMT(cat core.Category, opt Options) (CaseResult, error) {
+// byte-identical at any worker count. ctx aborts in-flight trials and
+// surfaces ctx.Err().
+func RunVolatileSMT(ctx context.Context, cat core.Category, opt Options) (CaseResult, error) {
 	opt.setDefaults()
 	opt.Channel = core.Volatile
 	res := CaseResult{Category: cat, Channel: core.Volatile, Opt: opt}
@@ -222,7 +223,7 @@ func RunVolatileSMT(cat core.Category, opt Options) (CaseResult, error) {
 	default:
 		return res, fmt.Errorf("attacks: %v has no SMT volatile variant", cat)
 	}
-	totalCycles, err := runCaseTrials(context.Background(), &opt, &res, true, trial)
+	totalCycles, err := runCaseTrials(ctx, &opt, &res, true, trial)
 	if err != nil {
 		return res, err
 	}

@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // transient parity burst stretches its windows when (and only when)
 // the predictor supplies an odd secret.
 func TestSMTVolatileChannel(t *testing.T) {
-	vp, err := RunTestHitVolatileSMT(Options{Predictor: LVP, Runs: 30, Seed: 77})
+	vp, err := RunTestHitVolatileSMT(context.Background(), Options{Predictor: LVP, Runs: 30, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestSMTVolatileChannel(t *testing.T) {
 	// null, so take the median p over three seed ranges.
 	var ps []float64
 	for _, seed := range []int64{77, 1_000_077, 2_000_077} {
-		novp, err := RunTestHitVolatileSMT(Options{Predictor: NoVP, Runs: 30, Seed: seed})
+		novp, err := RunTestHitVolatileSMT(context.Background(), Options{Predictor: NoVP, Runs: 30, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,21 +54,21 @@ func TestSMTVolatileChannel(t *testing.T) {
 // the sampler separates the cases with the LVP and sees nothing
 // without a predictor.
 func TestSMTVolatileTrainTest(t *testing.T) {
-	r, err := RunVolatileSMT(core.TrainTest, Options{Runs: 25, Seed: 31})
+	r, err := RunVolatileSMT(context.Background(), core.TrainTest, Options{Runs: 25, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Effective() {
 		t.Errorf("Train+Test SMT volatile with LVP: p=%.4f, want effective", r.P)
 	}
-	off, err := RunVolatileSMT(core.TrainTest, Options{Predictor: NoVP, Runs: 25, Seed: 31})
+	off, err := RunVolatileSMT(context.Background(), core.TrainTest, Options{Predictor: NoVP, Runs: 25, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Effective() && offAcrossSeeds(t) {
 		t.Errorf("Train+Test SMT volatile without VP: p=%.4f, want ineffective", off.P)
 	}
-	if _, err := RunVolatileSMT(core.SpillOver, Options{Runs: 2}); err == nil {
+	if _, err := RunVolatileSMT(context.Background(), core.SpillOver, Options{Runs: 2}); err == nil {
 		t.Error("Spill Over should have no SMT volatile variant")
 	}
 }
@@ -80,7 +81,7 @@ func offAcrossSeeds(t *testing.T) bool {
 	t.Helper()
 	hits := 0
 	for _, seed := range []int64{1031, 2031} {
-		r, err := RunVolatileSMT(core.TrainTest, Options{Predictor: NoVP, Runs: 25, Seed: seed})
+		r, err := RunVolatileSMT(context.Background(), core.TrainTest, Options{Predictor: NoVP, Runs: 25, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func offAcrossSeeds(t *testing.T) bool {
 // sender's own trigger thread runs next to the sampler, and the parity
 // of its trained D' value gates the burst.
 func TestSMTVolatileFillUp(t *testing.T) {
-	r, err := RunVolatileSMT(core.FillUp, Options{Runs: 25, Seed: 41})
+	r, err := RunVolatileSMT(context.Background(), core.FillUp, Options{Runs: 25, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}

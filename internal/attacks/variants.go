@@ -171,11 +171,12 @@ func (e *env) variantTrial(v core.Variant, mapped bool) (float64, error) {
 // RunVariant evaluates one specific Table II pattern over the
 // timing-window channel. Trials run opt.Jobs at a time (see
 // Options.Jobs); the result is byte-identical at any worker count.
-func RunVariant(v core.Variant, opt Options) (CaseResult, error) {
+// ctx aborts in-flight trials and surfaces ctx.Err().
+func RunVariant(ctx context.Context, v core.Variant, opt Options) (CaseResult, error) {
 	opt.setDefaults()
 	opt.Channel = core.TimingWindow
 	res := CaseResult{Category: v.Category, Channel: core.TimingWindow, Opt: opt}
-	totalCycles, err := runCaseTrials(context.Background(), &opt, &res, false,
+	totalCycles, err := runCaseTrials(ctx, &opt, &res, false,
 		func(e *env, mapped bool) (float64, uint64, error) {
 			obs, err := e.variantTrial(v, mapped)
 			// Each trial runs on a fresh machine, so the machine's cycle

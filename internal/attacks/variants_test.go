@@ -1,6 +1,7 @@
 package attacks
 
 import (
+	"context"
 	"testing"
 
 	"vpsec/internal/core"
@@ -16,7 +17,7 @@ func TestAllTwelveVariantsExecutable(t *testing.T) {
 	}
 	for _, v := range variants {
 		opt := Options{Predictor: LVP, Runs: 15, Seed: 333}
-		r, err := RunVariant(v, opt)
+		r, err := RunVariant(context.Background(), v, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", v.Pattern, err)
 		}
@@ -35,7 +36,7 @@ func TestAllTwelveVariantsExecutable(t *testing.T) {
 		}
 		seen[v.Category] = true
 		opt := Options{Predictor: NoVP, Runs: 15, Seed: 333}
-		r, err := RunVariant(v, opt)
+		r, err := RunVariant(context.Background(), v, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", v.Pattern, err)
 		}

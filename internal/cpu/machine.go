@@ -198,8 +198,8 @@ func (m *Machine) InitProcess(p *Process, pid uint64, prog *isa.Program, physBas
 // InitProcessImage installs a precompiled isa.Image: the program was
 // validated at Compile time and its data section is a dense sorted
 // slice, so per-trial installation is a plain copy loop with no
-// validation pass and no map iteration. The batched trial driver in
-// internal/attacks leans on this to recycle one machine through
+// validation pass and no map iteration. The trial driver in
+// internal/attacks leans on this to recycle pooled machines through
 // hundreds of trials of the same compiled kernels.
 func (m *Machine) InitProcessImage(p *Process, pid uint64, img *isa.Image, physBase uint64) {
 	*p = Process{PID: pid, Prog: img.Prog, PhysBase: physBase}

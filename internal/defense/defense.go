@@ -13,6 +13,7 @@
 package defense
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -28,12 +29,12 @@ import (
 // sweeping many secure cells would regularly mislabel one; the median
 // of three keeps real attacks (p ≈ 0) detected while dropping the null
 // false-positive rate below 1%.
-func medianCase(cat core.Category, opt attacks.Options) (p, success, cyc float64, err error) {
+func medianCase(ctx context.Context, cat core.Category, opt attacks.Options) (p, success, cyc float64, err error) {
 	var ps, ss, cs []float64
 	for i := int64(0); i < 3; i++ {
 		o := opt
 		o.Seed = opt.Seed + i*1_000_003
-		r, err := attacks.Run(cat, o)
+		r, err := attacks.RunContext(ctx, cat, o)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -71,8 +72,8 @@ func (s SweepPoint) Effective() bool { return s.P < stats.SignificanceLevel }
 // SweepRWindow evaluates windows 1..maxWindow of the R-type defense
 // against one attack category and channel. Any R-type mechanism
 // already in base's stack is replaced by the swept window; every other
-// mechanism is preserved.
-func SweepRWindow(cat core.Category, maxWindow int, base attacks.Options) ([]SweepPoint, error) {
+// mechanism is preserved. ctx cancels the whole sweep.
+func SweepRWindow(ctx context.Context, cat core.Category, maxWindow int, base attacks.Options) ([]SweepPoint, error) {
 	if maxWindow < 1 {
 		return nil, fmt.Errorf("defense: maxWindow %d < 1", maxWindow)
 	}
@@ -80,7 +81,7 @@ func SweepRWindow(cat core.Category, maxWindow int, base attacks.Options) ([]Swe
 	for w := 1; w <= maxWindow; w++ {
 		opt := base
 		opt.Defense = base.Defense.WithRandomWindow(w)
-		p, s, _, err := medianCase(cat, opt)
+		p, s, _, err := medianCase(ctx, cat, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -128,8 +129,9 @@ type MatrixCell struct {
 // Matrix evaluates every attack category and supported channel against
 // every strategy, reproducing the defense-coverage discussion of
 // Sec. VI-B. When the strategy set includes "none", every cell's
-// Slowdown is filled in against that baseline.
-func Matrix(base attacks.Options, strategies []Strategy) ([]MatrixCell, error) {
+// Slowdown is filled in against that baseline. ctx cancels the whole
+// matrix.
+func Matrix(ctx context.Context, base attacks.Options, strategies []Strategy) ([]MatrixCell, error) {
 	if strategies == nil {
 		strategies = Strategies()
 	}
@@ -151,7 +153,7 @@ func Matrix(base attacks.Options, strategies []Strategy) ([]MatrixCell, error) {
 				opt := base
 				opt.Channel = ch
 				opt.Defense = s.Stack
-				p, _, cyc, err := medianCase(cat, opt)
+				p, _, cyc, err := medianCase(ctx, cat, opt)
 				if err != nil {
 					return nil, err
 				}

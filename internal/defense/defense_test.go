@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"context"
 	"testing"
 
 	"vpsec/internal/attacks"
@@ -12,7 +13,7 @@ func baseOpt() attacks.Options {
 }
 
 func TestSweepTrainTestMinimalWindowIs3(t *testing.T) {
-	pts, err := SweepRWindow(core.TrainTest, 6, baseOpt())
+	pts, err := SweepRWindow(context.Background(), core.TrainTest, 6, baseOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestSweepTrainTestMinimalWindowIs3(t *testing.T) {
 }
 
 func TestSweepTestHitMinimalWindowIs9(t *testing.T) {
-	pts, err := SweepRWindow(core.TestHit, 10, baseOpt())
+	pts, err := SweepRWindow(context.Background(), core.TestHit, 10, baseOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestMinimalSecureWindowEdgeCases(t *testing.T) {
 }
 
 func TestSweepValidation(t *testing.T) {
-	if _, err := SweepRWindow(core.TrainTest, 0, baseOpt()); err == nil {
+	if _, err := SweepRWindow(context.Background(), core.TrainTest, 0, baseOpt()); err == nil {
 		t.Error("maxWindow 0 should fail")
 	}
 }
@@ -60,7 +61,7 @@ func TestSweepValidation(t *testing.T) {
 func TestMatrixCombinedDefendsEverything(t *testing.T) {
 	opt := baseOpt()
 	opt.Runs = 30
-	cells, err := Matrix(opt, nil)
+	cells, err := Matrix(context.Background(), opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestMatrixSelectedClaims(t *testing.T) {
 	}
 	opt := baseOpt()
 	opt.Runs = 40
-	cells, err := Matrix(opt, strategies)
+	cells, err := Matrix(context.Background(), opt, strategies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestMatrixFlushOnSwitchScope(t *testing.T) {
 	}
 	opt := baseOpt()
 	opt.Runs = 40
-	cells, err := Matrix(opt, strategies)
+	cells, err := Matrix(context.Background(), opt, strategies)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -138,7 +139,7 @@ func TestNewMechanismsDefend(t *testing.T) {
 		o := opt
 		o.Channel = ch
 		o.Defense = s.Stack
-		p, _, _, err := medianCase(core.TrainTest, o)
+		p, _, _, err := medianCase(context.Background(), core.TrainTest, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,7 @@ func TestRecomputeCheaperThanDelay(t *testing.T) {
 		}
 		o := opt
 		o.Defense = s.Stack
-		_, _, c, err := medianCase(core.TrainTest, o)
+		_, _, c, err := medianCase(context.Background(), core.TrainTest, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -285,7 +285,7 @@ type DataWord struct {
 // snapshotted into a dense address-sorted slice. Installing an Image
 // into a machine (cpu.Machine.InitProcessImage) skips both the
 // per-trial Validate pass and the map iteration, which is what lets a
-// batched case run hundreds of trials against one compiled artifact.
+// case run hundreds of trials against one compiled artifact.
 // Images are immutable once compiled and safe to share across
 // goroutines.
 type Image struct {

@@ -14,8 +14,8 @@
 // returns immediately, so instrumented hot paths cost one pointer
 // comparison when tracing is off. Call sites that build attributes
 // guard on Tracer.Enabled or Span.Traced so the disabled path also
-// allocates nothing (the budget is ≤ 2% on the full trial sweep,
-// recorded in BENCH_obs.json by tools/benchobs).
+// allocates nothing (TestDisabledPathAllocs; tools/bench measures the
+// cost of turning tracing on as obs.trace_overhead).
 //
 // Span identity is hierarchical (parent ids in the event stream) and
 // spans carry a track id (TID) — one lane per runner worker — so

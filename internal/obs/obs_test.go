@@ -74,9 +74,10 @@ func TestNilTracerIsInert(t *testing.T) {
 }
 
 // TestDisabledPathAllocs: the off state allocates nothing at the
-// instrumentation points — the property the ≤2% overhead budget of
-// BENCH_obs.json rests on. Call sites guard attribute construction
-// with Enabled/Traced, so the measured pattern mirrors real use.
+// instrumentation points — the property that makes untraced runs pay
+// only a pointer comparison per site. Call sites guard attribute
+// construction with Enabled/Traced, so the measured pattern mirrors
+// real use.
 func TestDisabledPathAllocs(t *testing.T) {
 	var tr *Tracer
 	ctx := context.Background()

@@ -173,16 +173,10 @@ func (c Config) spec(kind scenario.Kind) scenario.Spec {
 	}
 }
 
-// execute dispatches one spec through the scenario layer — the same
-// entry point the CLI front-ends use.
-func execute(s scenario.Spec) (*scenario.Result, error) {
-	return scenario.Execute(context.Background(), s)
-}
-
 // Generate runs the evaluation and assembles the report. now is
 // injected so callers control timestamps (and tests stay
-// deterministic).
-func Generate(cfg Config, now time.Time) (*Report, error) {
+// deterministic); ctx cancels every scenario the report runs.
+func Generate(ctx context.Context, cfg Config, now time.Time) (*Report, error) {
 	cfg.setDefaults()
 	r := &Report{GeneratedAt: now, Config: cfg}
 
@@ -195,7 +189,7 @@ func Generate(cfg Config, now time.Time) (*Report, error) {
 	// Table III.
 	t3 := cfg.spec(scenario.KindTableIII)
 	t3.Predictor = string(cfg.Predictor)
-	t3res, err := execute(t3)
+	t3res, err := scenario.Execute(ctx, t3)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +207,7 @@ func Generate(cfg Config, now time.Time) (*Report, error) {
 			s.Category = string(cat)
 			s.Channel = core.Volatile.String()
 			s.Predictor = string(pk)
-			res, err := execute(s)
+			res, err := scenario.Execute(ctx, s)
 			if err != nil {
 				return nil, err
 			}
@@ -226,7 +220,7 @@ func Generate(cfg Config, now time.Time) (*Report, error) {
 		s := cfg.spec(scenario.KindVariant)
 		s.Predictor = string(cfg.Predictor)
 		s.Variant = v.Pattern.String()
-		res, err := execute(s)
+		res, err := scenario.Execute(ctx, s)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +239,7 @@ func Generate(cfg Config, now time.Time) (*Report, error) {
 			s.Runs = cfg.DefenseRuns
 			s.Category = string(sw.cat)
 			s.MaxWindow = sw.maxw
-			res, err := execute(s)
+			res, err := scenario.Execute(ctx, s)
 			if err != nil {
 				return nil, err
 			}
@@ -271,7 +265,7 @@ func Generate(cfg Config, now time.Time) (*Report, error) {
 		for _, s := range defense.ExtendedStrategies() {
 			m.Strategies = append(m.Strategies, s.Name)
 		}
-		mres, err := execute(m)
+		mres, err := scenario.Execute(ctx, m)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +276,7 @@ func Generate(cfg Config, now time.Time) (*Report, error) {
 	// Ablations (skipped in Quick mode).
 	if !cfg.Quick {
 		add := func(label string, s scenario.Spec) error {
-			res, err := execute(s)
+			res, err := scenario.Execute(ctx, s)
 			if err != nil {
 				return err
 			}
@@ -345,7 +339,7 @@ func Generate(cfg Config, now time.Time) (*Report, error) {
 	if !cfg.Quick {
 		cb := cfg.spec(scenario.KindCacheMatrix)
 		cb.Patterns = cachebench.ShrunkPatterns()
-		res, err := execute(cb)
+		res, err := scenario.Execute(ctx, cb)
 		if err != nil {
 			return nil, err
 		}

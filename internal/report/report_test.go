@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 func TestGenerateQuick(t *testing.T) {
 	cfg := Config{Runs: 10, Seed: 3, Quick: true}
 	ts := time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC)
-	r, err := Generate(cfg, ts)
+	r, err := Generate(context.Background(), cfg, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestGenerateQuick(t *testing.T) {
 
 func TestRenderings(t *testing.T) {
 	cfg := Config{Runs: 8, Seed: 5, Quick: true}
-	r, err := Generate(cfg, time.Unix(0, 0).UTC())
+	r, err := Generate(context.Background(), cfg, time.Unix(0, 0).UTC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestMetricsDeterministic(t *testing.T) {
 	dump := func() []byte {
 		reg := metrics.NewRegistry()
 		cfg := Config{Runs: 4, Seed: 9, Quick: true, Metrics: reg}
-		if _, err := Generate(cfg, ts); err != nil {
+		if _, err := Generate(context.Background(), cfg, ts); err != nil {
 			t.Fatal(err)
 		}
 		out, err := reg.Snapshot().JSON()
@@ -144,7 +145,7 @@ func TestGenerateFull(t *testing.T) {
 		t.Skip("full report generation is slow")
 	}
 	cfg := Config{Runs: 8, DefenseRuns: 25, Seed: 11}
-	r, err := Generate(cfg, time.Unix(1e9, 0).UTC())
+	r, err := Generate(context.Background(), cfg, time.Unix(1e9, 0).UTC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestGenerateFull(t *testing.T) {
 
 func TestReportIncludesLocalityAudit(t *testing.T) {
 	cfg := Config{Quick: true, Runs: 6, Seed: 5}
-	r, err := Generate(cfg, time.Unix(1e9, 0).UTC())
+	r, err := Generate(context.Background(), cfg, time.Unix(1e9, 0).UTC())
 	if err != nil {
 		t.Fatal(err)
 	}

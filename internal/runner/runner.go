@@ -246,6 +246,11 @@ feed:
 	if fallback != nil {
 		return nil, fmt.Errorf("runner: item %d: %w", fallbackAt, fallback)
 	}
+	// A cancellation that no running item observed still skipped the
+	// queued ones: out holds zero values for them, so it is no result.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -136,6 +136,33 @@ func TestMapCancel(t *testing.T) {
 	}
 }
 
+// TestMapCancelUnobserved: a cancellation that no item reports as an
+// error still fails the map. Item 0 cancels and then succeeds, and
+// every other item waits for the cancellation and then succeeds too, so
+// only the skipped queue shows the map was cut short — Map must not
+// return those zero values as a result.
+func TestMapCancelUnobserved(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		fn := func(ctx context.Context, i int, _ *metrics.Registry) (int, error) {
+			if i == 0 {
+				cancel()
+			} else {
+				<-ctx.Done()
+			}
+			return i, nil
+		}
+		out, err := Map(ctx, Config{Jobs: jobs}, 16, fn)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("jobs=%d: err = %v, want context.Canceled", jobs, err)
+		}
+		if out != nil {
+			t.Errorf("jobs=%d: %d results returned after cancellation, want nil", jobs, len(out))
+		}
+	}
+}
+
 // TestMapEmpty: zero items is a successful no-op.
 func TestMapEmpty(t *testing.T) {
 	out, err := Map(context.Background(), Config{Jobs: 8}, 0, item)

@@ -88,7 +88,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 		ctx = obs.NewContext(ctx, span)
 	}
 	if s.Kind == KindSim {
-		return executeSim(s)
+		return executeSim(ctx, s)
 	}
 	if s.Kind == KindCacheBench || s.Kind == KindCacheMatrix {
 		return executeCacheBench(ctx, s)
@@ -116,7 +116,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := attacks.RunVariant(v, opt)
+		c, err := attacks.RunVariant(ctx, v, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 
 	case KindEviction:
 		opt.Channel = core.TimingWindow
-		c, err := attacks.RunTrainTestEviction(opt)
+		c, err := attacks.RunTrainTestEviction(ctx, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -135,14 +135,14 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := attacks.RunVolatileSMT(cat, opt)
+		c, err := attacks.RunVolatileSMT(ctx, cat, opt)
 		if err != nil {
 			return nil, err
 		}
 		res.Cases = []attacks.CaseResult{c}
 
 	case KindTableIII:
-		rows, err := attacks.TableIII(res.Opt.Predictor, opt)
+		rows, err := attacks.TableIII(ctx, res.Opt.Predictor, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +177,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 		if len(jitters) == 0 {
 			jitters = []uint64{0, 12, 50, 100, 200, 400, 800}
 		}
-		pts, err := attacks.NoiseSweep(cat, jitters, opt)
+		pts, err := attacks.NoiseSweep(ctx, cat, jitters, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +192,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 		if len(confs) == 0 {
 			confs = []int{2, 3, 4, 6, 8}
 		}
-		pts, err := attacks.ConfidenceSweep(cat, confs, opt)
+		pts, err := attacks.ConfidenceSweep(ctx, cat, confs, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +208,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			pts, err := defense.SweepRWindow(cat, maxw, opt)
+			pts, err := defense.SweepRWindow(ctx, cat, maxw, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -228,7 +228,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 			}
 			strategies = append(strategies, st)
 		}
-		cells, err := defense.Matrix(opt, strategies)
+		cells, err := defense.Matrix(ctx, opt, strategies)
 		if err != nil {
 			return nil, err
 		}
@@ -292,8 +292,12 @@ func executeCacheBench(ctx context.Context, s Spec) (*Result, error) {
 }
 
 // executeSim assembles and runs the spec's .vasm program, mirroring
-// cmd/vpsim's machine setup.
-func executeSim(s Spec) (*Result, error) {
+// cmd/vpsim's machine setup. The run is one uninterruptible machine
+// execution, so ctx can only cancel it before it starts.
+func executeSim(ctx context.Context, s Spec) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	src, err := os.ReadFile(s.Program)
 	if err != nil {
 		return nil, err

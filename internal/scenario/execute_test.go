@@ -2,12 +2,12 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"vpsec/internal/attacks"
 	"vpsec/internal/core"
@@ -82,7 +82,7 @@ func TestExecuteVariantMatchesRunVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.RunVariant(v, attacks.Options{Runs: small, Seed: 3})
+	want, err := attacks.RunVariant(context.Background(), v, attacks.Options{Runs: small, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestExecuteEvictionMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.RunTrainTestEviction(attacks.Options{Channel: core.TimingWindow, Runs: small, Seed: 5})
+	want, err := attacks.RunTrainTestEviction(context.Background(), attacks.Options{Channel: core.TimingWindow, Runs: small, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestExecuteSMTMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.RunVolatileSMT(core.TestHit, attacks.Options{
+	want, err := attacks.RunVolatileSMT(context.Background(), core.TestHit, attacks.Options{
 		Channel: core.Volatile, Runs: small, Seed: 2,
 	})
 	if err != nil {
@@ -158,7 +158,7 @@ func TestExecuteNoiseAndConfSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantN, err := attacks.NoiseSweep(core.TrainTest, []uint64{0, 50}, attacks.Options{Runs: small, Seed: 4})
+	wantN, err := attacks.NoiseSweep(context.Background(), core.TrainTest, []uint64{0, 50}, attacks.Options{Runs: small, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestExecuteNoiseAndConfSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC, err := attacks.ConfidenceSweep(core.TrainTest, []int{2, 3}, attacks.Options{Runs: small, Seed: 4})
+	wantC, err := attacks.ConfidenceSweep(context.Background(), core.TrainTest, []int{2, 3}, attacks.Options{Runs: small, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestExecuteDefenseSweepMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := defense.SweepRWindow(core.TrainTest, 2, attacks.Options{
+	want, err := defense.SweepRWindow(context.Background(), core.TrainTest, 2, attacks.Options{
 		Channel: core.TimingWindow, Runs: small, Seed: 1,
 	})
 	if err != nil {
@@ -258,6 +258,39 @@ func TestExecuteSim(t *testing.T) {
 	}
 }
 
+// TestExecuteCancelledEveryKind: cancellation reaches every scenario
+// kind. One spec per kind — the first registered one, or a minimal
+// program for KindSim, which the registry does not hold — executed on
+// an already-cancelled context must fail with context.Canceled at both
+// the sequential and the parallel trial path, instead of running on a
+// background context to completion.
+func TestExecuteCancelledEveryKind(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	byKind := map[Kind]Spec{
+		KindSim: {Name: "sim", Kind: KindSim, Program: "../../examples/progs/pointer-chase.vasm"},
+	}
+	for _, s := range All() {
+		if _, ok := byKind[s.Kind]; !ok {
+			byKind[s.Kind] = s
+		}
+	}
+	for _, k := range Kinds() {
+		s, ok := byKind[k]
+		if !ok {
+			t.Errorf("kind %q: no spec to execute", k)
+			continue
+		}
+		s.Runs = 2
+		for _, jobs := range []int{1, 2} {
+			s.Jobs = jobs
+			if _, err := Execute(ctx, s); !errors.Is(err, context.Canceled) {
+				t.Errorf("kind %q (%s) jobs=%d: err = %v, want context.Canceled", k, s.Name, jobs, err)
+			}
+		}
+	}
+}
+
 // TestRegisteredScenariosExecute runs every registered scenario at a
 // tiny trial count, proving each named spec actually dispatches. The
 // heavyweight kinds (full tables, matrices, sweeps) are exercised via
@@ -286,43 +319,5 @@ func TestRegisteredScenariosExecute(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestRegistrySweepWallClock is the ROADMAP's standing performance
-// target as an executable gate: the full registry sweep — every
-// registered scenario except the cachebench families, 68 specs — at
-// paper-default sample size (Runs=100) on ONE core must finish in
-// single-digit seconds. Gated behind VPBENCH_FULL because it runs the
-// real workload (~10⁷ simulated instructions); `make bench-full` sets
-// the variable. The bound is deliberately loose against machine
-// variance (the recorded BENCH_core.json wall clocks are the precise
-// trajectory); what it catches is an order-of-magnitude regression in
-// per-trial simulator speed.
-func TestRegistrySweepWallClock(t *testing.T) {
-	if os.Getenv("VPBENCH_FULL") == "" {
-		t.Skip("set VPBENCH_FULL=1 to run the full one-core registry sweep gate")
-	}
-	var specs []Spec
-	for _, s := range All() {
-		if s.Kind == KindCacheBench || s.Kind == KindCacheMatrix {
-			continue
-		}
-		s.Jobs = 1
-		specs = append(specs, s)
-	}
-	start := time.Now()
-	for _, s := range specs {
-		if _, err := Execute(context.Background(), s); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-	}
-	elapsed := time.Since(start)
-	t.Logf("registry sweep: %d scenarios at paper defaults in %.2fs on one core", len(specs), elapsed.Seconds())
-	if len(specs) != 68 {
-		t.Errorf("registry holds %d non-cachebench scenarios, want 68 (update the ROADMAP target and this gate together)", len(specs))
-	}
-	if elapsed >= 10*time.Second {
-		t.Errorf("one-core registry sweep took %.2fs, target single-digit seconds", elapsed.Seconds())
 	}
 }

@@ -8,10 +8,10 @@
 //
 // That matters because the experiment harness derives every trial's
 // RNG seed purely from (base seed, trial index) — the determinism
-// contract of DESIGN.md §8 — and a batched case re-seeds one pooled
-// generator hundreds of times over a small recurring seed set. Before
-// this cache, rand.(*Rand).Seed was the single largest line item of a
-// full benchcore sweep (~28% of wall clock).
+// contract of DESIGN.md §8 — and every trial re-seeds a pooled
+// generator, hundreds of times per case over a small recurring seed
+// set. Before this cache, rand.(*Rand).Seed was the single largest line
+// item of the Fig. 5 Train+Test sweep (~28% of wall clock).
 //
 // Equivalence with math/rand is pinned by TestStreamMatchesMathRand;
 // the vendored rngCooked table (cooked.go) is the piece that makes the
