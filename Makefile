@@ -56,12 +56,13 @@ cachebench:
 	$(GO) test ./internal/scenario -run 'TestCacheMatrixGolden|TestCacheMatrixHashJobsInvariant' -count=1
 
 # Steady-state allocation budgets of the simulator hot loop and the
-# trial driver (DESIGN.md §10). Runs without -race: the race
-# detector instruments allocations and the tests exclude themselves
-# under that build tag.
+# trial driver (DESIGN.md §10), and of a vpserver cache hit
+# (DESIGN.md §13). Runs without -race: the race detector instruments
+# allocations and the tests exclude themselves under that build tag.
 alloc-budget:
 	$(GO) test ./internal/cpu -run TestMachineRunSteadyStateAllocs -count=1
 	$(GO) test ./internal/attacks -run TestTrialDisabledPathAllocs -count=1
+	$(GO) test ./internal/server -run TestHitAllocBudget -count=1
 
 # Bitmap-scheduler ordering gate: within a cycle, issue must stay
 # strictly oldest-first (the contract the old seq-sorted ready list

@@ -34,17 +34,26 @@ const (
 // set at admission; the mutable state lives under mu and is read
 // through View. Waiters block on done, which closes exactly once when
 // the job reaches a terminal state.
+//
+// Every cache hit leaves one Job behind for the server's lifetime, so
+// a hit record carries no spec and no channel of its own: the spec
+// lives behind a pointer only a queued job sets, and hits share the
+// pre-closed hitDone.
 type Job struct {
 	// ID is the server-assigned job identifier ("j-000001").
 	ID string
 	// Scenario is the registry name the job was submitted under, empty
 	// for ad-hoc spec payloads.
 	Scenario string
-	// Spec is the canonicalized spec the job executes.
-	Spec scenario.Spec
-	// Hash is Spec.Hash() — the cache key and singleflight identity.
+	// Kind is the kind of the canonicalized spec.
+	Kind scenario.Kind
+	// Hash is the canonical spec hash — the cache key and singleflight
+	// identity.
 	Hash string
 
+	// spec is the canonicalized spec a queued job executes; the worker
+	// drops it once it starts, and hits never set it.
+	spec *scenario.Spec
 	// client is the admission-control key the job counts against.
 	client string
 	// progress accumulates trial counts from the job's tracer.
@@ -59,16 +68,38 @@ type Job struct {
 	result []byte // canonical result JSON (terminal states only)
 }
 
+// hitDone is the done channel of every cache-hit job: born closed.
+var hitDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // newJob builds a queued job.
 func newJob(id, name, client string, spec scenario.Spec, hash string) *Job {
 	return &Job{
 		ID:       id,
 		Scenario: name,
-		Spec:     spec,
+		Kind:     spec.Kind,
 		Hash:     hash,
+		spec:     &spec,
 		client:   client,
 		done:     make(chan struct{}),
 		state:    StateQueued,
+	}
+}
+
+// newHitJob builds a job born done from the cached result bytes.
+func newHitJob(id, name string, kind scenario.Kind, hash string, result []byte) *Job {
+	return &Job{
+		ID:       id,
+		Scenario: name,
+		Kind:     kind,
+		Hash:     hash,
+		done:     hitDone,
+		state:    StateDone,
+		cache:    CacheHit,
+		result:   result,
 	}
 }
 
@@ -156,21 +187,30 @@ type JobView struct {
 	Progress *Progress `json:"progress,omitempty"`
 	// Error carries the failure message of a failed job.
 	Error string `json:"error,omitempty"`
-	// Result is the canonical scenario.Result JSON of a done job.
+	// Result is the canonical scenario.Result JSON of a done job. Only
+	// the job endpoints carry it, written from a pre-rendered fragment
+	// (writeJobView); View leaves it empty.
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// View snapshots the job for serialization. withResult selects whether
-// the (potentially large) result bytes are inlined — job listings
-// inside batch views leave them out.
-func (j *Job) View(withResult bool) JobView {
+// View snapshots the job for serialization, without the result: batch
+// listings leave it out, and the job endpoints append it as a
+// pre-rendered fragment (writeJobView).
+func (j *Job) View() JobView {
+	v, _ := j.snapshot()
+	return v
+}
+
+// snapshot returns the job's view and its canonical result bytes (nil
+// until done), read under one lock.
+func (j *Job) snapshot() (JobView, []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{
 		ID:         j.ID,
 		State:      j.state,
 		Scenario:   j.Scenario,
-		Kind:       j.Spec.Kind,
+		Kind:       j.Kind,
 		SpecSHA256: j.Hash,
 		Cache:      j.cache,
 		Error:      j.errmsg,
@@ -179,10 +219,7 @@ func (j *Job) View(withResult bool) JobView {
 		p := j.progress.snapshot()
 		v.Progress = &p
 	}
-	if withResult && j.state == StateDone {
-		v.Result = json.RawMessage(j.result)
-	}
-	return v
+	return v, j.result
 }
 
 // terminal reports whether the job finished (done or failed).
@@ -209,16 +246,6 @@ func (j *Job) complete(result []byte) {
 	close(j.done)
 }
 
-// completeHit terminates a freshly admitted job from the cache.
-func (j *Job) completeHit(result []byte) {
-	j.mu.Lock()
-	j.state = StateDone
-	j.cache = CacheHit
-	j.result = result
-	j.mu.Unlock()
-	close(j.done)
-}
-
 // fail terminates the job with an error.
 func (j *Job) fail(err error) {
 	j.mu.Lock()
@@ -237,12 +264,13 @@ func (j *Job) fail(err error) {
 // singleflight entry is gone.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	j.setRunning()
-	spec := j.Spec
+	spec := *j.spec
+	j.spec = nil
 	spec.Jobs = s.cfg.TrialJobs
 	tr := obs.New(&j.progress)
 	spec.Trace = tr
 
-	res, err := scenario.Execute(ctx, spec)
+	res, err := s.execute(ctx, spec)
 	tr.Close()
 	if err != nil {
 		s.count(metricJobsFailed, helpJobsFailed)
@@ -296,7 +324,7 @@ type BatchView struct {
 func (b *Batch) View() BatchView {
 	v := BatchView{ID: b.ID, Total: len(b.Jobs)}
 	for _, j := range b.Jobs {
-		jv := j.View(false)
+		jv := j.View()
 		switch jv.State {
 		case StateDone:
 			v.Done++

@@ -5,8 +5,9 @@
 // keyed by the canonical spec hash (scenario.Spec.Hash). Execution is
 // deterministic by construction — the runner's contract makes results
 // byte-identical at every concurrency level — so a repeated request
-// for any of the registry's scenarios costs one store lookup, and a
-// cold cell costs exactly the simulator's raw speed.
+// for any of the registry's scenarios costs one store lookup plus a
+// copy of the result's pre-rendered bytes, and a cold cell costs
+// exactly the simulator's raw speed.
 //
 // The HTTP surface (documented endpoint by endpoint in docs/SERVER.md,
 // which `make docs` checks against the route table below):
@@ -111,7 +112,12 @@ type Server struct {
 	cfg   Config
 	reg   *metrics.Registry
 	store Store
+	views viewMemo // job-view fragments of the store's results
 	mux   *http.ServeMux
+
+	// execute runs a job's spec: scenario.Execute, or a gated stand-in
+	// in tests that must hold a worker busy without a wall-clock guess.
+	execute func(context.Context, scenario.Spec) (*scenario.Result, error)
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -133,6 +139,11 @@ type Server struct {
 
 // New builds a Server and starts its worker pool.
 func New(cfg Config) *Server {
+	return newServer(cfg, scenario.Execute)
+}
+
+// newServer is New with the function jobs execute through.
+func newServer(cfg Config, execute func(context.Context, scenario.Spec) (*scenario.Result, error)) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.NumCPU()
 	}
@@ -156,6 +167,8 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      cfg.Metrics,
 		store:    cfg.Store,
+		views:    viewMemo{m: make(map[string][]byte)},
+		execute:  execute,
 		baseCtx:  ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*Job),
@@ -375,8 +388,7 @@ func (s *Server) submit(name, client string, spec scenario.Spec) (*Job, error) {
 	if data, ok := s.store.Get(hash); ok {
 		s.reg.Counter(metricCacheHits, helpCacheHits).Add(1)
 		s.nextJob++
-		j := newJob(fmt.Sprintf("j-%06d", s.nextJob), name, client, spec, hash)
-		j.completeHit(data)
+		j := newHitJob(fmt.Sprintf("j-%06d", s.nextJob), name, spec.Kind, hash, data)
 		s.jobs[j.ID] = j
 		return j, nil
 	}
@@ -422,6 +434,26 @@ func (s *Server) waitBudget(timeoutMS int) time.Duration {
 	return d
 }
 
+// awaitDone blocks until done closes or d elapses and reports whether
+// done closed. A closed done returns at once, without arming a timer;
+// otherwise the timer is stopped on return, so no request leaves one
+// pending until the wait budget would have expired.
+func awaitDone(done <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-done:
+		return true
+	default:
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-done:
+		return true
+	case <-t.C:
+		return false
+	}
+}
+
 // handleSubmit implements POST /v1/jobs: resolve, admit, and answer —
 // 200 for terminal jobs (cache hits, or wait=true runs that finish in
 // budget), 202 for jobs still in flight.
@@ -449,16 +481,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Wait {
-		select {
-		case <-j.done:
-		case <-time.After(s.waitBudget(req.TimeoutMS)):
-		}
+		awaitDone(j.done, s.waitBudget(req.TimeoutMS))
 	}
 	status := http.StatusAccepted
 	if j.terminal() {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, j.View(true))
+	s.writeJobView(w, status, j)
 }
 
 // handleJob implements GET /v1/jobs/{id}. With ?wait=true it blocks —
@@ -473,12 +502,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("wait") == "true" {
 		ms, _ := strconv.Atoi(r.URL.Query().Get("timeout_ms"))
-		select {
-		case <-j.done:
-		case <-time.After(s.waitBudget(ms)):
-		}
+		awaitDone(j.done, s.waitBudget(ms))
 	}
-	writeJSON(w, http.StatusOK, j.View(true))
+	s.writeJobView(w, http.StatusOK, j)
 }
 
 // handleJobResult implements GET /v1/jobs/{id}/result: the bare
@@ -588,13 +614,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	if req.Wait {
-		deadline := time.After(s.waitBudget(req.TimeoutMS))
-	wait:
+		deadline := time.Now().Add(s.waitBudget(req.TimeoutMS))
 		for _, j := range b.Jobs {
-			select {
-			case <-j.done:
-			case <-deadline:
-				break wait
+			if !awaitDone(j.done, time.Until(deadline)) {
+				break
 			}
 		}
 	}

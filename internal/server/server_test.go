@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +23,13 @@ import (
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
+	return s, serve(t, s)
+}
+
+// serve starts s inside an httptest listener and registers a drain on
+// cleanup.
+func serve(t *testing.T, s *Server) *httptest.Server {
+	t.Helper()
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
@@ -30,7 +37,51 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	return s, ts
+	return ts
+}
+
+// execGate stands in for scenario.Execute where a test needs jobs to
+// hold their worker: each job blocks until the gate opens or its
+// context is cancelled, then executes for real — a cancelled job fails
+// through the runner's own cancellation path.
+type execGate struct {
+	release chan struct{}
+	once    sync.Once
+}
+
+// execute is the server's execution function behind the gate.
+func (g *execGate) execute(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+	}
+	return scenario.Execute(ctx, spec)
+}
+
+// open releases every held job and every later one.
+func (g *execGate) open() { g.once.Do(func() { close(g.release) }) }
+
+// newGatedServer is newTestServer with every job held at a gate, which
+// opens on cleanup before the drain.
+func newGatedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *execGate) {
+	t.Helper()
+	g := &execGate{release: make(chan struct{})}
+	s := newServer(cfg, g.execute)
+	ts := serve(t, s)
+	t.Cleanup(g.open)
+	return s, ts, g
+}
+
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // post sends a JSON body and decodes the response envelope.
@@ -86,15 +137,6 @@ func smallSpec(seed int64, runs int) map[string]any {
 		"runs":     runs,
 		"seed":     seed,
 	}
-}
-
-// slowSpec returns a spec that runs long enough (~1s) to observably
-// occupy a worker while followup requests arrive. The memory jitter
-// keeps the timing distributions non-degenerate at high trial counts.
-func slowSpec(seed int64) map[string]any {
-	s := smallSpec(seed, 20000)
-	s["mem_jitter"] = 12
-	return s
 }
 
 // TestSubmitPollFetch is the basic lifecycle: async submit, poll until
@@ -167,7 +209,10 @@ func TestSubmitPollFetch(t *testing.T) {
 // TestCacheHitByteIdentical is the headline cache guarantee over a
 // sample of registry scenarios: the second submission is served from
 // the cache (cache: hit, hits counter moves) and its result bytes are
-// identical to the cold run's.
+// identical to the cold run's. Every job-view body — hit and miss here,
+// queued, running and failed below, and a synthetic stored result with
+// characters the JSON encoder escapes — is byte-identical to writeJSON
+// of the job's reference JobView with Result set.
 func TestCacheHitByteIdentical(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	c := ts.Client()
@@ -177,7 +222,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 			t.Fatalf("registry scenario %q missing", name)
 		}
 		var cold JobView
-		status := post(t, c, ts.URL+"/v1/jobs", map[string]any{"scenario": name, "wait": true}, &cold)
+		status := postView(t, s, c, ts.URL+"/v1/jobs", map[string]any{"scenario": name, "wait": true}, &cold)
 		if status != http.StatusOK || cold.State != StateDone {
 			t.Fatalf("%s: cold run status %d state %s error %s", name, status, cold.State, cold.Error)
 		}
@@ -185,7 +230,7 @@ func TestCacheHitByteIdentical(t *testing.T) {
 			t.Fatalf("%s: cold run cache=%q", name, cold.Cache)
 		}
 		var hot JobView
-		status = post(t, c, ts.URL+"/v1/jobs", map[string]any{"scenario": name, "wait": true}, &hot)
+		status = postView(t, s, c, ts.URL+"/v1/jobs", map[string]any{"scenario": name, "wait": true}, &hot)
 		if status != http.StatusOK || hot.State != StateDone {
 			t.Fatalf("%s: hot run status %d state %s", name, status, hot.State)
 		}
@@ -205,10 +250,149 @@ func TestCacheHitByteIdentical(t *testing.T) {
 		if !bytes.Equal(coldRaw, hotRaw) {
 			t.Errorf("%s: stored result bytes differ between cold and cached fetch", name)
 		}
+		getView(t, s, c, ts.URL+"/v1/jobs/"+cold.ID, nil)
+		getView(t, s, c, ts.URL+"/v1/jobs/"+hot.ID+"?wait=true", nil)
 	}
 
-	if hits := s.reg.Counter(metricCacheHits, "").Value(); hits != 4 {
+	if hits := counter(s, metricCacheHits, helpCacheHits); hits != 4 {
 		t.Errorf("cache hits counter = %d, want 4", hits)
+	}
+
+	// A stored result holding <, >, & and U+2028, which the encoder
+	// writes as \u escapes.
+	spec := smallSpec(81, 2)
+	parsed, err := scenario.Parse(mustJSON(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.Put(parsed.Canonical().Hash(), []byte("{\n  \"Note\": \"<a> & b\u2028\"\n}\n")); err != nil {
+		t.Fatal(err)
+	}
+	var hit JobView
+	postView(t, s, c, ts.URL+"/v1/jobs", map[string]any{"spec": spec}, &hit)
+	if hit.Cache != CacheHit {
+		t.Fatalf("synthetic entry: cache=%q, want hit", hit.Cache)
+	}
+	if body := getView(t, s, c, ts.URL+"/v1/jobs/"+hit.ID, nil); !bytes.Contains(body, []byte(`"\u003ca\u003e \u0026 b\u2028"`)) {
+		t.Errorf("synthetic entry: view does not escape the result: %s", body)
+	}
+
+	// Queued, running and failed views, on a server whose jobs hold.
+	gs, gts, g := newGatedServer(t, Config{Workers: 1})
+	gc := gts.Client()
+	var running, queued JobView
+	post(t, gc, gts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(82, 2)}, &running)
+	waitForRunning(t, gts, gc)
+	postView(t, gs, gc, gts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(83, 2)}, &queued)
+	for _, jv := range []*JobView{&running, &queued} {
+		getView(t, gs, gc, gts.URL+"/v1/jobs/"+jv.ID, jv)
+	}
+	if running.State != StateRunning || queued.State != StateQueued {
+		t.Errorf("held jobs are %s and %s, want running and queued", running.State, queued.State)
+	}
+	g.open()
+	var failed JobView
+	postView(t, gs, gc, gts.URL+"/v1/jobs", map[string]any{"spec": map[string]any{
+		"kind": "smt", "category": string(core.SpillOver), "runs": 2,
+	}, "wait": true}, &failed)
+	if failed.State != StateFailed {
+		t.Errorf("failing spec: state %s, want failed", failed.State)
+	}
+}
+
+// postView posts body, checks the job-view response against
+// writeJSON of the reference view (checkJobView), decodes it into out
+// and returns the status.
+func postView(t *testing.T, s *Server, c *http.Client, url string, body any, out *JobView) int {
+	t.Helper()
+	resp, err := c.Post(url, "application/json", bytes.NewReader(mustJSON(t, body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkJobView(t, s, resp, out)
+	return resp.StatusCode
+}
+
+// getView fetches a job view, checks it like postView and returns the
+// raw body.
+func getView(t *testing.T, s *Server, c *http.Client, url string, out *JobView) []byte {
+	t.Helper()
+	resp, err := c.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkJobView(t, s, resp, out)
+}
+
+// checkJobView reads a job-view response and requires it to be byte
+// for byte what writeJSON writes for the job's reference view: its
+// View with Result set to the canonical result bytes once done.
+func checkJobView(t *testing.T, s *Server, resp *http.Response, out *JobView) []byte {
+	t.Helper()
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v JobView
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("decode job view %q: %v", raw, err)
+	}
+	s.mu.Lock()
+	j := s.jobs[v.ID]
+	s.mu.Unlock()
+	if j == nil {
+		t.Fatalf("no job %s behind the view", v.ID)
+	}
+	ref, result := j.snapshot()
+	ref.Result = result
+	rec := httptest.NewRecorder()
+	writeJSON(rec, resp.StatusCode, ref)
+	if want := rec.Body.Bytes(); !bytes.Equal(raw, want) {
+		n := 0
+		for n < len(raw) && n < len(want) && raw[n] == want[n] {
+			n++
+		}
+		t.Errorf("job %s (%s) view differs from the reference encoding at byte %d: got %q, want %q",
+			v.ID, v.State, n, raw[n:min(n+40, len(raw))], want[n:min(n+40, len(want))])
+	}
+	if out != nil {
+		*out = v
+	}
+	return raw
+}
+
+// TestUnreadableCacheEntry: a <hash>.json under the cache dir that is
+// not valid JSON answers 500 internal, not 200 with an empty body.
+func TestUnreadableCacheEntry(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Store: NewTieredStore(disk)})
+	spec, _ := scenario.Lookup("train-test-timing-lvp")
+	truncated := []byte("{\n  \"Spec\": {\n    \"kind\": \"ca")
+	if err := os.WriteFile(filepath.Join(dir, spec.Hash()+".json"), truncated, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var envelope struct {
+		Error apiError `json:"error"`
+	}
+	status := post(t, ts.Client(), ts.URL+"/v1/jobs", map[string]any{"scenario": spec.Name, "wait": true}, &envelope)
+	if status != http.StatusInternalServerError || envelope.Error.Code != "internal" {
+		t.Errorf("unreadable entry: status %d code %q, want 500 internal", status, envelope.Error.Code)
+	}
+}
+
+// TestAwaitDoneTerminalAllocs: waiting on a terminal job arms no timer.
+func TestAwaitDoneTerminalAllocs(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !awaitDone(hitDone, time.Minute) {
+			t.Fatal("awaitDone on a closed channel reported a timeout")
+		}
+	}); allocs != 0 {
+		t.Errorf("awaitDone on a terminal job: %v allocs, want 0", allocs)
 	}
 }
 
@@ -248,12 +432,12 @@ func TestCanonicalizationSharesCacheCells(t *testing.T) {
 // execute once — every caller is attached to the same job and gets the
 // same result.
 func TestSingleflight(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts, g := newGatedServer(t, Config{Workers: 1})
 	c := ts.Client()
 
-	// Occupy the single worker so the duplicates stay queued together.
-	var blocker JobView
-	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": slowSpec(21)}, &blocker)
+	// Hold the single worker so the duplicates stay queued together.
+	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(21, 6)}, nil)
+	waitForRunning(t, ts, c)
 
 	const dups = 4
 	var wg sync.WaitGroup
@@ -265,6 +449,11 @@ func TestSingleflight(t *testing.T) {
 			post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(22, 6), "wait": true, "timeout_ms": 60000}, &views[i])
 		}(i)
 	}
+	// Release the worker once every duplicate has been admitted.
+	waitFor(t, "duplicates to attach", func() bool {
+		return counter(s, metricJobsDeduped, helpJobsDeduped) == dups-1
+	})
+	g.open()
 	wg.Wait()
 
 	for i := 1; i < dups; i++ {
@@ -280,23 +469,30 @@ func TestSingleflight(t *testing.T) {
 			t.Errorf("caller %d got different result bytes", i)
 		}
 	}
-	if ded := s.reg.Counter(metricJobsDeduped, "").Value(); ded != dups-1 {
+	if ded := counter(s, metricJobsDeduped, helpJobsDeduped); ded != dups-1 {
 		t.Errorf("deduped counter = %d, want %d", ded, dups-1)
 	}
-	if misses := s.reg.Counter(metricCacheMisses, "").Value(); misses != 2 {
+	if misses := counter(s, metricCacheMisses, helpCacheMisses); misses != 2 {
 		t.Errorf("cache misses = %d, want 2 (blocker + one duplicate)", misses)
 	}
+}
+
+// counter reads a server counter under the lock its writers hold.
+func counter(s *Server, name, help string) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reg.Counter(name, help).Value()
 }
 
 // TestAdmissionControl: the queue-depth cap answers 503 queue_full and
 // the per-client cap answers 429 client_limit, with X-Client-ID
 // selecting the account.
 func TestAdmissionControl(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, ClientInFlight: 2})
+	_, ts, _ := newGatedServer(t, Config{Workers: 1, QueueDepth: 1, ClientInFlight: 2})
 	c := ts.Client()
 
 	// Fill the worker, then the one queue slot.
-	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": slowSpec(31)}, nil)
+	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(31, 4)}, nil)
 	waitForRunning(t, ts, c)
 	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(32, 4)}, nil)
 
@@ -325,12 +521,11 @@ func TestAdmissionControl(t *testing.T) {
 		t.Errorf("other client: status %d body %s", resp.StatusCode, raw)
 	}
 
-	// The first client, at its cap of 2, is rejected by client_limit
-	// once the queue has room — exercised on a fresh server to avoid
-	// timing on the blocker.
-	_, ts2 := newTestServer(t, Config{Workers: 1, QueueDepth: 10, ClientInFlight: 1})
+	// A client at its cap is rejected by client_limit once the queue
+	// has room — exercised on a fresh server with a cap of 1.
+	_, ts2, _ := newGatedServer(t, Config{Workers: 1, QueueDepth: 10, ClientInFlight: 1})
 	c2 := ts2.Client()
-	post(t, c2, ts2.URL+"/v1/jobs", map[string]any{"spec": slowSpec(35)}, nil)
+	post(t, c2, ts2.URL+"/v1/jobs", map[string]any{"spec": smallSpec(35, 4)}, nil)
 	status = post(t, c2, ts2.URL+"/v1/jobs", map[string]any{"spec": smallSpec(36, 4)}, &envelope)
 	if status != http.StatusTooManyRequests || envelope.Error.Code != "client_limit" {
 		t.Errorf("over-limit submit: status %d code %q, want 429 client_limit", status, envelope.Error.Code)
@@ -340,18 +535,11 @@ func TestAdmissionControl(t *testing.T) {
 // waitForRunning polls /healthz until a job is executing.
 func waitForRunning(t *testing.T, ts *httptest.Server, c *http.Client) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	waitFor(t, "a job to start running", func() bool {
 		var hv healthView
 		get(t, c, ts.URL+"/healthz", &hv)
-		if hv.Running > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no job started running")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return hv.Running > 0
+	})
 }
 
 // getRaw fetches a URL expecting a status and returns the raw body.
@@ -479,10 +667,10 @@ func TestJobFailure(t *testing.T) {
 // TestResultNotDone: fetching the result of a queued job answers 409
 // not_done.
 func TestResultNotDone(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts, _ := newGatedServer(t, Config{Workers: 1})
 	c := ts.Client()
 
-	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": slowSpec(41)}, nil)
+	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(41, 4)}, nil)
 	var queued JobView
 	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(42, 4)}, &queued)
 	var envelope struct {
@@ -745,11 +933,11 @@ func TestGracefulDrain(t *testing.T) {
 // TestForcedShutdownCancels: an expired drain budget cancels running
 // jobs through the runner's context path instead of hanging.
 func TestForcedShutdownCancels(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts, _ := newGatedServer(t, Config{Workers: 1})
 	c := ts.Client()
 
 	var jv JobView
-	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": slowSpec(61)}, &jv)
+	post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(61, 4)}, &jv)
 	waitForRunning(t, ts, c)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -770,20 +958,20 @@ func TestForcedShutdownCancels(t *testing.T) {
 // TestSyncWaitTimeout: wait=true with a tiny budget answers 202 with
 // the job still in flight, and the job remains pollable to completion.
 func TestSyncWaitTimeout(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts, g := newGatedServer(t, Config{Workers: 1})
 	c := ts.Client()
 
 	var jv JobView
-	status := post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": slowSpec(71), "wait": true, "timeout_ms": 1}, &jv)
+	status := post(t, c, ts.URL+"/v1/jobs", map[string]any{"spec": smallSpec(71, 4), "wait": true, "timeout_ms": 1}, &jv)
 	if status != http.StatusAccepted {
 		t.Fatalf("tiny-budget wait: status %d, want 202", status)
 	}
 	if jv.State == StateDone {
-		t.Fatal("slow job reported done after 1ms")
+		t.Fatal("held job reported done after 1ms")
 	}
+	g.open()
 	status = get(t, c, ts.URL+"/v1/jobs/"+jv.ID+"?wait=true&timeout_ms=60000", &jv)
 	if status != http.StatusOK || jv.State != StateDone {
 		t.Fatalf("long poll: status %d state %s error %s", status, jv.State, jv.Error)
 	}
-	_ = fmt.Sprintf // keep fmt imported if assertions above change
 }
