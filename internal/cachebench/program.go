@@ -2,7 +2,7 @@
 // straight-line .vasm program assembled through internal/asm. The text
 // form is the case's ground truth — Source exposes it so a case can be
 // inspected, diffed, or replayed under cmd/vpsim — and the assembled
-// isa.Program is what the timed stepper executes.
+// isa.Program is what Trial runs on the reference interpreter.
 
 package cachebench
 
@@ -39,7 +39,7 @@ const (
 	// UnmappedU is the unmapped arm's u: a different set in both levels.
 	UnmappedU = BaseA + 192
 	// ResultAddr is where the program stores the measured step-3 cycle
-	// count (read back with Memory.Peek).
+	// count (Trial reads it back from the interpreter's memory).
 	ResultAddr uint64 = 0x200
 )
 

@@ -1,7 +1,8 @@
-// The timed stepper: a minimal sequential interpreter that executes a
-// lowered benchmark program against an internal/mem hierarchy, charging
-// one cycle per instruction plus the hierarchy's access latencies and
-// the standard jitter model. The benchmark programs are straight-line
+// Trial execution: a lowered benchmark program runs on the in-order
+// reference interpreter (isa.Interp) against an internal/mem hierarchy.
+// The interpreter charges one cycle per instruction; its retire hook
+// adds the hierarchy's access latencies and the standard jitter model
+// on loads and flushes. The benchmark programs are straight-line
 // loads/flushes around rdtsc pairs; the full out-of-order machine in
 // internal/cpu would add predictor and pipeline effects that are the
 // *subject* of the source paper but confounders here — the benchmark
@@ -10,7 +11,6 @@
 package cachebench
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -51,10 +51,23 @@ func newHierarchy() *mem.Hierarchy {
 	return &mem.Hierarchy{L1: l1, L2: l2, Mem: mem.NewMemory(150)}
 }
 
-// hierPool recycles hierarchies across trials: a family run executes
-// hundreds of thousands of short programs, and the line arrays and
-// memory pages dominate per-trial allocation otherwise.
-var hierPool = sync.Pool{New: func() any { return newHierarchy() }}
+// trialState is one pooled trial's machinery: the hierarchy, the
+// jitter generator and the interpreter whose retire hook charges them.
+// A family run executes hundreds of thousands of short programs, and
+// fresh line arrays and generators would dominate per-trial allocation
+// otherwise.
+type trialState struct {
+	h     *mem.Hierarchy
+	rng   *rand.Rand
+	noise cpu.Noise
+	it    isa.Interp
+}
+
+var trialPool = sync.Pool{New: func() any {
+	s := &trialState{h: newHierarchy(), rng: rand.New(rand.NewSource(0))}
+	s.it.OnRetire = s.retire
+	return s
+}}
 
 // Trial executes one arm of the pattern's program pair under the given
 // seed and noise model, returning the cycle count the program measured
@@ -65,83 +78,42 @@ func (p Pattern) Trial(mapped bool, seed int64, noise cpu.Noise) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	h := hierPool.Get().(*mem.Hierarchy)
+	s := trialPool.Get().(*trialState)
 	defer func() {
-		h.Reset()
-		hierPool.Put(h)
+		s.h.Reset()
+		trialPool.Put(s)
 	}()
-	rng := rand.New(rand.NewSource(seed))
-	if err := runProgram(prog, h, rng, noise); err != nil {
+	// Rand.Seed re-arms the pooled generator to exactly the stream a
+	// fresh rand.New(rand.NewSource(seed)) would produce.
+	s.rng.Seed(seed)
+	s.noise = noise
+	s.it.Reset(prog)
+	if _, err := s.it.Run(prog); err != nil {
 		return 0, err
 	}
-	return h.Mem.Peek(ResultAddr), nil
+	return s.it.Mem[ResultAddr], nil
 }
 
-// runProgram interprets a straight-line benchmark program: one cycle
-// per instruction, plus hierarchy latency and jitter on loads and
-// flushes. Stores write through to backing memory without touching the
-// caches (the benchmark's result store must not perturb the state under
-// measurement); branches are rejected — the generator never emits them.
-func runProgram(prog *isa.Program, h *mem.Hierarchy, rng *rand.Rand, noise cpu.Noise) error {
-	var regs [isa.NumRegs]uint64
-	var cycle uint64
-	for addr, v := range prog.Data {
-		h.Mem.Write(addr, v)
-	}
-	for pc, in := range prog.Code {
-		cycle++
-		switch in.Op {
-		case isa.NOP, isa.FENCE:
-			// One cycle; the stepper is already fully serialized.
-		case isa.HALT:
-			return nil
-		case isa.MOVI:
-			regs[in.Dst] = uint64(in.Imm)
-		case isa.MOV:
-			regs[in.Dst] = regs[in.Src1]
-		case isa.ADD:
-			regs[in.Dst] = regs[in.Src1] + regs[in.Src2]
-		case isa.SUB:
-			regs[in.Dst] = regs[in.Src1] - regs[in.Src2]
-		case isa.AND:
-			regs[in.Dst] = regs[in.Src1] & regs[in.Src2]
-		case isa.OR:
-			regs[in.Dst] = regs[in.Src1] | regs[in.Src2]
-		case isa.XOR:
-			regs[in.Dst] = regs[in.Src1] ^ regs[in.Src2]
-		case isa.ADDI:
-			regs[in.Dst] = regs[in.Src1] + uint64(in.Imm)
-		case isa.ANDI:
-			regs[in.Dst] = regs[in.Src1] & uint64(in.Imm)
-		case isa.SHLI:
-			regs[in.Dst] = regs[in.Src1] << uint64(in.Imm)
-		case isa.SHRI:
-			regs[in.Dst] = regs[in.Src1] >> uint64(in.Imm)
-		case isa.RDTSC:
-			regs[in.Dst] = cycle
-		case isa.LOAD:
-			addr := regs[in.Src1] + uint64(in.Imm)
-			lat, served := h.Access(addr, true)
-			cycle += lat + jitter(rng, noise, served == mem.LevelMem)
-			regs[in.Dst] = h.Mem.Read(addr)
-		case isa.STORE:
-			h.Mem.Write(regs[in.Src1]+uint64(in.Imm), regs[in.Src2])
-		case isa.FLUSH:
-			addr := regs[in.Src1] + uint64(in.Imm)
-			lat := FlushLatency
-			if h.Cached(addr) {
-				lat += FlushCachedExtra
-			}
-			h.Flush(addr)
-			cycle += lat + jitter(rng, noise, false)
-		default:
-			return fmt.Errorf("cachebench: %s@%d: op %s unsupported by the benchmark stepper", prog.Name, pc, in.Op)
+// retire charges a retired load or flush its timing: the hierarchy's
+// access latency plus jitter on loads, FlushLatency (plus
+// FlushCachedExtra when the line was cached) plus jitter on flushes.
+// Stores write the interpreter's memory without touching the caches
+// (the benchmark's result store must not perturb the state under
+// measurement).
+func (s *trialState) retire(c isa.Commit) error {
+	switch c.Op {
+	case isa.LOAD:
+		lat, served := s.h.Access(c.Addr, true)
+		s.it.Cycle += lat + jitter(s.rng, s.noise, served == mem.LevelMem)
+	case isa.FLUSH:
+		lat := FlushLatency
+		if s.h.Cached(c.Addr) {
+			lat += FlushCachedExtra
 		}
-		if in.Op.WritesDst() {
-			regs[isa.R0] = 0 // R0 is hardwired zero
-		}
+		s.h.Flush(c.Addr)
+		s.it.Cycle += lat + jitter(s.rng, s.noise, false)
 	}
-	return fmt.Errorf("cachebench: %s ran off the end", prog.Name)
+	return nil
 }
 
 // jitter draws the access-latency noise, mirroring the pipeline's model

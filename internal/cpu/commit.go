@@ -7,40 +7,6 @@ import (
 	"vpsec/internal/isa"
 )
 
-// Commit describes one architecturally retired instruction: the
-// canonical record the differential oracle (internal/oracle) compares
-// between this pipeline and its in-order reference model. Addresses
-// are virtual, so logs from processes at different physical bases
-// compare equal. Timing never appears in a Commit — two machines with
-// different caches, predictors and latencies must produce identical
-// logs for the same program.
-type Commit struct {
-	PC        int     // instruction index of the retired instruction
-	Op        isa.Op  // opcode
-	WritesReg bool    // an architectural register was written (Dst != R0)
-	Dst       isa.Reg // destination register, when WritesReg
-	Value     uint64  // value written to Dst, when WritesReg
-	Addr      uint64  // virtual data address (LOAD, STORE, FLUSH)
-	StoreVal  uint64  // value stored (STORE)
-	NextPC    int     // instruction index execution continues at
-}
-
-// String renders the commit in the canonical one-line log format used
-// by the golden commit-log tests (byte-for-byte comparable).
-func (c Commit) String() string {
-	s := fmt.Sprintf("pc=%d %s", c.PC, c.Op)
-	if c.WritesReg {
-		s += fmt.Sprintf(" %s=%#x", c.Dst, c.Value)
-	}
-	switch c.Op {
-	case isa.LOAD, isa.FLUSH:
-		s += fmt.Sprintf(" [%#x]", c.Addr)
-	case isa.STORE:
-		s += fmt.Sprintf(" [%#x]=%#x", c.Addr, c.StoreVal)
-	}
-	return s + fmt.Sprintf(" next=%d", c.NextPC)
-}
-
 // ErrInvariant tags microarchitectural invariant violations detected
 // when Config.CheckInvariants is set. Callers (the differential
 // harness's shrinker in particular) use errors.Is to distinguish a

@@ -54,7 +54,7 @@ type Machine struct {
 	// instruction in commit order. The differential oracle
 	// (internal/oracle) uses it to capture the canonical commit log;
 	// under RunSMT both hardware threads share the hook.
-	OnCommit func(Commit)
+	OnCommit func(isa.Commit)
 
 	// metrics, when attached (AttachMetrics), streams ROB occupancy and
 	// publishes run/predictor/memory counters into a registry.

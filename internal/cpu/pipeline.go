@@ -671,7 +671,7 @@ func (p *pipeline) commit(now uint64) {
 			p.lastCommitSeq, p.committedAny = e.seq, true
 		}
 		if h := p.m.OnCommit; h != nil {
-			c := Commit{PC: e.pc, Op: e.in.Op, NextPC: e.nextPC}
+			c := isa.Commit{PC: e.pc, Op: e.in.Op, NextPC: e.nextPC}
 			if e.in.Op.WritesDst() && e.in.Dst != isa.R0 {
 				c.WritesReg, c.Dst, c.Value = true, e.in.Dst, e.result
 			}

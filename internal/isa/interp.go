@@ -2,39 +2,98 @@ package isa
 
 import "fmt"
 
-// Interp is a functional (untimed) reference interpreter. It defines
-// the architectural semantics of the ISA and serves as the golden
-// model against which the out-of-order pipeline in internal/cpu is
-// validated: any program must leave identical registers and memory on
-// both. FLUSH and FENCE are architectural no-ops here; RDTSC returns a
-// monotonically increasing instruction count.
+// Interp is the in-order reference interpreter. It defines the
+// architectural semantics of the ISA and is the golden model against
+// which the out-of-order pipeline in internal/cpu is validated: any
+// program must leave identical registers and memory on both, and the
+// differential oracle (internal/oracle) also compares their commit
+// logs record for record. FLUSH and FENCE are architectural no-ops
+// here; RDTSC reads Cycle.
+//
+// It is also the one in-order stepper the rest of the tree builds on:
+// the oracle records its retire stream, internal/locality audits its
+// load values, and internal/cachebench charges cache latencies to its
+// clock — each through OnRetire.
 type Interp struct {
 	Regs  [NumRegs]uint64
 	Mem   map[uint64]uint64
-	Steps uint64 // retired instruction count, also the RDTSC value
+	Steps uint64 // retired instruction count
 
-	// OnLoad, when non-nil, observes every executed LOAD (the dynamic
-	// load-value stream). internal/locality uses it to audit a
-	// program's value-predictability — its VPS attack surface —
-	// without involving the timed pipeline.
-	OnLoad func(pc int, addr, value uint64)
+	// Cycle is the clock RDTSC reads. Run adds one per instruction and
+	// OnRetire may add latency to it; with no hook adding latency,
+	// Cycle == Steps.
+	Cycle uint64
+
+	// OnRetire, when non-nil, runs after each retired instruction
+	// (HALT included) and before the next one, with that instruction's
+	// commit record. A non-nil error stops Run, which returns it.
+	OnRetire func(Commit) error
+}
+
+// Commit describes one architecturally retired instruction: the
+// canonical record the differential oracle (internal/oracle) compares
+// between the pipeline in internal/cpu and this reference interpreter.
+// Addresses are virtual, so logs from processes at different physical
+// bases compare equal. Timing never appears in a Commit — two machines
+// with different caches, predictors and latencies must produce
+// identical logs for the same program.
+type Commit struct {
+	PC        int    // instruction index of the retired instruction
+	Op        Op     // opcode
+	WritesReg bool   // an architectural register was written (Dst != R0)
+	Dst       Reg    // destination register, when WritesReg
+	Value     uint64 // value written to Dst, when WritesReg
+	Addr      uint64 // virtual data address (LOAD, STORE, FLUSH)
+	StoreVal  uint64 // value stored (STORE)
+	NextPC    int    // instruction index execution continues at
+}
+
+// String renders the commit in the canonical one-line log format used
+// by the golden commit-log tests (byte-for-byte comparable).
+func (c Commit) String() string {
+	s := fmt.Sprintf("pc=%d %s", c.PC, c.Op)
+	if c.WritesReg {
+		s += fmt.Sprintf(" %s=%#x", c.Dst, c.Value)
+	}
+	switch c.Op {
+	case LOAD, FLUSH:
+		s += fmt.Sprintf(" [%#x]", c.Addr)
+	case STORE:
+		s += fmt.Sprintf(" [%#x]=%#x", c.Addr, c.StoreVal)
+	}
+	return s + fmt.Sprintf(" next=%d", c.NextPC)
 }
 
 // NewInterp returns an interpreter with the program's initial data
 // loaded.
 func NewInterp(p *Program) *Interp {
-	in := &Interp{Mem: make(map[uint64]uint64)}
-	for a, v := range p.Data {
-		in.Mem[a] = v
+	it := &Interp{}
+	it.Reset(p)
+	return it
+}
+
+// Reset returns the interpreter to p's initial state: zero registers,
+// counters and clock, and memory holding only p's data. The memory map
+// is reused, and OnRetire is kept.
+func (it *Interp) Reset(p *Program) {
+	it.Regs = [NumRegs]uint64{}
+	it.Steps, it.Cycle = 0, 0
+	if it.Mem == nil {
+		it.Mem = make(map[uint64]uint64, len(p.Data))
+	} else {
+		clear(it.Mem)
 	}
-	return in
+	for a, v := range p.Data {
+		it.Mem[a] = v
+	}
 }
 
 // MaxSteps bounds Run to protect against non-terminating programs.
 const MaxSteps = 50_000_000
 
 // Run executes p until HALT, returning the number of retired
-// instructions.
+// instructions. Each instruction reads its sources before it writes
+// its destination, so "jalr r5, r5" jumps to the old r5.
 func (it *Interp) Run(p *Program) (uint64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
@@ -46,106 +105,107 @@ func (it *Interp) Run(p *Program) (uint64, error) {
 		}
 		in := p.Code[pc]
 		it.Steps++
-		next := pc + 1
+		it.Cycle++
+		c := Commit{PC: pc, Op: in.Op, NextPC: pc + 1}
+		a, b := it.Regs[in.Src1], it.Regs[in.Src2]
+		var v uint64
 		switch in.Op {
-		case NOP, FENCE, FLUSH:
+		case NOP, FENCE, HALT:
 			// no architectural effect
-		case HALT:
-			return it.Steps, nil
 		case MOVI:
-			it.set(in.Dst, uint64(in.Imm))
+			v = uint64(in.Imm)
 		case MOV:
-			it.set(in.Dst, it.Regs[in.Src1])
+			v = a
 		case ADD:
-			it.set(in.Dst, it.Regs[in.Src1]+it.Regs[in.Src2])
+			v = a + b
 		case SUB:
-			it.set(in.Dst, it.Regs[in.Src1]-it.Regs[in.Src2])
+			v = a - b
 		case MUL:
-			it.set(in.Dst, it.Regs[in.Src1]*it.Regs[in.Src2])
+			v = a * b
 		case MULHU:
-			hi, _ := mul128(it.Regs[in.Src1], it.Regs[in.Src2])
-			it.set(in.Dst, hi)
+			v, _ = mul128(a, b)
 		case DIVU:
-			d := it.Regs[in.Src2]
-			if d == 0 {
-				it.set(in.Dst, ^uint64(0))
+			if b == 0 {
+				v = ^uint64(0)
 			} else {
-				it.set(in.Dst, it.Regs[in.Src1]/d)
+				v = a / b
 			}
 		case REMU:
-			d := it.Regs[in.Src2]
-			if d == 0 {
-				it.set(in.Dst, it.Regs[in.Src1])
+			if b == 0 {
+				v = a
 			} else {
-				it.set(in.Dst, it.Regs[in.Src1]%d)
+				v = a % b
 			}
 		case AND:
-			it.set(in.Dst, it.Regs[in.Src1]&it.Regs[in.Src2])
+			v = a & b
 		case OR:
-			it.set(in.Dst, it.Regs[in.Src1]|it.Regs[in.Src2])
+			v = a | b
 		case XOR:
-			it.set(in.Dst, it.Regs[in.Src1]^it.Regs[in.Src2])
+			v = a ^ b
 		case SLTU:
-			if it.Regs[in.Src1] < it.Regs[in.Src2] {
-				it.set(in.Dst, 1)
-			} else {
-				it.set(in.Dst, 0)
+			if a < b {
+				v = 1
 			}
 		case ADDI:
-			it.set(in.Dst, it.Regs[in.Src1]+uint64(in.Imm))
+			v = a + uint64(in.Imm)
 		case ANDI:
-			it.set(in.Dst, it.Regs[in.Src1]&uint64(in.Imm))
+			v = a & uint64(in.Imm)
 		case SHLI:
-			it.set(in.Dst, it.Regs[in.Src1]<<(uint64(in.Imm)&63))
+			v = a << (uint64(in.Imm) & 63)
 		case SHRI:
-			it.set(in.Dst, it.Regs[in.Src1]>>(uint64(in.Imm)&63))
+			v = a >> (uint64(in.Imm) & 63)
 		case LOAD:
-			addr := it.Regs[in.Src1] + uint64(in.Imm)
-			v := it.Mem[addr]
-			it.set(in.Dst, v)
-			if it.OnLoad != nil {
-				it.OnLoad(pc, addr, v)
-			}
+			c.Addr = a + uint64(in.Imm)
+			v = it.Mem[c.Addr]
 		case STORE:
-			it.Mem[it.Regs[in.Src1]+uint64(in.Imm)] = it.Regs[in.Src2]
+			c.Addr, c.StoreVal = a+uint64(in.Imm), b
+			it.Mem[c.Addr] = b
+		case FLUSH:
+			c.Addr = a + uint64(in.Imm)
 		case RDTSC:
-			it.set(in.Dst, it.Steps)
+			v = it.Cycle
 		case BEQ:
-			if it.Regs[in.Src1] == it.Regs[in.Src2] {
-				next = in.Target
+			if a == b {
+				c.NextPC = in.Target
 			}
 		case BNE:
-			if it.Regs[in.Src1] != it.Regs[in.Src2] {
-				next = in.Target
+			if a != b {
+				c.NextPC = in.Target
 			}
 		case BLT:
-			if int64(it.Regs[in.Src1]) < int64(it.Regs[in.Src2]) {
-				next = in.Target
+			if int64(a) < int64(b) {
+				c.NextPC = in.Target
 			}
 		case BGE:
-			if int64(it.Regs[in.Src1]) >= int64(it.Regs[in.Src2]) {
-				next = in.Target
+			if int64(a) >= int64(b) {
+				c.NextPC = in.Target
 			}
 		case JMP:
-			next = in.Target
+			c.NextPC = in.Target
 		case JAL:
-			it.set(in.Dst, uint64(pc+1))
-			next = in.Target
+			v = uint64(pc + 1)
+			c.NextPC = in.Target
 		case JALR:
-			it.set(in.Dst, uint64(pc+1))
-			next = int(it.Regs[in.Src1])
+			v = uint64(pc + 1)
+			c.NextPC = int(a)
 		default:
 			return it.Steps, fmt.Errorf("isa: unimplemented op %v", in.Op)
 		}
-		pc = next
+		if in.Op.WritesDst() && in.Dst != R0 {
+			it.Regs[in.Dst] = v
+			c.WritesReg, c.Dst, c.Value = true, in.Dst, v
+		}
+		if it.OnRetire != nil {
+			if err := it.OnRetire(c); err != nil {
+				return it.Steps, err
+			}
+		}
+		if in.Op == HALT {
+			return it.Steps, nil
+		}
+		pc = c.NextPC
 	}
 	return it.Steps, fmt.Errorf("isa: program %q exceeded %d steps", p.Name, MaxSteps)
-}
-
-func (it *Interp) set(r Reg, v uint64) {
-	if r != R0 {
-		it.Regs[r] = v
-	}
 }
 
 // mul128 returns the 128-bit product of a and b as (hi, lo).

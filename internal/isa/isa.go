@@ -56,6 +56,7 @@ const (
 	R31
 )
 
+// String renders the register in assembly syntax ("r5").
 func (r Reg) String() string { return fmt.Sprintf("r%d", uint8(r)) }
 
 // Valid reports whether r names an architectural register.
@@ -95,7 +96,7 @@ const (
 	BGE   // if int64(src1) >= int64(src2) goto Target
 	JMP   // goto Target
 	JAL   // dst = pc+1 (link); goto Target — call
-	JALR  // dst = pc+1; goto src1 (instruction index) — indirect call/return
+	JALR  // dst = pc+1; goto src1 (instruction index), read before dst is written — indirect call/return
 	numOps
 )
 
@@ -109,6 +110,8 @@ var opNames = [...]string{
 	JMP: "jmp", JAL: "jal", JALR: "jalr",
 }
 
+// String returns the opcode's assembly mnemonic, or "op(N)" for an
+// undefined opcode.
 func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {
 		return opNames[o]
@@ -180,6 +183,7 @@ type Instr struct {
 	Target int // branch target: instruction index within the program
 }
 
+// String renders the instruction in disassembly syntax.
 func (in Instr) String() string {
 	switch in.Op {
 	case NOP, HALT, FENCE:

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"errors"
 	"math/bits"
 	"strings"
 	"testing"
@@ -413,5 +414,108 @@ func TestInterpJalrOutOfRange(t *testing.T) {
 	it := NewInterp(p)
 	if _, err := it.Run(p); err == nil {
 		t.Error("wild indirect jump should error")
+	}
+}
+
+// TestInterpJalrSelfLink: "jalr r5, r5" reads its target before it
+// writes the link, so it jumps to the old r5 and links pc+1 — the
+// order the pipeline uses.
+func TestInterpJalrSelfLink(t *testing.T) {
+	b := NewBuilder("jalr-self")
+	b.MovI(R5, 3)
+	b.Jalr(R5, R5) // pc 1: goto 3, r5 = 2
+	b.MovI(R6, 1)  // skipped
+	b.Halt()
+	p := b.MustBuild()
+	it := NewInterp(p)
+	steps, err := it.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps != 3 || it.Regs[R5] != 2 || it.Regs[R6] != 0 {
+		t.Errorf("steps=%d r5=%d r6=%d, want 3 2 0", steps, it.Regs[R5], it.Regs[R6])
+	}
+}
+
+// TestInterpOnRetire: the hook sees every retired instruction in order,
+// HALT included, with its commit record; latency it adds to Cycle is
+// what RDTSC reads; and an error it returns stops Run.
+func TestInterpOnRetire(t *testing.T) {
+	p := NewBuilder("hook").
+		Word(0x100, 7).
+		MovI(R1, 0x100).
+		Load(R0, R1, 0).
+		Rdtsc(R2).
+		Store(R1, 8, R2).
+		Halt().
+		MustBuild()
+	it := NewInterp(p)
+	var got []string
+	it.OnRetire = func(c Commit) error {
+		got = append(got, c.String())
+		if c.Op == LOAD {
+			it.Cycle += 100
+		}
+		return nil
+	}
+	if _, err := it.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"pc=0 movi r1=0x100 next=1",
+		"pc=1 load [0x100] next=2",
+		"pc=2 rdtsc r2=0x67 next=3",
+		"pc=3 store [0x108]=0x67 next=4",
+		"pc=4 halt next=5",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("retire stream:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if it.Steps != 5 || it.Cycle != 105 {
+		t.Errorf("steps=%d cycle=%d, want 5 105", it.Steps, it.Cycle)
+	}
+
+	stop := errors.New("stop")
+	it.Reset(p)
+	it.OnRetire = func(c Commit) error {
+		if c.Op == LOAD {
+			return stop
+		}
+		return nil
+	}
+	if steps, err := it.Run(p); err != stop || steps != 2 {
+		t.Errorf("Run = %d, %v; want 2, the hook's error", steps, err)
+	}
+}
+
+// TestInterpReset: Reset restores the program's initial state in place
+// and keeps the hook, so a reused interpreter reruns identically.
+func TestInterpReset(t *testing.T) {
+	p := NewBuilder("reset").
+		Word(0x100, 7).
+		MovI(R1, 0x100).
+		Load(R2, R1, 0).
+		AddI(R2, R2, 1).
+		Store(R1, 0, R2).
+		Store(R1, 8, R2).
+		Halt().
+		MustBuild()
+	it := NewInterp(p)
+	retired := 0
+	it.OnRetire = func(Commit) error { retired++; return nil }
+	for run := 0; run < 2; run++ {
+		it.Reset(p)
+		if _, err := it.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		if it.Regs[R2] != 8 || it.Mem[0x100] != 8 || len(it.Mem) != 2 {
+			t.Errorf("run %d: r2=%d mem=%v, want 8 and two words", run, it.Regs[R2], it.Mem)
+		}
+		if it.Steps != 6 || it.Cycle != 6 {
+			t.Errorf("run %d: steps=%d cycle=%d, want 6 6", run, it.Steps, it.Cycle)
+		}
+	}
+	if retired != 12 {
+		t.Errorf("hook saw %d retirements over two runs, want 12", retired)
 	}
 }

@@ -168,7 +168,12 @@ func ProfileOpts(p *isa.Program, opt Options) (*Report, error) {
 	opt.setDefaults()
 	states := make(map[int]*pcState)
 	in := isa.NewInterp(p)
-	in.OnLoad = func(pc int, addr, value uint64) {
+	in.OnRetire = func(c isa.Commit) error {
+		if c.Op != isa.LOAD {
+			return nil
+		}
+		// Memory, not c.Value: a load into r0 writes no register.
+		pc, addr, value := c.PC, c.Addr, in.Mem[c.Addr]
 		s := states[pc]
 		if s == nil {
 			s = &pcState{
@@ -223,6 +228,7 @@ func ProfileOpts(p *isa.Program, opt Options) (*Report, error) {
 		}
 		s.lastValue = value
 		s.count++
+		return nil
 	}
 	steps, err := in.Run(p)
 	if err != nil {

@@ -353,3 +353,26 @@ func TestProfileOptsValidation(t *testing.T) {
 		t.Errorf("defaults not applied: %+v, %v", r.Opt, err)
 	}
 }
+
+// TestLoadIntoR0Audited: a load whose destination is r0 writes no
+// register but still reads memory, so its value stream is audited.
+func TestLoadIntoR0Audited(t *testing.T) {
+	b := isa.NewBuilder("load-r0")
+	b.Word(0x1000, 42)
+	b.MovI(isa.R1, 0x1000)
+	b.MovI(isa.R2, 0)
+	b.MovI(isa.R3, 8)
+	b.Label("loop")
+	b.Load(isa.R0, isa.R1, 0)
+	b.AddI(isa.R2, isa.R2, 1)
+	b.Blt(isa.R2, isa.R3, "loop")
+	b.Halt()
+	r, err := Profile(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := onlyLoad(t, r)
+	if s.Count != 8 || s.DistinctValues != 1 || s.LastValue != 1 {
+		t.Errorf("count=%d distinct=%d lastv=%.2f, want 8 1 1", s.Count, s.DistinctValues, s.LastValue)
+	}
+}

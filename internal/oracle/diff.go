@@ -126,8 +126,8 @@ func Diff(p *isa.Program, spec Spec) error {
 		return err
 	}
 	m.Noise = spec.Noise
-	var got []cpu.Commit
-	m.OnCommit = func(c cpu.Commit) { got = append(got, c) }
+	var got []isa.Commit
+	m.OnCommit = func(c isa.Commit) { got = append(got, c) }
 	proc, err := m.NewProcess(1, p, 0)
 	if err != nil {
 		return err

@@ -1,16 +1,19 @@
 // Package oracle is the correctness substrate of the simulator: a
-// small in-order, non-speculative reference interpreter over the
-// internal/isa instruction set, and a differential harness that checks
-// the out-of-order pipeline in internal/cpu against it on thousands of
-// randomly generated programs (internal/progen) across a matrix of
-// predictor/cache/latency configurations.
+// recorder over the in-order reference interpreter (isa.Interp) and a
+// differential harness that checks the out-of-order pipeline in
+// internal/cpu against it on thousands of randomly generated programs
+// (internal/progen) across a matrix of predictor/cache/latency
+// configurations.
 //
-// The reference model is deliberately independent of isa.Interp: it is
-// a second implementation of the architectural semantics, written
-// against the ISA specification, so that a shared misreading cannot
-// hide in both the pipeline and its oracle. It produces the final
+// The contract is that the reference shares no code with the pipeline:
+// cpu/pipeline.go keeps its own ALU, so a misreading of the ISA cannot
+// hide in both. There is exactly one reference. This package used to
+// carry a second copy of the opcode switch, and the copies drifted
+// unnoticed: on "jalr r5, r5" isa.Interp wrote the link before reading
+// the target, while this package and the pipeline jumped to the old r5
+// (testdata/jalr_self.vasm now pins that case). Run produces the final
 // architectural state (registers and memory) and a canonical commit
-// log — one cpu.Commit record per retired instruction — which the
+// log — one isa.Commit record per retired instruction — which the
 // pipeline must reproduce byte-for-byte regardless of speculation,
 // replay, cache contents or predictor behavior.
 //
@@ -23,7 +26,6 @@ import (
 	"fmt"
 	"strings"
 
-	"vpsec/internal/cpu"
 	"vpsec/internal/isa"
 )
 
@@ -44,139 +46,40 @@ var ErrNotComparable = errors.New("oracle: program reads RDTSC; architectural st
 // state and the canonical commit log.
 type Result struct {
 	Regs    [isa.NumRegs]uint64 // final architectural registers
-	Mem     map[uint64]uint64   // final data memory (written words only)
-	Log     []cpu.Commit        // one record per retired instruction
+	Mem     map[uint64]uint64   // final data memory (initial data plus stored words)
+	Log     []isa.Commit        // one record per retired instruction
 	Retired uint64              // retired instruction count
 }
 
-// Run executes p on the in-order reference model until HALT. Every
-// instruction architecturally retires exactly once, in program order;
-// there is no speculation, no cache, no predictor and no timing.
+// Run executes p on the in-order reference interpreter until HALT,
+// recording every retired instruction. Every instruction
+// architecturally retires exactly once, in program order; there is no
+// speculation, no cache, no predictor and no timing.
 func Run(p *isa.Program) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{Mem: make(map[uint64]uint64, len(p.Data))}
-	for a, v := range p.Data {
-		res.Mem[a] = v
-	}
-	regs := &res.Regs
-	set := func(r isa.Reg, v uint64) {
-		if r != isa.R0 {
-			regs[r] = v
-		}
-	}
-	pc := 0
-	for res.Retired < MaxRetired {
-		if pc < 0 || pc >= len(p.Code) {
-			return nil, fmt.Errorf("oracle: pc %d out of range in %q", pc, p.Name)
-		}
-		in := p.Code[pc]
-		c := cpu.Commit{PC: pc, Op: in.Op, NextPC: pc + 1}
-		a, b := regs[in.Src1], regs[in.Src2]
-		var wval uint64
-		switch in.Op {
-		case isa.NOP, isa.FENCE:
-			// no architectural effect
-		case isa.HALT:
-			res.Log = append(res.Log, c)
-			res.Retired++
-			return res, nil
-		case isa.MOVI:
-			wval = uint64(in.Imm)
-		case isa.MOV:
-			wval = a
-		case isa.ADD:
-			wval = a + b
-		case isa.SUB:
-			wval = a - b
-		case isa.MUL:
-			wval = a * b
-		case isa.MULHU:
-			wval, _ = isa.Mul128(a, b)
-		case isa.DIVU:
-			if b == 0 {
-				wval = ^uint64(0)
-			} else {
-				wval = a / b
-			}
-		case isa.REMU:
-			if b == 0 {
-				wval = a
-			} else {
-				wval = a % b
-			}
-		case isa.AND:
-			wval = a & b
-		case isa.OR:
-			wval = a | b
-		case isa.XOR:
-			wval = a ^ b
-		case isa.SLTU:
-			if a < b {
-				wval = 1
-			}
-		case isa.ADDI:
-			wval = a + uint64(in.Imm)
-		case isa.ANDI:
-			wval = a & uint64(in.Imm)
-		case isa.SHLI:
-			wval = a << (uint64(in.Imm) & 63)
-		case isa.SHRI:
-			wval = a >> (uint64(in.Imm) & 63)
-		case isa.LOAD:
-			c.Addr = a + uint64(in.Imm)
-			wval = res.Mem[c.Addr]
-		case isa.STORE:
-			c.Addr = a + uint64(in.Imm)
-			c.StoreVal = b
-			res.Mem[c.Addr] = b
-		case isa.FLUSH:
-			c.Addr = a + uint64(in.Imm)
-		case isa.RDTSC:
-			return nil, ErrNotComparable
-		case isa.BEQ:
-			if a == b {
-				c.NextPC = in.Target
-			}
-		case isa.BNE:
-			if a != b {
-				c.NextPC = in.Target
-			}
-		case isa.BLT:
-			if int64(a) < int64(b) {
-				c.NextPC = in.Target
-			}
-		case isa.BGE:
-			if int64(a) >= int64(b) {
-				c.NextPC = in.Target
-			}
-		case isa.JMP:
-			c.NextPC = in.Target
-		case isa.JAL:
-			wval = uint64(pc + 1)
-			c.NextPC = in.Target
-		case isa.JALR:
-			wval = uint64(pc + 1)
-			c.NextPC = int(a)
-		default:
-			return nil, fmt.Errorf("oracle: unimplemented op %v", in.Op)
-		}
-		if in.Op.WritesDst() && in.Dst != isa.R0 {
-			set(in.Dst, wval)
-			c.WritesReg, c.Dst, c.Value = true, in.Dst, wval
+	res := &Result{}
+	it := isa.NewInterp(p)
+	it.OnRetire = func(c isa.Commit) error {
+		if c.Op == isa.RDTSC {
+			return ErrNotComparable
 		}
 		res.Log = append(res.Log, c)
-		res.Retired++
-		pc = c.NextPC
+		if c.Op != isa.HALT && len(res.Log) >= MaxRetired {
+			return fmt.Errorf("oracle: program %q exceeded %d retired instructions", p.Name, MaxRetired)
+		}
+		return nil
 	}
-	return nil, fmt.Errorf("oracle: program %q exceeded %d retired instructions", p.Name, MaxRetired)
+	n, err := it.Run(p)
+	if err != nil {
+		return nil, err
+	}
+	res.Regs, res.Mem, res.Retired = it.Regs, it.Mem, n
+	return res, nil
 }
 
 // FormatLog renders a commit log in the canonical text form the golden
 // tests under testdata/ compare byte-for-byte: one line per retired
 // instruction, prefixed with its commit index.
-func FormatLog(log []cpu.Commit) string {
+func FormatLog(log []isa.Commit) string {
 	var sb strings.Builder
 	for i, c := range log {
 		fmt.Fprintf(&sb, "%4d %s\n", i, c)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"vpsec/internal/attacks"
 	"vpsec/internal/core"
 	"vpsec/internal/defense"
+	"vpsec/internal/obs"
 )
 
 // small is the trial count the equivalence tests run: enough for the
@@ -286,6 +288,102 @@ func TestExecuteCancelledEveryKind(t *testing.T) {
 			s.Jobs = jobs
 			if _, err := Execute(ctx, s); !errors.Is(err, context.Canceled) {
 				t.Errorf("kind %q (%s) jobs=%d: err = %v, want context.Canceled", k, s.Name, jobs, err)
+			}
+		}
+	}
+}
+
+// trialCanceller is an obs sink that counts ended "trial" spans and,
+// when k > 0, calls cancel as the k-th one ends. The tracer serializes
+// Emit, so the count needs no lock.
+type trialCanceller struct {
+	k, ended int
+	cancel   context.CancelFunc
+}
+
+func (c *trialCanceller) Emit(e obs.Event) {
+	if e.Name != "trial" || e.Ph != obs.PhaseEnd {
+		return
+	}
+	c.ended++
+	if c.ended == c.k {
+		c.cancel()
+	}
+}
+
+func (c *trialCanceller) Close() error { return nil }
+
+// TestExecuteCancelAfterTrialEveryKind: a cancellation that lands
+// mid-run leaves nothing behind in the pooled trial state (attack
+// machines, and the cache suite's interpreters and jitter generators).
+// For one spec per kind that runs trials, picked as in
+// TestExecuteCancelledEveryKind, a reference run counts the trial
+// spans; a second run cancels its context when half of them have
+// ended and must fail with context.Canceled; a third run on a fresh
+// context must reproduce the reference byte-for-byte. Both the
+// sequential and the parallel trial path are checked.
+func TestExecuteCancelAfterTrialEveryKind(t *testing.T) {
+	byKind := map[Kind]Spec{}
+	for _, s := range All() {
+		if _, ok := byKind[s.Kind]; !ok {
+			byKind[s.Kind] = s
+		}
+	}
+	for _, k := range Kinds() {
+		if k == KindSim {
+			continue // one program run, no trials
+		}
+		s, ok := byKind[k]
+		if !ok {
+			t.Errorf("kind %q: no spec to execute", k)
+			continue
+		}
+		s.Runs = 2
+		switch k {
+		case KindDefenseSweep:
+			s.MaxWindow = 1
+		case KindNoiseSweep:
+			s.Jitters = []uint64{0}
+		case KindConfSweep:
+			s.Confidences = []int{2}
+		}
+		for _, jobs := range []int{1, 2} {
+			s.Jobs = jobs
+			counter := &trialCanceller{}
+			s.Trace = obs.New(counter)
+			ref, err := Execute(context.Background(), s)
+			if err != nil {
+				t.Fatalf("kind %q (%s) jobs=%d: reference run: %v", k, s.Name, jobs, err)
+			}
+			want, err := ref.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counter.ended < 2 {
+				t.Errorf("kind %q (%s) jobs=%d: %d trials, too few to cancel after one", k, s.Name, jobs, counter.ended)
+				continue
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			s.Trace = obs.New(&trialCanceller{k: counter.ended / 2, cancel: cancel})
+			_, err = Execute(ctx, s)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("kind %q (%s) jobs=%d: cancelled after trial %d of %d: err = %v, want context.Canceled",
+					k, s.Name, jobs, counter.ended/2, counter.ended, err)
+			}
+
+			s.Trace = nil
+			again, err := Execute(context.Background(), s)
+			if err != nil {
+				t.Fatalf("kind %q (%s) jobs=%d: rerun: %v", k, s.Name, jobs, err)
+			}
+			got, err := again.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("kind %q (%s) jobs=%d: rerun after a cancelled run differs from the reference", k, s.Name, jobs)
 			}
 		}
 	}
