@@ -50,18 +50,23 @@ scenarios:
 # (enumeration, lowering, statistics) plus the golden-pinned
 # `vpreport -scenario cachebench-matrix` artifact. The shrunk curated
 # matrix runs always; CACHEBENCH_FULL=1 additionally evaluates all 976
-# enumerated cases at the paper's sample size.
+# enumerated cases at the paper's sample size. The goldens hold only
+# while internal/xrand, the trials' jitter generator, reproduces
+# math/rand's stream, so its equivalence tests run here too.
 cachebench:
+	$(GO) test ./internal/xrand -count=1
 	$(GO) test ./internal/cachebench -count=1
 	$(GO) test ./internal/scenario -run 'TestCacheMatrixGolden|TestCacheMatrixHashJobsInvariant' -count=1
 
-# Steady-state allocation budgets of the simulator hot loop and the
-# trial driver (DESIGN.md §10), and of a vpserver cache hit
-# (DESIGN.md §13). Runs without -race: the race detector instruments
-# allocations and the tests exclude themselves under that build tag.
+# Steady-state allocation budgets of the simulator hot loop, the
+# trial driver and the cache-suite trial (DESIGN.md §10), and of a
+# vpserver cache hit (DESIGN.md §13). Runs without -race: the race
+# detector instruments allocations and the tests exclude themselves
+# under that build tag.
 alloc-budget:
 	$(GO) test ./internal/cpu -run TestMachineRunSteadyStateAllocs -count=1
 	$(GO) test ./internal/attacks -run TestTrialDisabledPathAllocs -count=1
+	$(GO) test ./internal/cachebench -run TestTrialAllocs -count=1
 	$(GO) test ./internal/server -run TestHitAllocBudget -count=1
 
 # Bitmap-scheduler ordering gate: within a cycle, issue must stay
@@ -102,9 +107,10 @@ bench:
 # Documentation gate: vet, formatting, and doc coverage of the
 # experiment surface (every exported symbol in the runner, attacks,
 # report, oracle, progen, scenario, obs, server, cachebench, defense,
-# isa and locality packages must carry a doc comment — godoc is the
-# reference documentation the experiments guide links into). -api keeps docs/SERVER.md aligned with the routes
-# internal/server actually registers.
+# isa, locality and xrand packages must carry a doc comment — godoc is
+# the reference documentation the experiments guide links into). -api
+# keeps docs/SERVER.md aligned with the routes internal/server actually
+# registers.
 docs: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
-	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality
+	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/xrand

@@ -50,19 +50,52 @@ func main() {
 		}
 	}()
 
-	if _, handled, err := scen.Handle(context.Background(), scencli.Options{
+	var reg *metrics.Registry
+	if *metricsPath != "" || *manifestPath != "" {
+		reg = metrics.NewRegistry()
+	}
+	start := time.Now()
+	// writeObservability emits the metrics snapshot and the manifest
+	// man (already filled in) on the way out of a successful run.
+	writeObservability := func(man *metrics.Manifest) {
+		if *metricsPath != "" {
+			if err := metrics.WriteFile(reg, *metricsPath, "json"); err != nil {
+				fmt.Fprintln(os.Stderr, "vpreport:", err)
+				os.Exit(1)
+			}
+		}
+		if *manifestPath != "" {
+			man.Finish(reg, start)
+			if err := man.WriteFile(*manifestPath); err != nil {
+				fmt.Fprintln(os.Stderr, "vpreport:", err)
+				os.Exit(1)
+			}
+		}
+	}
+
+	res, handled, err := scen.Handle(context.Background(), scencli.Options{
 		Tool:  "vpreport",
-		Infra: []string{"jobs"},
+		Infra: []string{"jobs", "metrics", "manifest"},
 		Trace: tracer,
 		Mutate: func(s *scenario.Spec) {
 			if scencli.Set("jobs") {
 				s.Jobs = *jobs
 			}
+			s.Metrics = reg
 		},
-	}); err != nil {
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpreport:", err)
 		os.Exit(1)
-	} else if handled {
+	}
+	if handled {
+		if res != nil {
+			man := metrics.NewManifest("vpreport", res.Spec.Seed)
+			man.Predictor = res.Spec.Predictor
+			man.Config["scenario"] = res.Spec.Name
+			man.Config["jobs"] = fmt.Sprint(res.Spec.Jobs)
+			writeObservability(man)
+		}
 		return
 	}
 
@@ -74,37 +107,20 @@ func main() {
 		Quick:       *quick,
 		Jobs:        *jobs,
 		Trace:       tracer,
+		Metrics:     reg,
 	}
-	var reg *metrics.Registry
-	if *metricsPath != "" || *manifestPath != "" {
-		reg = metrics.NewRegistry()
-		cfg.Metrics = reg
-	}
-	start := time.Now()
 	r, err := report.Generate(context.Background(), cfg, start)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpreport:", err)
 		os.Exit(1)
 	}
-	if *metricsPath != "" {
-		if err := metrics.WriteFile(reg, *metricsPath, "json"); err != nil {
-			fmt.Fprintln(os.Stderr, "vpreport:", err)
-			os.Exit(1)
-		}
-	}
-	if *manifestPath != "" {
-		man := metrics.NewManifest("vpreport", *seed)
-		man.Predictor = *pred
-		man.Config["runs"] = fmt.Sprint(*runs)
-		man.Config["defense-runs"] = fmt.Sprint(*defRuns)
-		man.Config["quick"] = fmt.Sprint(*quick)
-		man.Config["jobs"] = fmt.Sprint(*jobs)
-		man.Finish(reg, start)
-		if err := man.WriteFile(*manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "vpreport:", err)
-			os.Exit(1)
-		}
-	}
+	man := metrics.NewManifest("vpreport", *seed)
+	man.Predictor = *pred
+	man.Config["runs"] = fmt.Sprint(*runs)
+	man.Config["defense-runs"] = fmt.Sprint(*defRuns)
+	man.Config["quick"] = fmt.Sprint(*quick)
+	man.Config["jobs"] = fmt.Sprint(*jobs)
+	writeObservability(man)
 
 	var out []byte
 	if *asJSON {

@@ -17,6 +17,7 @@ import (
 	"vpsec/internal/cpu"
 	"vpsec/internal/isa"
 	"vpsec/internal/mem"
+	"vpsec/internal/xrand"
 )
 
 // Flush latency model: clflush costs FlushLatency cycles, plus
@@ -55,7 +56,9 @@ func newHierarchy() *mem.Hierarchy {
 // jitter generator and the interpreter whose retire hook charges them.
 // A family run executes hundreds of thousands of short programs, and
 // fresh line arrays and generators would dominate per-trial allocation
-// otherwise.
+// otherwise. The generator is an xrand source, as in the attack
+// harness: math/rand's stream with O(1) re-seeding, because a trial
+// draws only a few jitter values.
 type trialState struct {
 	h     *mem.Hierarchy
 	rng   *rand.Rand
@@ -64,7 +67,7 @@ type trialState struct {
 }
 
 var trialPool = sync.Pool{New: func() any {
-	s := &trialState{h: newHierarchy(), rng: rand.New(rand.NewSource(0))}
+	s := &trialState{h: newHierarchy(), rng: rand.New(xrand.NewSource(0))}
 	s.it.OnRetire = s.retire
 	return s
 }}
@@ -83,8 +86,8 @@ func (p Pattern) Trial(mapped bool, seed int64, noise cpu.Noise) (uint64, error)
 		s.h.Reset()
 		trialPool.Put(s)
 	}()
-	// Rand.Seed re-arms the pooled generator to exactly the stream a
-	// fresh rand.New(rand.NewSource(seed)) would produce.
+	// Rand.Seed re-arms the pooled xrand source to exactly the stream
+	// a fresh rand.New(rand.NewSource(seed)) would produce.
 	s.rng.Seed(seed)
 	s.noise = noise
 	s.it.Reset(prog)

@@ -1,17 +1,27 @@
 // Package xrand provides a math/rand-compatible random source whose
-// re-seeding is cheap. Source produces the exact bit stream of Go's
+// seeding is O(1). Source produces the exact bit stream of Go's
 // default rand.NewSource — the same Mitchell/Reeds additive lagged
 // Fibonacci generator, seeded by the same multiplicative LCG — but it
-// memoizes the post-seed generator state per seed value, so re-seeding
-// to a seed it has seen before is one ~5 KiB copy instead of the
-// ~1900-step seeding recurrence.
+// computes each of the 607 register words on its first read instead of
+// running math/rand's 1,841-step seeding recurrence up front.
+//
+// math/rand seeds by stepping x ↦ 48271·x mod (2³¹−1) from the
+// normalized seed x₀ and XORing the values of steps 21+3i, 22+3i and
+// 23+3i (and rngCooked[i]) into register word i. Step k is
+// x₀·48271^k mod (2³¹−1), so with the powers precomputed (mult, built
+// once by running the same recurrence from 1) every word is three
+// independent modular products. Seed only normalizes the seed and
+// resets the indices. Uint64 fills the feed word on draws 0–333 and
+// the tap word on draws 0–272: those are the draws that read each word
+// first, and every later read finds a word that was filled and then
+// updated. From draw 334 on the generator is math/rand's exactly.
 //
 // That matters because the experiment harness derives every trial's
 // RNG seed purely from (base seed, trial index) — the determinism
 // contract of DESIGN.md §8 — and every trial re-seeds a pooled
-// generator, hundreds of times per case over a small recurring seed
-// set. Before this cache, rand.(*Rand).Seed was the single largest line
-// item of the Fig. 5 Train+Test sweep (~28% of wall clock).
+// generator to draw a handful of values: a cache-suite trial draws 8.8
+// jitter values on average, an attack trial 19.3. Under math/rand's
+// seeding, the reseed was 84% of the 976-case cache matrix's CPU time.
 //
 // Equivalence with math/rand is pinned by TestStreamMatchesMathRand;
 // the vendored rngCooked table (cooked.go) is the piece that makes the
@@ -27,24 +37,42 @@ const (
 	int32max = (1 << 31) - 1
 )
 
-// maxCachedSeeds bounds the per-Source seed-state cache. Each entry is
-// one 607-word generator state (~4.9 KiB); a paper-default case uses
-// 2×Runs = 200 distinct seeds, so 1024 covers every realistic sweep
-// while capping a Source at ~5 MiB.
-const maxCachedSeeds = 1024
+// The draws that read a register word before any draw wrote it: the
+// first rngLen-rngTap feed reads and the first rngTap tap reads.
+const (
+	feedFills = rngLen - rngTap
+	tapFills  = rngTap
+)
+
+// mult[i][j] is 48271^(21+3i+j) mod (2³¹−1), the factor taking the
+// normalized seed to the j-th seeding-LCG value XORed into register
+// word i.
+var mult = func() (m [rngLen][3]uint32) {
+	x := int32(1)
+	for k := 0; k < 20; k++ {
+		x = seedrand(x)
+	}
+	for i := range m {
+		for j := range m[i] {
+			x = seedrand(x)
+			m[i][j] = uint32(x)
+		}
+	}
+	return m
+}()
 
 // Source is a rand.Source64 implementing the Mitchell/Reeds generator
-// with a seed-state memo. It is not safe for concurrent use (neither
-// is rand.Rand); pooled trial states own one Source each.
+// with lazily seeded register words. It is not safe for concurrent use
+// (neither is rand.Rand); pooled trial states own one Source each.
 type Source struct {
 	tap  int
 	feed int
-	vec  [rngLen]int64
-
-	// states memoizes the post-Seed vec per seed. tap and feed are the
-	// same fixed values after every Seed, so vec alone reconstructs the
-	// state.
-	states map[int64]*[rngLen]int64
+	// fills counts the draws since Seed, up to feedFills; below it,
+	// Uint64 computes the words it reads first.
+	fills int
+	// x0 is the normalized seed, in [1, 2³¹−2].
+	x0  uint64
+	vec [rngLen]int64
 }
 
 // NewSource returns a Source seeded with seed, stream-identical to
@@ -72,45 +100,30 @@ func seedrand(x int32) int32 {
 }
 
 // Seed initializes the generator to the deterministic state
-// rand.NewSource(seed) would produce, restoring it from the memo when
-// this Source has been seeded with the same value before.
+// rand.NewSource(seed) would produce. The register words are computed
+// as the draws first read them.
 func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
+	s.fills = 0
 
-	if st, ok := s.states[seed]; ok {
-		s.vec = *st
-		return
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
 	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	s.x0 = uint64(seed)
+}
 
-	x := seed % int32max
-	if x < 0 {
-		x += int32max
-	}
-	if x == 0 {
-		x = 89482311
-	}
-	v := int32(x)
-	for i := -20; i < rngLen; i++ {
-		v = seedrand(v)
-		if i >= 0 {
-			u := int64(v) << 40
-			v = seedrand(v)
-			u ^= int64(v) << 20
-			v = seedrand(v)
-			u ^= int64(v)
-			u ^= rngCooked[i]
-			s.vec[i] = u
-		}
-	}
-
-	if s.states == nil {
-		s.states = make(map[int64]*[rngLen]int64)
-	}
-	if len(s.states) < maxCachedSeeds {
-		st := s.vec
-		s.states[seed] = &st
-	}
+// word returns register word i as math/rand's Seed leaves it.
+func (s *Source) word(i int) int64 {
+	m := &mult[i]
+	hi := s.x0 * uint64(m[0]) % int32max
+	mid := s.x0 * uint64(m[1]) % int32max
+	lo := s.x0 * uint64(m[2]) % int32max
+	return int64(hi<<40^mid<<20^lo) ^ rngCooked[i]
 }
 
 // Int63 returns a non-negative 63-bit integer, identical to
@@ -129,6 +142,13 @@ func (s *Source) Uint64() uint64 {
 	s.feed--
 	if s.feed < 0 {
 		s.feed += rngLen
+	}
+	if s.fills < feedFills {
+		s.vec[s.feed] = s.word(s.feed)
+		if s.fills < tapFills {
+			s.vec[s.tap] = s.word(s.tap)
+		}
+		s.fills++
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
