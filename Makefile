@@ -60,14 +60,16 @@ cachebench:
 
 # Steady-state allocation budgets of the simulator hot loop, the
 # trial driver and the cache-suite trial (DESIGN.md §10), and of a
-# vpserver cache hit (DESIGN.md §13). Runs without -race: the race
+# vpserver cache hit (DESIGN.md §13): TestHitAllocBudget bounds what a
+# hit allocates per request, TestHitRetention what it keeps on the
+# heap for the server's lifetime. Runs without -race: the race
 # detector instruments allocations and the tests exclude themselves
 # under that build tag.
 alloc-budget:
 	$(GO) test ./internal/cpu -run TestMachineRunSteadyStateAllocs -count=1
 	$(GO) test ./internal/attacks -run TestTrialDisabledPathAllocs -count=1
 	$(GO) test ./internal/cachebench -run TestTrialAllocs -count=1
-	$(GO) test ./internal/server -run TestHitAllocBudget -count=1
+	$(GO) test ./internal/server -run 'TestHitAllocBudget|TestHitRetention' -count=1
 
 # Bitmap-scheduler ordering gate: within a cycle, issue must stay
 # strictly oldest-first (the contract the old seq-sorted ready list

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 
 	"vpsec/internal/obs"
@@ -35,12 +36,14 @@ const (
 // through View. Waiters block on done, which closes exactly once when
 // the job reaches a terminal state.
 //
-// Every cache hit leaves one Job behind for the server's lifetime, so
-// a hit record carries no spec and no channel of its own: the spec
-// lives behind a pointer only a queued job sets, and hits share the
-// pre-closed hitDone.
+// Only queued jobs (cache misses) are kept, in Server.jobs. A cache
+// hit's Job is built per request from its hit template and dropped with
+// the request, so it carries no spec and no channel of its own: the
+// spec lives behind a pointer only a queued job sets, and hits share
+// the pre-closed hitDone.
 type Job struct {
-	// ID is the server-assigned job identifier ("j-000001").
+	// ID is the server-assigned job identifier ("j-000001"), jobID of
+	// the job number.
 	ID string
 	// Scenario is the registry name the job was submitted under, empty
 	// for ad-hoc spec payloads.
@@ -51,6 +54,8 @@ type Job struct {
 	// identity.
 	Hash string
 
+	// num is the job number ID spells.
+	num int
 	// spec is the canonicalized spec a queued job executes; the worker
 	// drops it once it starts, and hits never set it.
 	spec *scenario.Spec
@@ -75,13 +80,19 @@ var hitDone = func() chan struct{} {
 	return c
 }()
 
-// newJob builds a queued job.
-func newJob(id, name, client string, spec scenario.Spec, hash string) *Job {
+// jobID spells job number n as its id.
+func jobID(n int) string {
+	return fmt.Sprintf("j-%06d", n)
+}
+
+// newJob builds queued job number n.
+func newJob(n int, name, client string, spec scenario.Spec, hash string) *Job {
 	return &Job{
-		ID:       id,
+		ID:       jobID(n),
 		Scenario: name,
 		Kind:     spec.Kind,
 		Hash:     hash,
+		num:      n,
 		spec:     &spec,
 		client:   client,
 		done:     make(chan struct{}),
@@ -89,17 +100,37 @@ func newJob(id, name, client string, spec scenario.Spec, hash string) *Job {
 	}
 }
 
-// newHitJob builds a job born done from the cached result bytes.
-func newHitJob(id, name string, kind scenario.Kind, hash string, result []byte) *Job {
+// hitTemplate is what every cache hit of one (spec hash, submitted
+// scenario name) pair has in common: its whole job view but the id.
+type hitTemplate struct {
+	scenario string
+	kind     scenario.Kind
+	hash     string
+	result   []byte
+}
+
+// hitKey identifies a hit template.
+type hitKey struct {
+	hash, scenario string
+}
+
+// queuedSlot marks a job number in Server.slots that belongs to a
+// queued job, not a cache hit.
+const queuedSlot = ^uint32(0)
+
+// newHitJob builds cache-hit job number n, born done, from its
+// template.
+func newHitJob(n int, t *hitTemplate) *Job {
 	return &Job{
-		ID:       id,
-		Scenario: name,
-		Kind:     kind,
-		Hash:     hash,
+		ID:       jobID(n),
+		Scenario: t.scenario,
+		Kind:     t.kind,
+		Hash:     t.hash,
+		num:      n,
 		done:     hitDone,
 		state:    StateDone,
 		cache:    CacheHit,
-		result:   result,
+		result:   t.result,
 	}
 }
 
@@ -298,10 +329,10 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 type Batch struct {
 	// ID is the server-assigned batch identifier ("b-0001").
 	ID string
-	// Jobs lists the member jobs in submission order. Duplicate specs
-	// within a batch share one job (singleflight applies inside a
+	// Jobs lists the member job numbers in submission order. Duplicate
+	// specs within a batch share one job (singleflight applies inside a
 	// batch too).
-	Jobs []*Job
+	Jobs []int
 }
 
 // BatchView is the JSON shape of a batch (see docs/SERVER.md).
@@ -320,10 +351,16 @@ type BatchView struct {
 	Jobs []JobView `json:"jobs"`
 }
 
-// View snapshots the batch for serialization.
-func (b *Batch) View() BatchView {
-	v := BatchView{ID: b.ID, Total: len(b.Jobs)}
-	for _, j := range b.Jobs {
+// batchView snapshots batch b for serialization.
+func (s *Server) batchView(b *Batch) BatchView {
+	jobs := make([]*Job, len(b.Jobs))
+	s.mu.Lock()
+	for i, n := range b.Jobs {
+		jobs[i] = s.jobLocked(n)
+	}
+	s.mu.Unlock()
+	v := BatchView{ID: b.ID, Total: len(jobs)}
+	for _, j := range jobs {
 		jv := j.View()
 		switch jv.State {
 		case StateDone:

@@ -35,10 +35,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -122,14 +124,19 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	inflight map[string]*Job // hash → queued/running job (singleflight)
+	mu   sync.Mutex
+	jobs map[string]*Job // id → queued job (cache misses only)
+	// slots holds job number n's entry at n-1: queuedSlot for a job in
+	// jobs, else the index of the cache hit's template in hits. A hit
+	// thus retains 4 pointer-free bytes, not a job record.
+	slots    []uint32
+	hits     []hitTemplate
+	hitIndex map[hitKey]uint32 // hit template → its index in hits
+	inflight map[string]*Job   // hash → queued/running job (singleflight)
 	batches  map[string]*Batch
 	clients  map[string]int // client key → queued+running jobs
 	queued   int
 	running  int
-	nextJob  int
 	nextBat  int
 	draining bool
 
@@ -172,6 +179,7 @@ func newServer(cfg Config, execute func(context.Context, scenario.Spec) (*scenar
 		baseCtx:  ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*Job),
+		hitIndex: make(map[hitKey]uint32),
 		inflight: make(map[string]*Job),
 		batches:  make(map[string]*Batch),
 		clients:  make(map[string]int),
@@ -371,7 +379,8 @@ type errSubmit struct {
 // Error renders the admission failure.
 func (e *errSubmit) Error() string { return e.msg }
 
-// submit admits one canonical spec: cache hit → terminal job,
+// submit admits one canonical spec: cache hit → a terminal job built
+// from its hit template for this request alone (only its slot stays),
 // singleflight hit → the in-flight job, otherwise a fresh job is
 // queued against the admission limits. Callers hold no locks.
 func (s *Server) submit(name, client string, spec scenario.Spec) (*Job, error) {
@@ -387,10 +396,15 @@ func (s *Server) submit(name, client string, spec scenario.Spec) (*Job, error) {
 	// Hot cell: answer from the content-addressed store.
 	if data, ok := s.store.Get(hash); ok {
 		s.reg.Counter(metricCacheHits, helpCacheHits).Add(1)
-		s.nextJob++
-		j := newHitJob(fmt.Sprintf("j-%06d", s.nextJob), name, spec.Kind, hash, data)
-		s.jobs[j.ID] = j
-		return j, nil
+		k := hitKey{hash, name}
+		t, ok := s.hitIndex[k]
+		if !ok {
+			t = uint32(len(s.hits))
+			s.hits = append(s.hits, hitTemplate{scenario: name, kind: spec.Kind, hash: hash, result: data})
+			s.hitIndex[k] = t
+		}
+		s.slots = append(s.slots, t)
+		return newHitJob(len(s.slots), &s.hits[t]), nil
 	}
 
 	// Singleflight: attach to the identical in-flight job.
@@ -412,8 +426,8 @@ func (s *Server) submit(name, client string, spec scenario.Spec) (*Job, error) {
 	}
 
 	s.reg.Counter(metricCacheMisses, helpCacheMisses).Add(1)
-	s.nextJob++
-	j := newJob(fmt.Sprintf("j-%06d", s.nextJob), name, client, spec, hash)
+	s.slots = append(s.slots, queuedSlot)
+	j := newJob(len(s.slots), name, client, spec, hash)
 	s.jobs[j.ID] = j
 	s.inflight[hash] = j
 	s.clients[client]++
@@ -421,6 +435,32 @@ func (s *Server) submit(name, client string, spec scenario.Spec) (*Job, error) {
 	s.gaugesLocked()
 	s.queue <- j // capacity == QueueDepth, so this never blocks
 	return j, nil
+}
+
+// lookup resolves a job id: a queued job straight from the jobs map,
+// else a cache hit rebuilt from its template. A hit's id resolves only
+// in its canonical spelling (jobID), so "j-1" and "j-0000001" name no
+// job. It returns nil for an unknown id.
+func (s *Server) lookup(id string) *Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; ok {
+		return j
+	}
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "j-"))
+	if err != nil || n < 1 || n > len(s.slots) || jobID(n) != id {
+		return nil
+	}
+	return s.jobLocked(n)
+}
+
+// jobLocked returns job number n, 1 ≤ n ≤ len(s.slots); callers hold
+// mu.
+func (s *Server) jobLocked(n int) *Job {
+	if t := s.slots[n-1]; t != queuedSlot {
+		return newHitJob(n, &s.hits[t])
+	}
+	return s.jobs[jobID(n)]
 }
 
 // waitBudget resolves a request's synchronous wait duration.
@@ -454,15 +494,44 @@ func awaitDone(done <-chan struct{}, d time.Duration) bool {
 	}
 }
 
+// maxSpecBytes bounds the body of POST /v1/jobs, and QueueDepth times
+// it the body of POST /v1/batch: the largest registry spec marshals to
+// under 500 bytes, so one submission gets two orders of magnitude of
+// room for hand-written spellings and a batch that much per job the
+// queue can admit.
+const maxSpecBytes = 64 << 10
+
+// decodeBody decodes a request body holding one JSON object and
+// nothing after it but whitespace into v, strictly (unknown fields are
+// rejected), reading at most limit bytes. On failure it answers — 413
+// too_large past the limit, 400 bad_request otherwise — and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("more than one JSON value in the body")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "too_large", "request body exceeds %d bytes", tooLarge.Limit)
+		return false
+	}
+	writeError(w, http.StatusBadRequest, "bad_request", "decode request: %v", err)
+	return false
+}
+
 // handleSubmit implements POST /v1/jobs: resolve, admit, and answer —
 // 200 for terminal jobs (cache hits, or wait=true runs that finish in
 // budget), 202 for jobs still in flight.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decode request: %v", err)
+	if !decodeBody(w, r, maxSpecBytes, &req) {
 		return
 	}
 	name, spec, code, err := resolveSubmit(req)
@@ -493,10 +562,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // handleJob implements GET /v1/jobs/{id}. With ?wait=true it blocks —
 // long-polls — until the job is terminal or the wait budget expires.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
+	j := s.lookup(r.PathValue("id"))
+	if j == nil {
 		writeError(w, http.StatusNotFound, "not_found", "no job %q", r.PathValue("id"))
 		return
 	}
@@ -511,10 +578,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // canonical result bytes, straight from the store's representation —
 // what a cache-to-cold byte comparison should fetch.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
+	j := s.lookup(r.PathValue("id"))
+	if j == nil {
 		writeError(w, http.StatusNotFound, "not_found", "no job %q", r.PathValue("id"))
 		return
 	}
@@ -552,10 +617,7 @@ type batchRequest struct {
 // never half-starts.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decode request: %v", err)
+	if !decodeBody(w, r, int64(s.cfg.QueueDepth)*maxSpecBytes, &req) {
 		return
 	}
 	n := len(req.Scenarios) + len(req.Specs)
@@ -590,6 +652,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	client := clientKey(r)
 	b := &Batch{}
+	jobs := make([]*Job, 0, n)
 	for i := range specs {
 		j, err := s.submit(names[i], client, specs[i])
 		if err != nil {
@@ -603,7 +666,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "internal", "batch entry %d: %v", i, err)
 			return
 		}
-		b.Jobs = append(b.Jobs, j)
+		jobs = append(jobs, j)
+		b.Jobs = append(b.Jobs, j.num)
 	}
 
 	s.mu.Lock()
@@ -615,13 +679,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	if req.Wait {
 		deadline := time.Now().Add(s.waitBudget(req.TimeoutMS))
-		for _, j := range b.Jobs {
+		for _, j := range jobs {
 			if !awaitDone(j.done, time.Until(deadline)) {
 				break
 			}
 		}
 	}
-	v := b.View()
+	v := s.batchView(b)
 	status := http.StatusAccepted
 	if v.Done+v.Failed == v.Total {
 		status = http.StatusOK
@@ -638,7 +702,7 @@ func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "no batch %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, b.View())
+	writeJSON(w, http.StatusOK, s.batchView(b))
 }
 
 // scenarioEntry is one GET /v1/scenarios listing row.

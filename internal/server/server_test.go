@@ -87,11 +87,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // post sends a JSON body and decodes the response envelope.
 func post(t *testing.T, client *http.Client, url string, body any, out any) (status int) {
 	t.Helper()
-	data, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
+	status, raw := postRaw(t, client, url, mustJSON(t, body))
+	if out != nil {
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("decode %s response %q: %v", url, raw, err)
+		}
 	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(data))
+	return status
+}
+
+// postRaw sends body verbatim and returns the status and the raw
+// response.
+func postRaw(t *testing.T, client *http.Client, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +109,17 @@ func post(t *testing.T, client *http.Client, url string, body any, out any) (sta
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("decode %s response %q: %v", url, raw, err)
-		}
+	return resp.StatusCode, raw
+}
+
+// errorCode returns the code of an error-envelope response, "" for any
+// other body.
+func errorCode(raw []byte) string {
+	var envelope struct {
+		Error apiError `json:"error"`
 	}
-	return resp.StatusCode
+	json.Unmarshal(raw, &envelope)
+	return envelope.Error.Code
 }
 
 // get fetches a URL and decodes the JSON response.
@@ -338,9 +352,7 @@ func checkJobView(t *testing.T, s *Server, resp *http.Response, out *JobView) []
 	if err := json.Unmarshal(raw, &v); err != nil {
 		t.Fatalf("decode job view %q: %v", raw, err)
 	}
-	s.mu.Lock()
-	j := s.jobs[v.ID]
-	s.mu.Unlock()
+	j := s.lookup(v.ID)
 	if j == nil {
 		t.Fatalf("no job %s behind the view", v.ID)
 	}
@@ -636,6 +648,224 @@ func TestSubmitErrors(t *testing.T) {
 	}
 	if status := get(t, c, ts.URL+"/v1/batch/b-9999", nil); status != http.StatusNotFound {
 		t.Errorf("unknown batch: status %d", status)
+	}
+}
+
+// TestJobIDResolution: every id a POST answered keeps resolving to the
+// bytes that POST returned — cache hits by name, by inline spec and
+// inside a batch, rebuilt from their templates, and a queued job from
+// the jobs map — and only the canonical spelling of a job number
+// resolves.
+func TestJobIDResolution(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	c := ts.Client()
+
+	named, _ := scenario.Lookup("train-test-timing-lvp")
+	inline := smallSpec(91, 2)
+	parsed, err := scenario.Parse(mustJSON(t, inline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{named.Hash(), parsed.Canonical().Hash()} {
+		if err := s.store.Put(h, mustJSON(t, map[string]string{"Hash": h})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byName := map[string]any{"scenario": named.Name, "wait": true}
+	bySpec := map[string]any{"spec": inline, "wait": true}
+	cold := map[string]any{"spec": smallSpec(92, 2), "wait": true}
+
+	// submit posts one job and records the bytes the POST returned.
+	posted := map[string][]byte{}
+	submit := func(body any, want string) {
+		t.Helper()
+		status, raw := postRaw(t, c, ts.URL+"/v1/jobs", mustJSON(t, body))
+		var jv JobView
+		if err := json.Unmarshal(raw, &jv); err != nil || status != http.StatusOK || jv.State != StateDone || jv.ID != want {
+			t.Fatalf("submit: status %d: %s, want %s done", status, raw, want)
+		}
+		posted[jv.ID] = raw
+	}
+	submit(byName, "j-000001")
+	submit(bySpec, "j-000002")
+	submit(cold, "j-000003") // the one cache miss
+	submit(byName, "j-000004")
+
+	status, raw := postRaw(t, c, ts.URL+"/v1/batch", mustJSON(t, map[string]any{
+		"scenarios": []string{named.Name}, "specs": []any{inline}, "wait": true,
+	}))
+	var bv BatchView
+	if err := json.Unmarshal(raw, &bv); err != nil || status != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", status, raw)
+	}
+	if bv.ID != "b-0001" || len(bv.Jobs) != 2 || bv.Jobs[0].ID != "j-000005" || bv.Jobs[1].ID != "j-000006" {
+		t.Fatalf("batch view %+v, want b-0001 of j-000005 and j-000006", bv)
+	}
+	if got := getRaw(t, c, ts.URL+"/v1/batch/"+bv.ID, http.StatusOK); !bytes.Equal(got, raw) {
+		t.Errorf("GET batch %s = %s, POST answered %s", bv.ID, got, raw)
+	}
+	for _, member := range bv.Jobs {
+		var jv JobView
+		getView(t, s, c, ts.URL+"/v1/jobs/"+member.ID, &jv)
+		if jv.Cache != CacheHit || jv.SpecSHA256 != member.SpecSHA256 || jv.Scenario != member.Scenario {
+			t.Errorf("batch member %s resolves to %+v, listed as %+v", member.ID, jv, member)
+		}
+	}
+
+	submit(bySpec, "j-000007")
+
+	for id, raw := range posted {
+		if got := getView(t, s, c, ts.URL+"/v1/jobs/"+id, nil); !bytes.Equal(got, raw) {
+			t.Errorf("GET %s = %s, POST answered %s", id, got, raw)
+		}
+		var jv JobView
+		json.Unmarshal(raw, &jv)
+		want, _ := s.store.Get(jv.SpecSHA256)
+		if got := getRaw(t, c, ts.URL+"/v1/jobs/"+id+"/result", http.StatusOK); !bytes.Equal(got, want) {
+			t.Errorf("GET %s/result = %s, the store holds %s", id, got, want)
+		}
+	}
+
+	for _, id := range []string{"j-1", "j-0000001", "j-3", "j-", "j-x", "j--00001", "j-+00001", "000001", "j-000008"} {
+		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/result"} {
+			resp, err := c.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound || errorCode(raw) != "not_found" {
+				t.Errorf("GET %s: status %d: %s, want 404 not_found", path, resp.StatusCode, raw)
+			}
+		}
+	}
+}
+
+// TestConcurrentHits: goroutines submitting cache hits of two
+// templates while others resolve theirs — slots growing under
+// concurrent lookups — each get back their own POST's bytes, under
+// distinct ids. Run it with -race.
+func TestConcurrentHits(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	inline := smallSpec(99, 2)
+	parsed, err := scenario.Parse(mustJSON(t, inline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, _ := scenario.Lookup("train-test-timing-lvp")
+	for _, h := range []string{named.Hash(), parsed.Canonical().Hash()} {
+		if err := s.store.Put(h, mustJSON(t, map[string]string{"Hash": h})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bodies := [][]byte{
+		mustJSON(t, map[string]any{"scenario": named.Name}),
+		mustJSON(t, map[string]any{"spec": inline}),
+	}
+
+	const goroutines, hits = 4, 100
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(body []byte) {
+			defer wg.Done()
+			for i := 0; i < hits; i++ {
+				post := httptest.NewRecorder()
+				s.ServeHTTP(post, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+				var jv JobView
+				if err := json.Unmarshal(post.Body.Bytes(), &jv); err != nil || post.Code != http.StatusOK {
+					t.Errorf("hit: status %d: %s", post.Code, post.Body.Bytes())
+					return
+				}
+				get := httptest.NewRecorder()
+				s.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+jv.ID, nil))
+				if !bytes.Equal(get.Body.Bytes(), post.Body.Bytes()) {
+					t.Errorf("GET %s = %s, POST answered %s", jv.ID, get.Body.Bytes(), post.Body.Bytes())
+					return
+				}
+			}
+		}(bodies[g%len(bodies)])
+	}
+	wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.slots) != goroutines*hits || len(s.hits) != len(bodies) {
+		t.Errorf("%d slots over %d templates, want %d over %d", len(s.slots), len(s.hits), goroutines*hits, len(bodies))
+	}
+}
+
+// TestTrailingBytes: a POST body with anything but whitespace after
+// its JSON object answers 400 bad_request on both routes, before any
+// job is admitted; trailing whitespace is accepted.
+func TestTrailingBytes(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	c := ts.Client()
+
+	job := string(mustJSON(t, map[string]any{"spec": smallSpec(93, 2), "wait": true}))
+	batch := string(mustJSON(t, map[string]any{"specs": []any{smallSpec(94, 2)}, "wait": true}))
+	for _, tc := range []struct {
+		route, body string
+		status      int
+	}{
+		{"/v1/jobs", job + `{"scenario":"nope"} trailing garbage`, http.StatusBadRequest},
+		{"/v1/jobs", job + "}", http.StatusBadRequest},
+		{"/v1/jobs", job + " 1", http.StatusBadRequest},
+		{"/v1/batch", batch + `{"scenarios":["nope"]} trailing garbage`, http.StatusBadRequest},
+		{"/v1/batch", batch + "]", http.StatusBadRequest},
+		{"/v1/jobs", job + " \n\t\r\n", http.StatusOK},
+		{"/v1/batch", batch + "\n", http.StatusOK},
+	} {
+		status, raw := postRaw(t, c, ts.URL+tc.route, []byte(tc.body))
+		if status != tc.status {
+			t.Errorf("POST %s %q: status %d: %s, want %d", tc.route, tc.body, status, raw, tc.status)
+		}
+		if status == http.StatusBadRequest && errorCode(raw) != "bad_request" {
+			t.Errorf("POST %s %q: code %q, want bad_request", tc.route, tc.body, errorCode(raw))
+		}
+	}
+	if n := counter(s, metricJobsSubmitted, helpJobsSubmitted); n != 2 {
+		t.Errorf("%d submissions admitted, want the 2 well-formed ones", n)
+	}
+}
+
+// TestBodyLimit: a POST body one byte over its limit — maxSpecBytes
+// for a job, QueueDepth times that for a batch — answers 413
+// too_large, whether the excess sits inside the object or after it; a
+// body at the limit is accepted, and the server keeps serving.
+func TestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	c := ts.Client()
+
+	// pad spells body in n bytes, with spaces before its closing brace
+	// or after it.
+	pad := func(body []byte, n int, inside bool) []byte {
+		spaces := bytes.Repeat([]byte(" "), n-len(body))
+		if inside {
+			return append(append(body[:len(body)-1:len(body)-1], spaces...), '}')
+		}
+		return append(body[:len(body):len(body)], spaces...)
+	}
+	for _, tc := range []struct {
+		route string
+		body  any
+		limit int
+	}{
+		{"/v1/jobs", map[string]any{"spec": smallSpec(95, 2), "wait": true}, maxSpecBytes},
+		{"/v1/batch", map[string]any{"specs": []any{smallSpec(96, 2)}, "wait": true}, 2 * maxSpecBytes},
+	} {
+		body := mustJSON(t, tc.body)
+		for _, inside := range []bool{true, false} {
+			status, raw := postRaw(t, c, ts.URL+tc.route, pad(body, tc.limit+1, inside))
+			if status != http.StatusRequestEntityTooLarge || errorCode(raw) != "too_large" {
+				t.Errorf("POST %s, %d bytes (padded inside: %v): status %d: %s, want 413 too_large",
+					tc.route, tc.limit+1, inside, status, raw)
+			}
+			if status, raw := postRaw(t, c, ts.URL+tc.route, pad(body, tc.limit, inside)); status != http.StatusOK {
+				t.Errorf("POST %s, %d bytes (padded inside: %v): status %d: %s, want 200",
+					tc.route, tc.limit, inside, status, raw)
+			}
+		}
 	}
 }
 
