@@ -109,10 +109,11 @@ bench:
 # Documentation gate: vet, formatting, and doc coverage of the
 # experiment surface (every exported symbol in the runner, attacks,
 # report, oracle, progen, scenario, obs, server, cachebench, defense,
-# isa, locality and xrand packages must carry a doc comment — godoc is
-# the reference documentation the experiments guide links into). -api
+# isa, locality and xrand packages and the scencli command front-end
+# must carry a doc comment — godoc is the reference documentation the
+# experiments guide links into). -api
 # keeps docs/SERVER.md aligned with the routes internal/server actually
 # registers.
 docs: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
-	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/xrand
+	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/xrand ./cmd/internal/scencli

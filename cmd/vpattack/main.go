@@ -1,7 +1,8 @@
 // Command vpattack runs the value-predictor attacks and reproduces the
 // paper's evaluation numbers. Every invocation — legacy flags or a
 // declarative scenario — compiles to an internal/scenario spec and
-// executes through scenario.Execute, so the two paths cannot drift.
+// runs through the shared front-end (cmd/internal/scencli), so the two
+// paths cannot drift.
 //
 // Usage:
 //
@@ -15,201 +16,85 @@
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"os"
-	"strconv"
-	"time"
 
-	"vpsec/cmd/internal/prof"
 	"vpsec/cmd/internal/scencli"
-	"vpsec/internal/metrics"
 	"vpsec/internal/scenario"
 )
 
+var command = scencli.Command{Name: "vpattack", Flags: flags}
+
 func main() {
-	defaults := scenario.Defaults()
-	var (
-		attackName = flag.String("attack", "", `attack category, e.g. "Train + Test" (see vpmodel)`)
-		variant    = flag.String("variant", "", `specific Table II pattern, e.g. "R^KI, S^SI', R^KI"`)
-		channel    = flag.String("channel", defaults.Channel, "channel: timing-window, persistent or volatile")
-		predKind   = flag.String("predictor", defaults.Predictor, "none, lvp, vtage, stride, stride-2d, fcm, oracle-lvp, oracle-vtage")
-		runs       = flag.Int("runs", defaults.Runs, "trials per case (paper: 100)")
-		jobs       = flag.Int("jobs", scenario.DefaultJobs(), "concurrent trials (1 = sequential legacy path; results are identical at any value)")
-		conf       = flag.Int("confidence", defaults.Confidence, "VPS confidence number")
-		seed       = flag.Int64("seed", defaults.Seed, "base RNG seed")
-		table3     = flag.Bool("table3", false, "reproduce Table III for the chosen predictor")
-		atype      = flag.Bool("atype", false, "enable the A-type defense (history value)")
-		afixed     = flag.Bool("afixed", false, "A-type predicts a fixed value")
-		rwindow    = flag.Int("rwindow", 0, "R-type window size (0/1 disables)")
-		dtype      = flag.Bool("dtype", false, "enable the D-type defense")
-		flushSw    = flag.Bool("flush-switch", false, "flush the VPS on every context switch (OS mitigation)")
-		usePID     = flag.Bool("pid", false, "index the predictor with the pid (Sec. V-B ablation)")
-		prefetch   = flag.Bool("prefetch", false, "enable the next-line prefetcher ablation")
-		replay     = flag.Bool("replay", false, "selective-replay recovery instead of full squash")
-		eviction   = flag.Bool("eviction", false, "force misses with eviction sets instead of CLFLUSH (Train+Test only)")
-		fpc        = flag.Int("fpc", 0, "forward-probabilistic confidence rate 1/N for lvp/vtage (0 disables)")
-		noiseSweep = flag.Bool("noise-sweep", false, "sweep memory-latency jitter for the chosen attack")
-		confSweep  = flag.Bool("conf-sweep", false, "sweep VPS confidence thresholds for the chosen attack")
-		trainIters = flag.Int("train-iters", 0, "training accesses per trial (0: the confidence number)")
-
-		metricsPath  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
-		manifestPath = flag.String("manifest", "", "write a run manifest (config, seed, metrics) to this file")
-	)
-	profFlags := prof.Register()
-	scen := scencli.Register()
-	flag.Parse()
-
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpattack:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "vpattack:", err)
-		}
-	}()
-	tracer, closeTrace, err := scen.Observe()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpattack:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := closeTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "vpattack:", err)
-		}
-	}()
-
-	var reg *metrics.Registry
-	if *metricsPath != "" || *manifestPath != "" {
-		reg = metrics.NewRegistry()
-	}
-	start := time.Now()
-	// writeObservability emits the metrics snapshot and manifest on the
-	// way out of every successful code path; ttraj is the per-case Welch
-	// t trajectory when the path produced a single CaseResult.
-	writeObservability := func(scenName string, ttraj []float64) {
-		if reg == nil {
-			return
-		}
-		if *metricsPath != "" {
-			if err := metrics.WriteFile(reg, *metricsPath, "json"); err != nil {
-				fmt.Fprintln(os.Stderr, "vpattack:", err)
-				os.Exit(1)
-			}
-		}
-		if *manifestPath != "" {
-			man := metrics.NewManifest("vpattack", *seed)
-			man.Predictor = *predKind
-			man.Config["attack"] = *attackName
-			man.Config["variant"] = *variant
-			man.Config["channel"] = *channel
-			man.Config["runs"] = strconv.Itoa(*runs)
-			man.Config["jobs"] = strconv.Itoa(*jobs)
-			man.Config["confidence"] = strconv.Itoa(*conf)
-			if scenName != "" {
-				man.Config["scenario"] = scenName
-			}
-			man.TTrajectory = ttraj
-			man.Finish(reg, start)
-			if err := man.WriteFile(*manifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "vpattack:", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	res, handled, err := scen.Handle(context.Background(), scencli.Options{
-		Tool: "vpattack",
-		Infra: []string{"jobs", "metrics", "manifest",
-			"cpuprofile", "memprofile", "blockprofile", "mutexprofile", "exectrace"},
-		Trace: tracer,
-		Mutate: func(s *scenario.Spec) {
-			if scencli.Set("jobs") {
-				s.Jobs = *jobs
-			}
-			s.Metrics = reg
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpattack:", err)
-		os.Exit(1)
-	}
-	if handled {
-		if res != nil {
-			writeObservability(res.Spec.Name, caseTrajectory(res))
-		}
-		return
-	}
-
-	// Legacy flag path: compile the flags into the equivalent spec.
-	spec := scenario.Spec{
-		Predictor:  *predKind,
-		Confidence: *conf,
-		Runs:       *runs,
-		Seed:       *seed,
-		Jobs:       *jobs,
-		UsePID:     *usePID,
-		Prefetch:   *prefetch,
-		Replay:     *replay,
-		FPC:        *fpc,
-		TrainIters: *trainIters,
-		Metrics:    reg,
-		Trace:      tracer,
-	}
-	if *atype || *afixed || *rwindow != 0 || *dtype || *flushSw {
-		spec.Defense = &scenario.DefenseSpec{
-			AType:         *atype,
-			AFixedOnly:    *afixed,
-			RWindow:       *rwindow,
-			DType:         *dtype,
-			FlushOnSwitch: *flushSw,
-		}
-	}
-	switch {
-	case *table3:
-		spec.Kind = scenario.KindTableIII
-	case *eviction:
-		spec.Kind = scenario.KindEviction
-	case *variant != "":
-		spec.Kind = scenario.KindVariant
-		spec.Variant = *variant
-	case *attackName == "":
-		fmt.Fprintln(os.Stderr, "usage: vpattack -table3 | -attack <category> | -variant <pattern> | -scenario <name|file> [flags]")
-		os.Exit(2)
-	case *noiseSweep:
-		spec.Kind = scenario.KindNoiseSweep
-		spec.Category = *attackName
-		spec.Channel = *channel
-	case *confSweep:
-		spec.Kind = scenario.KindConfSweep
-		spec.Category = *attackName
-		spec.Channel = *channel
-	default:
-		spec.Kind = scenario.KindCase
-		spec.Category = *attackName
-		spec.Channel = *channel
-	}
-
-	result, err := scenario.Execute(context.Background(), spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpattack:", err)
-		os.Exit(1)
-	}
-	if err := result.Render(os.Stdout, scenario.RenderOptions{}); err != nil {
-		fmt.Fprintln(os.Stderr, "vpattack:", err)
-		os.Exit(1)
-	}
-	writeObservability("", caseTrajectory(result))
+	os.Exit(scencli.Main(command, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// caseTrajectory extracts the convergence trajectory when the run
-// produced exactly one case (the manifest field is per-case).
-func caseTrajectory(r *scenario.Result) []float64 {
-	if len(r.Cases) == 1 {
-		return r.Cases[0].TTrajectory
+// flags registers vpattack's experiment flags and compiles them into
+// the equivalent spec.
+func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
+	defaults := scenario.Defaults()
+	var (
+		attackName = fs.String("attack", "", `attack category, e.g. "Train + Test" (see vpmodel)`)
+		variant    = fs.String("variant", "", `specific Table II pattern, e.g. "R^KI, S^SI', R^KI"`)
+		channel    = fs.String("channel", defaults.Channel, "channel: timing-window, persistent or volatile")
+		predKind   = fs.String("predictor", defaults.Predictor, "none, lvp, vtage, stride, stride-2d, fcm, oracle-lvp, oracle-vtage")
+		runs       = fs.Int("runs", defaults.Runs, "trials per case (paper: 100)")
+		conf       = fs.Int("confidence", defaults.Confidence, "VPS confidence number")
+		seed       = fs.Int64("seed", defaults.Seed, "base RNG seed")
+		table3     = fs.Bool("table3", false, "reproduce Table III for the chosen predictor")
+		atype      = fs.Bool("atype", false, "enable the A-type defense (history value)")
+		afixed     = fs.Bool("afixed", false, "A-type predicts a fixed value")
+		rwindow    = fs.Int("rwindow", 0, "R-type window size (0/1 disables)")
+		dtype      = fs.Bool("dtype", false, "enable the D-type defense")
+		flushSw    = fs.Bool("flush-switch", false, "flush the VPS on every context switch (OS mitigation)")
+		usePID     = fs.Bool("pid", false, "index the predictor with the pid (Sec. V-B ablation)")
+		prefetch   = fs.Bool("prefetch", false, "enable the next-line prefetcher ablation")
+		replay     = fs.Bool("replay", false, "selective-replay recovery instead of full squash")
+		eviction   = fs.Bool("eviction", false, "force misses with eviction sets instead of CLFLUSH (Train+Test only)")
+		fpc        = fs.Int("fpc", 0, "forward-probabilistic confidence rate 1/N for lvp/vtage (0 disables)")
+		noiseSweep = fs.Bool("noise-sweep", false, "sweep memory-latency jitter for the chosen attack")
+		confSweep  = fs.Bool("conf-sweep", false, "sweep VPS confidence thresholds for the chosen attack")
+		trainIters = fs.Int("train-iters", 0, "training accesses per trial (0: the confidence number)")
+	)
+	return func(*scencli.Env) ([]scenario.Spec, error) {
+		spec := scenario.Spec{
+			Predictor:  *predKind,
+			Confidence: *conf,
+			Runs:       *runs,
+			Seed:       *seed,
+			UsePID:     *usePID,
+			Prefetch:   *prefetch,
+			Replay:     *replay,
+			FPC:        *fpc,
+			TrainIters: *trainIters,
+		}
+		if *atype || *afixed || *rwindow != 0 || *dtype || *flushSw {
+			spec.Defense = &scenario.DefenseSpec{
+				AType:         *atype,
+				AFixedOnly:    *afixed,
+				RWindow:       *rwindow,
+				DType:         *dtype,
+				FlushOnSwitch: *flushSw,
+			}
+		}
+		switch {
+		case *table3:
+			spec.Kind = scenario.KindTableIII
+		case *eviction:
+			spec.Kind = scenario.KindEviction
+		case *variant != "":
+			spec.Kind = scenario.KindVariant
+			spec.Variant = *variant
+		case *attackName == "":
+			return nil, scencli.Usage("usage: vpattack -table3 | -attack <category> | -variant <pattern> | -scenario <name|file> [flags]")
+		default:
+			spec.Kind, spec.Category, spec.Channel = scenario.KindCase, *attackName, *channel
+			if *noiseSweep {
+				spec.Kind = scenario.KindNoiseSweep
+			} else if *confSweep {
+				spec.Kind = scenario.KindConfSweep
+			}
+		}
+		return []scenario.Spec{spec}, nil
 	}
-	return nil
 }

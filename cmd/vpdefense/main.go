@@ -1,7 +1,8 @@
 // Command vpdefense reproduces the Sec. VI defense evaluation: R-type
 // window-size sweeps (minimal secure windows: 3 for Train+Test, 9 for
 // Test+Hit) and the per-attack defense-coverage matrix. Both modes
-// compile to internal/scenario specs and run through scenario.Execute.
+// compile to internal/scenario specs and run through the shared
+// front-end (cmd/internal/scencli).
 //
 //	vpdefense -sweep                 # window sweeps for Train+Test and Test+Hit
 //	vpdefense -matrix                # full strategy x attack matrix
@@ -13,160 +14,74 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"vpsec/cmd/internal/scencli"
 	"vpsec/internal/defense"
-	"vpsec/internal/metrics"
 	"vpsec/internal/scenario"
 )
 
+var command = scencli.Command{Name: "vpdefense", Flags: flags}
+
 func main() {
+	os.Exit(scencli.Main(command, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// flags registers vpdefense's flags: the sweep and matrix compile to
+// specs, the strategy catalog prints without one.
+func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 	var (
-		doSweep    = flag.Bool("sweep", false, "run R-type window sweeps")
-		doMatrix   = flag.Bool("matrix", false, "run the defense matrix")
-		slowdown   = flag.Bool("slowdown", false, "extend the matrix with recompute/isolate and price every strategy by its slowdown")
-		attackName = flag.String("attack", "", "restrict the sweep to one category")
-		maxWindow  = flag.Int("maxwindow", 10, "largest R-type window to sweep")
-		runs       = flag.Int("runs", scenario.DefaultDefenseRuns(), "trials per case")
-		jobs       = flag.Int("jobs", scenario.DefaultJobs(), "concurrent trials (1 = sequential legacy path; results are identical at any value)")
-		seed       = flag.Int64("seed", scenario.Defaults().Seed, "base RNG seed")
+		doSweep    = fs.Bool("sweep", false, "run R-type window sweeps")
+		doMatrix   = fs.Bool("matrix", false, "run the defense matrix")
+		slowdown   = fs.Bool("slowdown", false, "extend the matrix with recompute/isolate and price every strategy by its slowdown")
+		attackName = fs.String("attack", "", "restrict the sweep to one category")
+		maxWindow  = fs.Int("maxwindow", 10, "largest R-type window to sweep")
+		runs       = fs.Int("runs", scenario.DefaultDefenseRuns(), "trials per case")
+		seed       = fs.Int64("seed", scenario.Defaults().Seed, "base RNG seed")
 
-		listStrategies = flag.Bool("list-strategies", false, "print the mechanism catalog and named strategies, then exit")
-		describe       = flag.String("describe-strategy", "", "print the mechanisms a strategy composes, then exit")
-
-		metricsPath  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
-		manifestPath = flag.String("manifest", "", "write a run manifest (config, seed, metrics) to this file")
+		listStrategies = fs.Bool("list-strategies", false, "print the mechanism catalog and named strategies, then exit")
+		describe       = fs.String("describe-strategy", "", "print the mechanisms a strategy composes, then exit")
 	)
-	scen := scencli.Register()
-	flag.Parse()
-
-	if *listStrategies {
-		printStrategies(os.Stdout)
-		return
-	}
-	if *describe != "" {
-		if err := describeStrategy(os.Stdout, *describe); err != nil {
-			fmt.Fprintln(os.Stderr, "vpdefense:", err)
-			os.Exit(1)
+	return func(env *scencli.Env) ([]scenario.Spec, error) {
+		if *listStrategies {
+			printStrategies(env.Stdout)
+			return nil, nil
 		}
-		return
-	}
-
-	tracer, closeTrace, err := scen.Observe()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpdefense:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := closeTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "vpdefense:", err)
+		if *describe != "" {
+			return nil, describeStrategy(env.Stdout, *describe)
 		}
-	}()
-
-	var reg *metrics.Registry
-	if *metricsPath != "" || *manifestPath != "" {
-		reg = metrics.NewRegistry()
-	}
-	start := time.Now()
-	writeObservability := func() {
-		if reg == nil {
-			return
+		var specs []scenario.Spec
+		if *doSweep || !*doMatrix {
+			specs = append(specs, scenario.Spec{
+				Kind:      scenario.KindDefenseSweep,
+				Category:  *attackName, // empty: the paper's Train+Test and Test+Hit pair
+				MaxWindow: *maxWindow,
+			})
 		}
-		if *metricsPath != "" {
-			if err := metrics.WriteFile(reg, *metricsPath, "json"); err != nil {
-				fmt.Fprintln(os.Stderr, "vpdefense:", err)
-				os.Exit(1)
+		if *doMatrix || !*doSweep {
+			spec := scenario.Spec{Kind: scenario.KindDefenseMatrix}
+			if *slowdown {
+				spec.Slowdown = true
+				for _, s := range append(defense.Strategies(), defense.ExtendedStrategies()...) {
+					spec.Strategies = append(spec.Strategies, s.Name)
+				}
 			}
+			specs = append(specs, spec)
 		}
-		if *manifestPath != "" {
-			man := metrics.NewManifest("vpdefense", *seed)
-			man.Config["sweep"] = strconv.FormatBool(*doSweep)
-			man.Config["matrix"] = strconv.FormatBool(*doMatrix)
-			man.Config["maxwindow"] = strconv.Itoa(*maxWindow)
-			man.Config["runs"] = strconv.Itoa(*runs)
-			man.Config["jobs"] = strconv.Itoa(*jobs)
-			man.Finish(reg, start)
-			if err := man.WriteFile(*manifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "vpdefense:", err)
-				os.Exit(1)
-			}
+		for i := range specs {
+			specs[i].Runs, specs[i].Seed = *runs, *seed
 		}
+		return specs, nil
 	}
-
-	_, handled, err := scen.Handle(context.Background(), scencli.Options{
-		Tool:  "vpdefense",
-		Infra: []string{"jobs", "metrics", "manifest"},
-		Trace: tracer,
-		Mutate: func(s *scenario.Spec) {
-			if scencli.Set("jobs") {
-				s.Jobs = *jobs
-			}
-			s.Metrics = reg
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpdefense:", err)
-		os.Exit(1)
-	}
-	if handled {
-		writeObservability()
-		return
-	}
-
-	if !*doSweep && !*doMatrix {
-		*doSweep, *doMatrix = true, true
-	}
-
-	run := func(spec scenario.Spec) {
-		spec.Runs = *runs
-		spec.Seed = *seed
-		spec.Jobs = *jobs
-		spec.Metrics = reg
-		spec.Trace = tracer
-		res, err := scenario.Execute(context.Background(), spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vpdefense:", err)
-			os.Exit(1)
-		}
-		if err := res.Render(os.Stdout, scenario.RenderOptions{}); err != nil {
-			fmt.Fprintln(os.Stderr, "vpdefense:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *doSweep {
-		run(scenario.Spec{
-			Kind:      scenario.KindDefenseSweep,
-			Category:  *attackName, // empty: the paper's Train+Test and Test+Hit pair
-			MaxWindow: *maxWindow,
-		})
-	}
-	if *doMatrix {
-		spec := scenario.Spec{Kind: scenario.KindDefenseMatrix}
-		if *slowdown {
-			spec.Slowdown = true
-			for _, s := range defense.Strategies() {
-				spec.Strategies = append(spec.Strategies, s.Name)
-			}
-			for _, s := range defense.ExtendedStrategies() {
-				spec.Strategies = append(spec.Strategies, s.Name)
-			}
-		}
-		run(spec)
-	}
-	writeObservability()
 }
 
 // printStrategies renders the registered mechanism catalog and the
 // named strategy tables.
-func printStrategies(w *os.File) {
+func printStrategies(w io.Writer) {
 	fmt.Fprintln(w, "Mechanisms (compose with '+', e.g. -describe-strategy \"A+R(5)+recompute\"):")
 	for _, d := range defense.Mechanisms() {
 		tok := d.Token
@@ -187,7 +102,7 @@ func printStrategies(w *os.File) {
 
 // describeStrategy resolves a strategy name or stack string and prints
 // the mechanisms it composes, in application order.
-func describeStrategy(w *os.File, name string) error {
+func describeStrategy(w io.Writer, name string) error {
 	s, err := defense.StrategyNamed(name)
 	if err != nil {
 		return err

@@ -11,137 +11,55 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"time"
 
 	"vpsec/cmd/internal/scencli"
 	"vpsec/internal/core"
-	"vpsec/internal/metrics"
 	"vpsec/internal/rsa"
 	"vpsec/internal/scenario"
 	"vpsec/internal/stats"
 )
 
+var command = scencli.Command{Name: "vpfigures", Flags: flags, Compose: []string{"csv", "svg"}}
+
 func main() {
+	os.Exit(scencli.Main(command, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// flags registers vpfigures' flags. -csv and -svg bind into the render
+// options, so they also shape a -scenario figure.
+func flags(fs *flag.FlagSet, env *scencli.Env) scencli.Plan {
 	defaults := scenario.Defaults()
 	var (
-		fig  = flag.Int("fig", 5, "figure to regenerate: 5, 7 or 8")
-		runs = flag.Int("runs", defaults.Runs, "trials per case (paper: 100)")
-		jobs = flag.Int("jobs", scenario.DefaultJobs(), "concurrent trials (1 = sequential legacy path; results are identical at any value)")
-		seed = flag.Int64("seed", defaults.Seed, "RNG seed")
-		csv  = flag.Bool("csv", false, "emit CSV series instead of ASCII plots")
-		svg  = flag.String("svg", "", "write SVG panels to files with this prefix (e.g. -svg fig5)")
-
-		metricsPath  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
-		manifestPath = flag.String("manifest", "", "write a run manifest (config, seed, metrics) to this file")
+		fig  = fs.Int("fig", 5, "figure to regenerate: 5, 7 or 8")
+		runs = fs.Int("runs", defaults.Runs, "trials per case (paper: 100)")
+		seed = fs.Int64("seed", defaults.Seed, "RNG seed")
 	)
-	scen := scencli.Register()
-	flag.Parse()
-
-	tracer, closeTrace, err := scen.Observe()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpfigures:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := closeTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "vpfigures:", err)
-		}
-	}()
-
-	var reg *metrics.Registry
-	if *metricsPath != "" || *manifestPath != "" {
-		reg = metrics.NewRegistry()
-	}
-	start := time.Now()
-	writeObservability := func() {
-		if reg == nil {
-			return
-		}
-		if *metricsPath != "" {
-			if err := metrics.WriteFile(reg, *metricsPath, "json"); err != nil {
-				fmt.Fprintln(os.Stderr, "vpfigures:", err)
-				os.Exit(1)
+	fs.BoolVar(&env.Render.CSV, "csv", false, "emit CSV series instead of ASCII plots")
+	fs.StringVar(&env.Render.SVGPrefix, "svg", "", "write SVG panels to files with this prefix (e.g. -svg fig5)")
+	return func(env *scencli.Env) ([]scenario.Spec, error) {
+		switch *fig {
+		case 5, 8:
+			cat := core.TrainTest
+			if *fig == 8 {
+				cat = core.TestHit
 			}
-		}
-		if *manifestPath != "" {
-			man := metrics.NewManifest("vpfigures", *seed)
-			man.Config["fig"] = strconv.Itoa(*fig)
-			man.Config["runs"] = strconv.Itoa(*runs)
-			man.Config["jobs"] = strconv.Itoa(*jobs)
-			man.Finish(reg, start)
-			if err := man.WriteFile(*manifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "vpfigures:", err)
-				os.Exit(1)
-			}
+			return []scenario.Spec{{Kind: scenario.KindFigure, Category: string(cat), Runs: *runs, Seed: *seed}}, nil
+		case 7:
+			env.Manifest.Seed = *seed
+			return nil, rsaFigure(env.Stdout, *seed, env.Render)
+		default:
+			return nil, fmt.Errorf("unknown figure %d (supported: 5, 7, 8)", *fig)
 		}
 	}
-
-	render := scenario.RenderOptions{CSV: *csv, SVGPrefix: *svg}
-	_, handled, err := scen.Handle(context.Background(), scencli.Options{
-		Tool:   "vpfigures",
-		Infra:  []string{"jobs", "csv", "svg", "metrics", "manifest"},
-		Trace:  tracer,
-		Render: render,
-		Mutate: func(s *scenario.Spec) {
-			if scencli.Set("jobs") {
-				s.Jobs = *jobs
-			}
-			s.Metrics = reg
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpfigures:", err)
-		os.Exit(1)
-	}
-	if handled {
-		writeObservability()
-		return
-	}
-
-	switch *fig {
-	case 5, 8:
-		cat := core.TrainTest
-		if *fig == 8 {
-			cat = core.TestHit
-		}
-		spec := scenario.Spec{
-			Kind:     scenario.KindFigure,
-			Category: string(cat),
-			Runs:     *runs,
-			Seed:     *seed,
-			Jobs:     *jobs,
-			Metrics:  reg,
-			Trace:    tracer,
-		}
-		res, err := scenario.Execute(context.Background(), spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vpfigures:", err)
-			os.Exit(1)
-		}
-		if err := res.Render(os.Stdout, render); err != nil {
-			fmt.Fprintln(os.Stderr, "vpfigures:", err)
-			os.Exit(1)
-		}
-	case 7:
-		if err := rsaFigure(*seed, *csv, *svg); err != nil {
-			fmt.Fprintln(os.Stderr, "vpfigures:", err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "vpfigures: unknown figure %d (supported: 5, 7, 8)\n", *fig)
-		os.Exit(1)
-	}
-	writeObservability()
 }
 
 // rsaFigure renders Fig. 7: the receiver's per-iteration observation of
 // the modular-exponentiation victim, labeled with the true e_bit.
-func rsaFigure(seed int64, csv bool, svgPrefix string) error {
+func rsaFigure(w io.Writer, seed int64, render scenario.RenderOptions) error {
 	cfg := rsa.VictimConfig{
 		Base:     0x1234567,
 		Mod:      0x3b9aca07,
@@ -152,26 +70,26 @@ func rsaFigure(seed int64, csv bool, svgPrefix string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Fig. 7: receiver's observation per modexp iteration (e_bit known)\n")
-	fmt.Printf("recovered %d/%d bits correctly (%.1f%%; paper: 95.7%%), rate %.2f Kbps (paper: 9.65 Kbps)\n",
+	fmt.Fprintf(w, "Fig. 7: receiver's observation per modexp iteration (e_bit known)\n")
+	fmt.Fprintf(w, "recovered %d/%d bits correctly (%.1f%%; paper: 95.7%%), rate %.2f Kbps (paper: 9.65 Kbps)\n",
 		int(res.BitSuccess*float64(res.Bits)+0.5), res.Bits, 100*res.BitSuccess, res.RateBps/1000)
-	fmt.Printf("victim result correct: %v; classifier threshold %.0f cycles\n\n", res.ResultOK, res.Threshold)
-	if svgPrefix != "" {
+	fmt.Fprintf(w, "victim result correct: %v; classifier threshold %.0f cycles\n\n", res.ResultOK, res.Threshold)
+	if render.SVGPrefix != "" {
 		var pts []stats.SeriesPoint
 		for _, o := range res.Series {
 			pts = append(pts, stats.SeriesPoint{X: float64(o.Iter), Y: o.Cycles, Label: int(o.EBit)})
 		}
 		doc := stats.ScatterSVG(pts, "Receiver observation per modexp iteration", "e_bit=0", "e_bit=1")
-		name := svgPrefix + ".svg"
+		name := render.SVGPrefix + ".svg"
 		if err := os.WriteFile(name, []byte(doc), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", name)
+		fmt.Fprintf(w, "wrote %s\n", name)
 	}
-	if csv {
-		fmt.Println("iter,cycles,e_bit")
+	if render.CSV {
+		fmt.Fprintln(w, "iter,cycles,e_bit")
 		for _, o := range res.Series {
-			fmt.Printf("%d,%.0f,%d\n", o.Iter, o.Cycles, o.EBit)
+			fmt.Fprintf(w, "%d,%.0f,%d\n", o.Iter, o.Cycles, o.EBit)
 		}
 		return nil
 	}
@@ -199,9 +117,9 @@ func rsaFigure(seed int64, csv bool, svgPrefix string) error {
 			mark = '*'
 		}
 		bar[pos+1] = mark
-		fmt.Printf("iter %2d %s %5.0f cycles (e_bit=%d)\n", o.Iter, string(bar), o.Cycles, o.EBit)
+		fmt.Fprintf(w, "iter %2d %s %5.0f cycles (e_bit=%d)\n", o.Iter, string(bar), o.Cycles, o.EBit)
 	}
-	fmt.Println("\n  o = e_bit 0 (value-predicted pointer load, fast)")
-	fmt.Println("  * = e_bit 1 (pointer swap defeats the predictor, slow)")
+	fmt.Fprintln(w, "\n  o = e_bit 0 (value-predicted pointer load, fast)")
+	fmt.Fprintln(w, "  * = e_bit 1 (pointer swap defeats the predictor, slow)")
 	return nil
 }

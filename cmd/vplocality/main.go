@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"time"
 
+	"vpsec/cmd/internal/scencli"
 	"vpsec/internal/asm"
 	"vpsec/internal/isa"
 	"vpsec/internal/locality"
@@ -37,7 +38,7 @@ func main() {
 			"context-family history depth (order-k FCM)")
 		asJSON = flag.Bool("json", false, "emit the report as JSON")
 
-		metricsPath  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
+		metricsPath  = flag.String("metrics", "", "write a metrics snapshot to this file (.prom: Prometheus text; otherwise JSON)")
 		manifestPath = flag.String("manifest", "", "write a run manifest (config, metrics) to this file")
 	)
 	flag.Parse()
@@ -56,23 +57,14 @@ func main() {
 	if *metricsPath != "" || *manifestPath != "" {
 		reg := metrics.NewRegistry()
 		publishAudit(reg, r, *threshold)
-		if *metricsPath != "" {
-			if err := metrics.WriteFile(reg, *metricsPath, "json"); err != nil {
-				fmt.Fprintln(os.Stderr, "vplocality:", err)
-				os.Exit(1)
-			}
-		}
-		if *manifestPath != "" {
-			man := metrics.NewManifest("vplocality", 0)
-			man.Program = prog.Name
-			man.Config["threshold"] = strconv.FormatFloat(*threshold, 'g', -1, 64)
-			man.Config["order"] = strconv.Itoa(*order)
-			man.SimCycles = r.Steps
-			man.Finish(reg, start)
-			if err := man.WriteFile(*manifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "vplocality:", err)
-				os.Exit(1)
-			}
+		man := metrics.NewManifest("vplocality", 0)
+		man.Program = prog.Name
+		man.Config["threshold"] = strconv.FormatFloat(*threshold, 'g', -1, 64)
+		man.Config["order"] = strconv.Itoa(*order)
+		man.SimCycles = r.Steps
+		if err := (scencli.Records{Metrics: *metricsPath, Manifest: *manifestPath}).Write(os.Stderr, reg, man, start); err != nil {
+			fmt.Fprintln(os.Stderr, "vplocality:", err)
+			os.Exit(1)
 		}
 	}
 	if *asJSON {

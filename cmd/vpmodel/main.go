@@ -13,13 +13,14 @@ import (
 	"strings"
 	"time"
 
+	"vpsec/cmd/internal/scencli"
 	"vpsec/internal/core"
 	"vpsec/internal/metrics"
 )
 
 func main() {
 	table := flag.Int("table", 0, "print only one table: 1 (actions) or 2 (variants); 0 prints everything")
-	metricsPath := flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
+	metricsPath := flag.String("metrics", "", "write a metrics snapshot to this file (.prom: Prometheus text; otherwise JSON)")
 	manifestPath := flag.String("manifest", "", "write a run manifest (config, metrics) to this file")
 	flag.Parse()
 
@@ -38,20 +39,11 @@ func main() {
 	if *metricsPath != "" || *manifestPath != "" {
 		reg := metrics.NewRegistry()
 		publishModel(reg)
-		if *metricsPath != "" {
-			if err := metrics.WriteFile(reg, *metricsPath, "json"); err != nil {
-				fmt.Fprintln(os.Stderr, "vpmodel:", err)
-				os.Exit(1)
-			}
-		}
-		if *manifestPath != "" {
-			man := metrics.NewManifest("vpmodel", 0)
-			man.Config["table"] = strconv.Itoa(*table)
-			man.Finish(reg, start)
-			if err := man.WriteFile(*manifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "vpmodel:", err)
-				os.Exit(1)
-			}
+		man := metrics.NewManifest("vpmodel", 0)
+		man.Config["table"] = strconv.Itoa(*table)
+		if err := (scencli.Records{Metrics: *metricsPath, Manifest: *manifestPath}).Write(os.Stderr, reg, man, start); err != nil {
+			fmt.Fprintln(os.Stderr, "vpmodel:", err)
+			os.Exit(1)
 		}
 	}
 }

@@ -16,130 +16,68 @@ import (
 
 	"vpsec/cmd/internal/scencli"
 	"vpsec/internal/attacks"
-	"vpsec/internal/metrics"
 	"vpsec/internal/report"
 	"vpsec/internal/scenario"
 )
 
+var command = scencli.Command{Name: "vpreport", Flags: flags}
+
 func main() {
+	os.Exit(scencli.Main(command, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// flags registers vpreport's flags; the full report is a mode without
+// a spec of its own.
+func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 	defaults := scenario.Defaults()
 	var (
-		runs    = flag.Int("runs", defaults.Runs, "trials per attack case")
-		defRuns = flag.Int("defense-runs", scenario.DefaultDefenseRuns(), "trials per defense cell")
-		seed    = flag.Int64("seed", defaults.Seed, "base RNG seed")
-		pred    = flag.String("predictor", defaults.Predictor, "predictor under attack: lvp, vtage, stride")
-		quick   = flag.Bool("quick", false, "skip the defense sweeps and matrix")
-		jobs    = flag.Int("jobs", scenario.DefaultJobs(), "concurrent trials per evaluation (1 = sequential legacy path; results are identical at any value)")
-		asJSON  = flag.Bool("json", false, "emit JSON instead of Markdown")
-		outFile = flag.String("o", "", "write to a file instead of stdout")
-
-		metricsPath  = flag.String("metrics", "", "write a metrics snapshot (JSON) to this file")
-		manifestPath = flag.String("manifest", "", "write a run manifest (config, seed, metrics) to this file")
+		runs    = fs.Int("runs", defaults.Runs, "trials per attack case")
+		defRuns = fs.Int("defense-runs", scenario.DefaultDefenseRuns(), "trials per defense cell")
+		seed    = fs.Int64("seed", defaults.Seed, "base RNG seed")
+		pred    = fs.String("predictor", defaults.Predictor, "predictor under attack: lvp, vtage, stride")
+		quick   = fs.Bool("quick", false, "skip the defense sweeps and matrix")
+		asJSON  = fs.Bool("json", false, "emit JSON instead of Markdown")
+		outFile = fs.String("o", "", "write to a file instead of stdout")
 	)
-	scen := scencli.Register()
-	flag.Parse()
-
-	tracer, closeTrace, err := scen.Observe()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpreport:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := closeTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "vpreport:", err)
+	return func(env *scencli.Env) ([]scenario.Spec, error) {
+		cfg := report.Config{
+			Runs:        *runs,
+			DefenseRuns: *defRuns,
+			Seed:        *seed,
+			Predictor:   attacks.PredictorKind(*pred),
+			Quick:       *quick,
+			Jobs:        env.Jobs,
+			Trace:       env.Trace,
+			Metrics:     env.Metrics,
 		}
-	}()
-
-	var reg *metrics.Registry
-	if *metricsPath != "" || *manifestPath != "" {
-		reg = metrics.NewRegistry()
-	}
-	start := time.Now()
-	// writeObservability emits the metrics snapshot and the manifest
-	// man (already filled in) on the way out of a successful run.
-	writeObservability := func(man *metrics.Manifest) {
-		if *metricsPath != "" {
-			if err := metrics.WriteFile(reg, *metricsPath, "json"); err != nil {
-				fmt.Fprintln(os.Stderr, "vpreport:", err)
-				os.Exit(1)
-			}
-		}
-		if *manifestPath != "" {
-			man.Finish(reg, start)
-			if err := man.WriteFile(*manifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "vpreport:", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	res, handled, err := scen.Handle(context.Background(), scencli.Options{
-		Tool:  "vpreport",
-		Infra: []string{"jobs", "metrics", "manifest"},
-		Trace: tracer,
-		Mutate: func(s *scenario.Spec) {
-			if scencli.Set("jobs") {
-				s.Jobs = *jobs
-			}
-			s.Metrics = reg
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpreport:", err)
-		os.Exit(1)
-	}
-	if handled {
-		if res != nil {
-			man := metrics.NewManifest("vpreport", res.Spec.Seed)
-			man.Predictor = res.Spec.Predictor
-			man.Config["scenario"] = res.Spec.Name
-			man.Config["jobs"] = fmt.Sprint(res.Spec.Jobs)
-			writeObservability(man)
-		}
-		return
-	}
-
-	cfg := report.Config{
-		Runs:        *runs,
-		DefenseRuns: *defRuns,
-		Seed:        *seed,
-		Predictor:   attacks.PredictorKind(*pred),
-		Quick:       *quick,
-		Jobs:        *jobs,
-		Trace:       tracer,
-		Metrics:     reg,
-	}
-	r, err := report.Generate(context.Background(), cfg, start)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpreport:", err)
-		os.Exit(1)
-	}
-	man := metrics.NewManifest("vpreport", *seed)
-	man.Predictor = *pred
-	man.Config["runs"] = fmt.Sprint(*runs)
-	man.Config["defense-runs"] = fmt.Sprint(*defRuns)
-	man.Config["quick"] = fmt.Sprint(*quick)
-	man.Config["jobs"] = fmt.Sprint(*jobs)
-	writeObservability(man)
-
-	var out []byte
-	if *asJSON {
-		out, err = r.JSON()
+		r, err := report.Generate(context.Background(), cfg, time.Now())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vpreport:", err)
-			os.Exit(1)
+			return nil, err
 		}
-		out = append(out, '\n')
-	} else {
-		out = []byte(r.Markdown())
+		man := env.Manifest
+		man.Seed, man.Predictor = *seed, *pred
+		man.Config["runs"] = fmt.Sprint(*runs)
+		man.Config["defense-runs"] = fmt.Sprint(*defRuns)
+		man.Config["quick"] = fmt.Sprint(*quick)
+		man.Config["jobs"] = fmt.Sprint(env.Jobs)
+
+		var out []byte
+		if *asJSON {
+			if out, err = r.JSON(); err != nil {
+				return nil, err
+			}
+			out = append(out, '\n')
+		} else {
+			out = []byte(r.Markdown())
+		}
+		if *outFile == "" {
+			_, err := env.Stdout.Write(out)
+			return nil, err
+		}
+		if err := os.WriteFile(*outFile, out, 0o644); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(env.Stderr, "vpreport: wrote %s (%d bytes)\n", *outFile, len(out))
+		return nil, nil
 	}
-	if *outFile == "" {
-		os.Stdout.Write(out)
-		return
-	}
-	if err := os.WriteFile(*outFile, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "vpreport:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "vpreport: wrote %s (%d bytes)\n", *outFile, len(out))
 }

@@ -1,47 +1,34 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"vpsec/cmd/internal/scencli"
 )
 
-// TestMain runs the command itself when the test binary is started
-// under the name "vpreport", so tests can check its exit status.
-func TestMain(m *testing.M) {
-	if os.Args[0] == "vpreport" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
+// run drives vpreport in-process through the entry main uses.
+func run(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = scencli.Main(command, args, &out, &errb)
+	return code, out.String(), errb.String()
 }
 
-// vpreport runs the command with args in a child process and returns
-// its combined output and exit error.
-func vpreport(t *testing.T, args ...string) ([]byte, error) {
-	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe, args...)
-	cmd.Args[0] = "vpreport"
-	return cmd.CombinedOutput()
-}
-
-// TestScenarioObservability: -metrics and -manifest are infrastructure
-// flags that compose with -scenario, as in vpattack; the scenario run
-// writes both files.
+// TestScenarioObservability: -metrics and -manifest compose with
+// -scenario, as in every scenario command; the scenario run writes
+// both files.
 func TestScenarioObservability(t *testing.T) {
 	dir := t.TempDir()
 	metricsPath := filepath.Join(dir, "m.json")
 	manifestPath := filepath.Join(dir, "r.json")
-	out, err := vpreport(t, "-scenario", "cachebench-aa-aal-vu-line",
+	code, _, stderr := run("-scenario", "cachebench-aa-aal-vu-line",
 		"-metrics", metricsPath, "-manifest", manifestPath)
-	if err != nil {
-		t.Fatalf("vpreport: %v\n%s", err, out)
+	if code != 0 {
+		t.Fatalf("vpreport: exit %d\n%s", code, stderr)
 	}
 	var snap struct {
 		Counters map[string]uint64 `json:"counters"`
@@ -67,5 +54,13 @@ func TestScenarioObservability(t *testing.T) {
 	if man.Tool != "vpreport" || man.Config["scenario"] != "cachebench-aa-aal-vu-line" {
 		t.Errorf("manifest tool %q scenario %q, want vpreport and the scenario name",
 			man.Tool, man.Config["scenario"])
+	}
+}
+
+// TestUnknownScenario: a bad -scenario exits 1 with one error line.
+func TestUnknownScenario(t *testing.T) {
+	code, stdout, stderr := run("-scenario", "no-such-scenario")
+	if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "vpreport: ") {
+		t.Fatalf("exit %d stdout %q stderr %q; want 1, nothing, one vpreport: line", code, stdout, stderr)
 	}
 }

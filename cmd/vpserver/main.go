@@ -1,10 +1,10 @@
 // Command vpserver serves the experiment registry over HTTP: every
 // scenario.Spec becomes a job on a bounded worker pool, every result
 // is memoized in a content-addressed cache keyed by the canonical spec
-// hash, and repeated requests — any of the 65 registry scenarios, or
-// any spec a client posts — are answered from the cache at lookup
-// speed. The API is documented in docs/SERVER.md; the architecture in
-// DESIGN.md §13.
+// hash, and repeated requests — any of the 1,046 registry scenarios
+// (68 plus 978 cache-benchmark cases), or any spec a client posts —
+// are answered from the cache at lookup speed. The API is documented
+// in docs/SERVER.md; the architecture in DESIGN.md §13.
 //
 // Usage:
 //

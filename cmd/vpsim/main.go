@@ -1,5 +1,7 @@
 // Command vpsim runs a .vasm assembly program on the value-prediction
-// simulator and reports timing and predictor statistics.
+// simulator and reports timing and predictor statistics. A program run
+// compiles to a sim scenario spec, so it and its -scenario spelling
+// execute the same code.
 //
 // Usage:
 //
@@ -9,252 +11,113 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
-	"strconv"
-	"time"
 
-	"vpsec/cmd/internal/prof"
 	"vpsec/cmd/internal/scencli"
 	"vpsec/internal/asm"
 	"vpsec/internal/cpu"
-	"vpsec/internal/isa"
-	"vpsec/internal/metrics"
-	"vpsec/internal/predictor"
 	"vpsec/internal/scenario"
 	"vpsec/internal/trace"
 	"vpsec/internal/workload"
 )
 
+var command = scencli.Command{Name: "vpsim", Flags: flags}
+
 func main() {
+	os.Exit(scencli.Main(command, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// flags registers vpsim's flags. A program run compiles to a sim spec;
+// -perf and -dump are modes without one.
+func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 	var (
-		predKind = flag.String("predictor", "lvp", "value predictor: none, lvp, vtage, stride, stride-2d, fcm")
-		scheme   = flag.String("scheme", "pc", "predictor index: pc, addr or phys")
-		conf     = flag.Int("confidence", 4, "VPS confidence number")
-		seed     = flag.Int64("seed", 1, "RNG seed")
-		memTrace = flag.Bool("memtrace", false, "trace memory-system events to stdout (the shared -trace flag writes an execution trace)")
-		perf     = flag.Bool("perf", false, "run the performance suite (ignores program argument)")
-		regs     = flag.Bool("regs", false, "dump final architectural registers")
-		dump     = flag.Bool("dump", false, "print the assembled program back as .vasm and exit")
-		pipeview = flag.Int("pipeview", 0, "render a pipeline diagram of the first N dynamic instructions")
-		kanata   = flag.String("kanata", "", "write a Kanata pipeline trace to this file")
-
-		metricsPath  = flag.String("metrics", "", "write a metrics snapshot to this file")
-		metricsFmt   = flag.String("metrics-format", "json", "metrics export format: json or prom")
-		manifestPath = flag.String("manifest", "", "write a run manifest (config, seed, metrics) to this file")
+		predKind = fs.String("predictor", "lvp", "value predictor: none, lvp, vtage, stride, stride-2d, fcm")
+		scheme   = fs.String("scheme", "pc", "predictor index: pc, addr or phys")
+		conf     = fs.Int("confidence", 4, "VPS confidence number")
+		seed     = fs.Int64("seed", 1, "RNG seed")
+		memTrace = fs.Bool("memtrace", false, "trace memory-system events to stdout (the shared -trace flag writes an execution trace)")
+		perf     = fs.Bool("perf", false, "run the performance suite (ignores program argument)")
+		regs     = fs.Bool("regs", false, "dump final architectural registers")
+		dump     = fs.Bool("dump", false, "print the assembled program back as .vasm and exit")
+		pipeview = fs.Int("pipeview", 0, "render a pipeline diagram of the first N dynamic instructions")
+		kanata   = fs.String("kanata", "", "write a Kanata pipeline trace to this file")
 	)
-	profFlags := prof.Register()
-	scen := scencli.Register()
-	flag.Parse()
-
-	stopProf, err := profFlags.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "vpsim:", err)
+	return func(env *scencli.Env) ([]scenario.Spec, error) {
+		if *perf {
+			env.Manifest.Seed = *seed
+			return nil, runPerf(env.Stdout, *conf, *seed)
 		}
-	}()
-	tracer, closeTrace, err := scen.Observe()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := closeTrace(); err != nil {
-			fmt.Fprintln(os.Stderr, "vpsim:", err)
+		if fs.NArg() != 1 {
+			return nil, scencli.Usage("usage: vpsim [flags] prog.vasm   (or vpsim -perf)")
 		}
-	}()
-
-	var scenReg *metrics.Registry
-	if *metricsPath != "" || *manifestPath != "" {
-		scenReg = metrics.NewRegistry()
-	}
-	scenStart := time.Now()
-	scenRes, handled, err := scen.Handle(context.Background(), scencli.Options{
-		Tool: "vpsim",
-		Infra: []string{"metrics", "metrics-format", "manifest",
-			"cpuprofile", "memprofile", "blockprofile", "mutexprofile", "exectrace"},
-		Trace: tracer,
-		Mutate: func(s *scenario.Spec) {
-			s.Metrics = scenReg
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	if handled {
-		if scenReg != nil && *metricsPath != "" {
-			if err := metrics.WriteFile(scenReg, *metricsPath, *metricsFmt); err != nil {
-				fmt.Fprintln(os.Stderr, "vpsim:", err)
-				os.Exit(1)
+		if *dump {
+			src, err := os.ReadFile(fs.Arg(0))
+			if err != nil {
+				return nil, err
 			}
-			fmt.Printf("metrics   : wrote %s (%s)\n", *metricsPath, *metricsFmt)
-		}
-		if scenReg != nil && *manifestPath != "" {
-			seedVal := *seed
-			if scenRes != nil {
-				seedVal = scenRes.Spec.Seed
+			prog, err := asm.Assemble(fs.Arg(0), string(src))
+			if err != nil {
+				return nil, err
 			}
-			man := metrics.NewManifest("vpsim", seedVal)
-			if scenRes != nil {
-				man.Config["scenario"] = scenRes.Spec.Name
-				if scenRes.Sim != nil {
-					man.Program = scenRes.Sim.Program
-					man.SimCycles = scenRes.Sim.Run.Cycles
+			_, err = io.WriteString(env.Stdout, asm.Format(prog))
+			return nil, err
+		}
+		cpu.DebugTrace = *memTrace
+		if *pipeview > 0 || *kanata != "" {
+			env.Recorder = trace.NewRecorder(0)
+		}
+		env.After = func(res *scenario.Result) error {
+			if *pipeview > 0 {
+				fmt.Fprintln(env.Stdout)
+				fmt.Fprint(env.Stdout, env.Recorder.RenderPipeline(0, uint64(*pipeview)-1))
+			}
+			if *kanata != "" {
+				if err := writeKanata(*kanata, env.Recorder); err != nil {
+					return err
+				}
+				fmt.Fprintf(env.Stderr, "vpsim: wrote %s (%d events)\n", *kanata, len(env.Recorder.Events()))
+			}
+			if *regs {
+				for r, v := range res.Sim.Run.Regs {
+					if v != 0 {
+						fmt.Fprintf(env.Stdout, "  r%-2d = %#x (%d)\n", r, v, v)
+					}
 				}
 			}
-			man.Finish(scenReg, scenStart)
-			if err := man.WriteFile(*manifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "vpsim:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("manifest  : wrote %s\n", *manifestPath)
+			return nil
 		}
-		return
-	}
-
-	if *perf {
-		if err := runPerf(*conf, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "vpsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: vpsim [flags] prog.vasm   (or vpsim -perf)")
-		os.Exit(2)
-	}
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	prog, err := asm.Assemble(flag.Arg(0), string(src))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	if *dump {
-		fmt.Print(asm.Format(prog))
-		return
-	}
-
-	pred, err := makePredictor(*predKind, *scheme, *conf)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	m, err := cpu.NewMachine(cpu.Config{}, nil, pred, rand.New(rand.NewSource(*seed)))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	cpu.DebugTrace = *memTrace
-	if *pipeview > 0 || *kanata != "" {
-		m.Tracer = trace.NewRecorder(0)
-	}
-	var reg *metrics.Registry
-	if *metricsPath != "" || *manifestPath != "" {
-		reg = metrics.NewRegistry()
-		m.AttachMetrics(reg)
-	}
-	start := time.Now()
-	proc, err := m.NewProcess(1, prog, 0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	res, err := m.Run(proc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpsim:", err)
-		os.Exit(1)
-	}
-	if reg != nil {
-		m.FinalizeMetrics()
-	}
-
-	fmt.Printf("program   : %s (%d instructions)\n", prog.Name, len(prog.Code))
-	fmt.Printf("cycles    : %d\n", res.Cycles)
-	fmt.Printf("retired   : %d (IPC %.2f)\n", res.Retired, res.IPC())
-	fmt.Printf("loads     : %d misses, %d store-forwards\n", res.LoadMisses, res.Forwards)
-	fmt.Printf("value pred: %d made, %d correct, %d wrong (squashes), %d below confidence\n",
-		res.Predictions, res.VerifyCorrect, res.VerifyWrong, res.NoPredictions)
-	fmt.Printf("branches  : %d direction-mispredict squashes\n", res.BranchSquash)
-	if *pipeview > 0 {
-		fmt.Println()
-		fmt.Print(m.Tracer.RenderPipeline(0, uint64(*pipeview)-1))
-	}
-	if *kanata != "" {
-		f, err := os.Create(*kanata)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vpsim:", err)
-			os.Exit(1)
-		}
-		if err := m.Tracer.ExportKanata(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "vpsim:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "vpsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("kanata    : wrote %s (%d events)\n", *kanata, len(m.Tracer.Events()))
-	}
-	if *regs {
-		for r := 0; r < isa.NumRegs; r++ {
-			if res.Regs[r] != 0 {
-				fmt.Printf("  r%-2d = %#x (%d)\n", r, res.Regs[r], res.Regs[r])
-			}
-		}
-	}
-	if *metricsPath != "" {
-		if err := metrics.WriteFile(reg, *metricsPath, *metricsFmt); err != nil {
-			fmt.Fprintln(os.Stderr, "vpsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics   : wrote %s (%s)\n", *metricsPath, *metricsFmt)
-	}
-	if *manifestPath != "" {
-		man := metrics.NewManifest("vpsim", *seed)
-		man.Program = prog.Name
-		man.Predictor = *predKind
-		man.Config["confidence"] = strconv.Itoa(*conf)
-		man.Config["scheme"] = *scheme
-		man.SimCycles = res.Cycles
-		man.Finish(reg, start)
-		if err := man.WriteFile(*manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "vpsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("manifest  : wrote %s\n", *manifestPath)
+		return []scenario.Spec{{
+			Kind:       scenario.KindSim,
+			Program:    fs.Arg(0),
+			Predictor:  *predKind,
+			Scheme:     *scheme,
+			Confidence: *conf,
+			Seed:       *seed,
+		}}, nil
 	}
 }
 
-// makePredictor builds the simulated predictor through the factory
-// registry — the same string→constructor mapping the attack harness
-// and the scenario layer use.
-func makePredictor(kind, scheme string, conf int) (predictor.Predictor, error) {
-	sc, err := predictor.ParseScheme(scheme)
+// writeKanata exports the recorded pipeline events as a Kanata trace.
+func writeKanata(path string, rec *trace.Recorder) error {
+	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return predictor.New(kind, predictor.FactoryConfig{Confidence: conf, Scheme: sc})
+	if err := rec.ExportKanata(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func runPerf(conf int, seed int64) error {
-	fmt.Println("Value-prediction performance suite (small hierarchy; the")
-	fmt.Println("paper's intro cites 4.8%-11.2% gains on SPEC-class workloads;")
-	fmt.Println("these kernels isolate the dependence chains VP parallelizes):")
-	fmt.Println()
+func runPerf(w io.Writer, conf int, seed int64) error {
+	fmt.Fprintln(w, "Value-prediction performance suite (small hierarchy; the")
+	fmt.Fprintln(w, "paper's intro cites 4.8%-11.2% gains on SPEC-class workloads;")
+	fmt.Fprintln(w, "these kernels isolate the dependence chains VP parallelizes):")
+	fmt.Fprintln(w)
 
 	rolled, err := workload.PointerChase(64, 8, false)
 	if err != nil {
@@ -300,18 +163,18 @@ func runPerf(conf int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-42s base IPC %.3f  VP IPC %.3f  speedup %.2fx (%d correct / %d wrong predictions)\n",
+		fmt.Fprintf(w, "%-42s base IPC %.3f  VP IPC %.3f  speedup %.2fx (%d correct / %d wrong predictions)\n",
 			c.name, r.Base.IPC, r.VP.IPC, r.Speedup, r.VP.Correct, r.VP.Wrong)
 	}
 
-	fmt.Println()
-	fmt.Println("R-type defense performance cost (Sec. VI-B):")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "R-type defense performance cost (Sec. VI-B):")
 	pts, err := workload.RTypeCost(rolled, conf, []int{1, 3, 5, 9}, seed)
 	if err != nil {
 		return err
 	}
 	for _, p := range pts {
-		fmt.Printf("  window %d: speedup %.2fx\n", p.Window, p.Speedup)
+		fmt.Fprintf(w, "  window %d: speedup %.2fx\n", p.Window, p.Speedup)
 	}
 	return nil
 }

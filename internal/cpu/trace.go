@@ -4,7 +4,7 @@ import "fmt"
 
 // DebugTrace enables per-event tracing of memory-system activity
 // (load issue, flush commit) on stdout; cmd/vpsim exposes it via the
-// -trace flag for debugging attack programs.
+// -memtrace flag for debugging attack programs.
 var DebugTrace bool
 
 func dbg(format string, args ...any) {

@@ -135,21 +135,18 @@ func (s Snapshot) writePrometheus(w io.Writer, help map[string]string) error {
 	return nil
 }
 
-// WriteFile writes the registry to path in the given format ("json" or
-// "prom"/"prometheus") — the shared implementation behind every cmd/
-// tool's -metrics flag.
-func WriteFile(r *Registry, path, format string) error {
+// WriteFile writes the registry to path — Prometheus text when the
+// path ends in .prom, JSON otherwise — the shared implementation
+// behind every cmd/ tool's -metrics flag.
+func WriteFile(r *Registry, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "", "json":
-		err = r.WriteJSON(f)
-	case "prom", "prometheus":
+	if strings.HasSuffix(path, ".prom") {
 		err = r.WritePrometheus(f)
-	default:
-		err = fmt.Errorf("metrics: unknown format %q (want json or prom)", format)
+	} else {
+		err = r.WriteJSON(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

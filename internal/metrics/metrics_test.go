@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -285,6 +286,31 @@ func TestPrometheusExport(t *testing.T) {
 		}
 	}
 	LintPrometheusText(t, out)
+}
+
+// TestWriteFileFormat: the path's extension picks the export format —
+// Prometheus text for .prom, JSON for anything else.
+func TestWriteFileFormat(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("cpu.cycles", "simulated cycles").Add(5)
+	dir := t.TempDir()
+	for file, want := range map[string]string{
+		"m.prom": "# HELP vpsec_cpu_cycles_total",
+		"m.json": "{",
+		"m.txt":  "{",
+	} {
+		path := dir + "/" + file
+		if err := WriteFile(r, path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(data), want) {
+			t.Errorf("%s starts %.30q, want %q", file, data, want)
+		}
+	}
 }
 
 func TestManifestFinish(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"vpsec/internal/defense"
 	"vpsec/internal/obs"
 	"vpsec/internal/predictor"
+	"vpsec/internal/trace"
 )
 
 // DefenseSweep is one category's R-type window sweep within a Result.
@@ -74,8 +75,19 @@ func (r *Result) Case() attacks.CaseResult {
 // same metrics publication — so results are byte-identical to direct
 // Run* calls.
 func Execute(ctx context.Context, s Spec) (*Result, error) {
+	return ExecuteRecorded(ctx, s, nil)
+}
+
+// ExecuteRecorded is Execute with rec, when non-nil, recording a
+// KindSim run's per-instruction pipeline events (vpsim's -pipeview and
+// -kanata). Only a sim spec runs one machine a recorder can watch, so
+// any other kind rejects one.
+func ExecuteRecorded(ctx context.Context, s Spec, rec *trace.Recorder) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if rec != nil && s.Kind != KindSim {
+		return nil, fmt.Errorf("scenario: a pipeline recorder needs a sim spec, not %q", s.Kind)
 	}
 	// One root span per scenario, carrying the content hash of the spec
 	// so a trace is attributable to the exact experiment definition.
@@ -88,7 +100,7 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 		ctx = obs.NewContext(ctx, span)
 	}
 	if s.Kind == KindSim {
-		return executeSim(ctx, s)
+		return executeSim(ctx, s, rec)
 	}
 	if s.Kind == KindCacheBench || s.Kind == KindCacheMatrix {
 		return executeCacheBench(ctx, s)
@@ -291,10 +303,12 @@ func executeCacheBench(ctx context.Context, s Spec) (*Result, error) {
 	return &Result{Spec: s, CacheBench: m}, nil
 }
 
-// executeSim assembles and runs the spec's .vasm program, mirroring
-// cmd/vpsim's machine setup. The run is one uninterruptible machine
-// execution, so ctx can only cancel it before it starts.
-func executeSim(ctx context.Context, s Spec) (*Result, error) {
+// executeSim assembles and runs the spec's .vasm program on one
+// machine, with rec (when non-nil) as its pipeline recorder. It is the
+// only simulation path: vpsim compiles its flags to a sim spec. The run
+// is one uninterruptible machine execution, so ctx can only cancel it
+// before it starts.
+func executeSim(ctx context.Context, s Spec, rec *trace.Recorder) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -322,6 +336,7 @@ func executeSim(ctx context.Context, s Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.Tracer = rec
 	if s.Metrics != nil {
 		m.AttachMetrics(s.Metrics)
 	}

@@ -14,6 +14,7 @@ import (
 	"vpsec/internal/core"
 	"vpsec/internal/defense"
 	"vpsec/internal/obs"
+	"vpsec/internal/trace"
 )
 
 // small is the trial count the equivalence tests run: enough for the
@@ -257,6 +258,31 @@ func TestExecuteSim(t *testing.T) {
 	}
 	if res.Sim.Instructions != 4 {
 		t.Fatalf("assembled %d instructions, want 4", res.Sim.Instructions)
+	}
+}
+
+// TestExecuteRecorded: a recorder watches a sim run without changing
+// it, and any other kind rejects one.
+func TestExecuteRecorded(t *testing.T) {
+	spec := Spec{Kind: KindSim, Program: "../../examples/progs/hello.vasm", Predictor: "fcm", Seed: 2}
+	plain, err := Execute(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(0)
+	recorded, err := ExecuteRecorded(context.Background(), spec, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Events()) == 0 {
+		t.Fatal("recorder saw no pipeline events")
+	}
+	if !reflect.DeepEqual(plain.Sim, recorded.Sim) {
+		t.Fatalf("recording changed the run:\n%+v\n%+v", plain.Sim, recorded.Sim)
+	}
+	other := Spec{Kind: KindCase, Category: string(core.TrainTest), Runs: small}
+	if _, err := ExecuteRecorded(context.Background(), other, trace.NewRecorder(0)); err == nil {
+		t.Fatal("a case spec accepted a pipeline recorder")
 	}
 }
 

@@ -67,8 +67,8 @@ const (
 	// KindDefenseMatrix evaluates the strategy x attack defense matrix
 	// via defense.Matrix.
 	KindDefenseMatrix Kind = "defense-matrix"
-	// KindSim runs a .vasm program on the simulator (cmd/vpsim's job,
-	// as a serializable payload).
+	// KindSim runs a .vasm program on the simulator; cmd/vpsim compiles
+	// a program run to it.
 	KindSim Kind = "sim"
 	// KindCacheBench evaluates one three-step cache-vulnerability case
 	// via cachebench.RunCase (see internal/cachebench).
@@ -90,9 +90,13 @@ func Kinds() []Kind {
 // or canonical stack string (e.g. "A+R(9)+D", "A+R(5)+recompute") or
 // by explicit fields — never both.
 type DefenseSpec struct {
-	// Strategy names a configuration — a defense.Strategies /
-	// defense.ExtendedStrategies name, or any canonical mechanism-stack
-	// string; when set, the explicit fields below must be zero.
+	// Strategy names a configuration: a defense.Strategies or
+	// defense.ExtendedStrategies catalog name, resolved first, else a
+	// canonical mechanism-stack string. A catalog name shadows the
+	// stack it spells: "A+R(5)" is the catalog's A-fixed+R(5), so the
+	// history-flavor A then R(5) stack (a_type with r_window 5) has no
+	// Strategy spelling; "R(5)+A" applies the same mechanisms in the
+	// other order. When set, the explicit fields below must be zero.
 	Strategy string `json:"strategy,omitempty"`
 
 	AType         bool `json:"a_type,omitempty"`          // always predict (history value)
