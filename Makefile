@@ -47,16 +47,16 @@ scenarios:
 	$(GO) test ./internal/scenario -run 'TestRegistryGolden|TestRoundTrip|TestRegistryCoverage|TestRegisteredScenariosExecute|TestRegistryHashRoundTrip|TestRegistryExecuteJobsInvariance' -count=1
 
 # Cache-vulnerability benchmark gate: the three-step taxonomy package
-# (enumeration, lowering, statistics) plus the golden-pinned
-# `vpreport -scenario cachebench-matrix` artifact. The shrunk curated
-# matrix runs always; CACHEBENCH_FULL=1 additionally evaluates all 976
-# enumerated cases at the paper's sample size. The goldens hold only
-# while internal/xrand, the trials' jitter generator, reproduces
-# math/rand's stream, so its equivalence tests run here too.
+# (enumeration, lowering, schedule-vs-interpreter equivalence,
+# statistics, the full 976-case family at the paper's sample size) plus
+# the golden-pinned `vpreport -scenario cachebench-matrix` artifact and
+# the SHA-256 of the full `cachebench-matrix-full` result. The goldens
+# hold only while internal/xrand, the trials' jitter generator,
+# reproduces math/rand's stream, so its equivalence tests run here too.
 cachebench:
 	$(GO) test ./internal/xrand -count=1
 	$(GO) test ./internal/cachebench -count=1
-	$(GO) test ./internal/scenario -run 'TestCacheMatrixGolden|TestCacheMatrixHashJobsInvariant' -count=1
+	$(GO) test ./internal/scenario -run 'TestCacheMatrixGolden|TestCacheMatrixFullDigest|TestCacheMatrixHashJobsInvariant' -count=1
 
 # Steady-state allocation budgets of the simulator hot loop, the
 # trial driver and the cache-suite trial (DESIGN.md §10), and of a
@@ -109,11 +109,11 @@ bench:
 # Documentation gate: vet, formatting, and doc coverage of the
 # experiment surface (every exported symbol in the runner, attacks,
 # report, oracle, progen, scenario, obs, server, cachebench, defense,
-# isa, locality and xrand packages and the scencli command front-end
-# must carry a doc comment — godoc is the reference documentation the
-# experiments guide links into). -api
-# keeps docs/SERVER.md aligned with the routes internal/server actually
+# isa, locality, stats and xrand packages and the scencli command
+# front-end must carry a doc comment — godoc is the reference
+# documentation the experiments guide links into). -api keeps
+# docs/SERVER.md aligned with the routes internal/server actually
 # registers.
 docs: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
-	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/xrand ./cmd/internal/scencli
+	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/stats ./internal/xrand ./cmd/internal/scencli

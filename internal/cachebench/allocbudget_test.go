@@ -9,16 +9,16 @@ package cachebench
 import "testing"
 
 // TestTrialAllocs pins the cache-suite trial's steady state: once the
-// trial pool and the compiled programs are warm, Pattern.Trial makes
-// no heap allocation on either arm of any published attack. The
-// hierarchy, the interpreter and the jitter generator are pooled and
-// re-armed in place, so an allocation on the reseed, the interpreter
-// reset or the hierarchy reset shows here at once.
+// arm's memo entry (program and schedule) and the generator pool are
+// warm, Pattern.Trial makes no heap allocation on either arm of any
+// published attack. A trial only looks up the schedule, re-seeds a
+// pooled jitter generator and replays the draws, so an allocation on
+// the lookup, the reseed or the replay shows here at once.
 func TestTrialAllocs(t *testing.T) {
 	noise := DefaultNoise()
 	for _, k := range KnownAttacks() {
 		for _, mapped := range []bool{false, true} {
-			// Warm the pool and the compiled-program memo.
+			// Warm the generator pool and the arm's memo entry.
 			if _, err := k.Pattern.Trial(mapped, 1, noise); err != nil {
 				t.Fatal(err)
 			}

@@ -100,26 +100,31 @@ func caseSeed(base int64, p Pattern) int64 {
 }
 
 // RunCase evaluates one pattern: 2xRuns trials through the
-// deterministic runner (mapped and unmapped arms interleaved), then
-// the two-test decision. Same options, same result, at every Jobs
-// value.
+// deterministic runner (mapped and unmapped arms interleaved), each a
+// replay of its arm's memoized schedule under the trial seed, then the
+// two-test decision. Same options, same result, at every Jobs value.
 func RunCase(ctx context.Context, p Pattern, opt Options) (CaseResult, error) {
 	if err := p.valid(); err != nil {
 		return CaseResult{}, err
 	}
 	opt = opt.withDefaults()
+	ma, err := p.arm(true)
+	if err != nil {
+		return CaseResult{}, err
+	}
+	ua, err := p.arm(false)
+	if err != nil {
+		return CaseResult{}, err
+	}
 	cs := caseSeed(opt.Seed, p)
 	cfg := runner.Config{Jobs: opt.Jobs, Metrics: opt.Metrics, Trace: opt.Trace}
 	cycles, err := runner.Map(ctx, cfg, 2*opt.Runs,
 		func(ctx context.Context, k int, reg *metrics.Registry) (float64, error) {
-			i := k / 2
-			mapped := k%2 == 0
-			seed := cs + 4*int64(i) + 1
-			if mapped {
-				seed += 2
+			s, seed := ua.sched, cs+4*int64(k/2)+1
+			if k%2 == 0 { // mapped
+				s, seed = ma.sched, seed+2
 			}
-			c, err := p.Trial(mapped, seed, opt.Noise)
-			return float64(c), err
+			return float64(s.trial(seed, opt.Noise)), nil
 		})
 	if err != nil {
 		return CaseResult{}, err

@@ -2,9 +2,14 @@ package cachebench
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"vpsec/internal/cpu"
+	"vpsec/internal/isa"
+	"vpsec/internal/mem"
 )
 
 // TestFamilyCount pins the enumeration: 11^3 step triples filtered by
@@ -249,5 +254,71 @@ func TestRunMatrixMatchesStandalone(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m.Cases, m1.Cases) {
 		t.Fatal("matrix jobs 1 vs 4 differ")
+	}
+}
+
+// interpTrial is the per-trial path Trial replaced, kept as its
+// reference: the arm's program on the interpreter against a cold
+// hierarchy, with a retire hook that charges each load its access
+// latency and each flush FlushLatency (plus FlushCachedExtra when the
+// line was cached), each plus a jitter draw from math/rand's own
+// source.
+func interpTrial(h *mem.Hierarchy, it *isa.Interp, prog *isa.Program, seed int64, noise cpu.Noise) (uint64, error) {
+	h.Reset()
+	rng := rand.New(rand.NewSource(seed))
+	it.OnRetire = func(c isa.Commit) error {
+		switch c.Op {
+		case isa.LOAD:
+			lat, served := h.Access(c.Addr, true)
+			it.Cycle += lat + jitter(rng, noise, served == mem.LevelMem)
+		case isa.FLUSH:
+			lat := FlushLatency
+			if h.Cached(c.Addr) {
+				lat += FlushCachedExtra
+			}
+			h.Flush(c.Addr)
+			it.Cycle += lat + jitter(rng, noise, false)
+		}
+		return nil
+	}
+	it.Reset(prog)
+	if _, err := it.Run(prog); err != nil {
+		return 0, err
+	}
+	return it.Mem[ResultAddr], nil
+}
+
+// TestTrialMatchesInterp checks the schedule's precondition: for every
+// arm of the family, several seeds and jitter on both, either or
+// neither access class, replaying the arm's schedule (Trial) returns
+// exactly what interpreting the program again under that seed does.
+func TestTrialMatchesInterp(t *testing.T) {
+	h := newHierarchy()
+	var it isa.Interp
+	noises := []cpu.Noise{DefaultNoise(), {}, {MemJitter: 12}, {HitJitter: 2}}
+	seeds := []int64{1, 2, 1 << 40, -7}
+	for _, p := range Family() {
+		for _, mapped := range []bool{false, true} {
+			prog, err := p.Compile(mapped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, noise := range noises {
+				for _, seed := range seeds {
+					want, err := interpTrial(h, &it, prog, seed, noise)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := p.Trial(mapped, seed, noise)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("%s mapped=%v seed=%d noise=%+v: Trial %d, interpreter %d",
+							p, mapped, seed, noise, got, want)
+					}
+				}
+			}
+		}
 	}
 }

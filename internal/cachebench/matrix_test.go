@@ -3,7 +3,6 @@ package cachebench
 import (
 	"bytes"
 	"context"
-	"os"
 	"testing"
 
 	"vpsec/internal/stats"
@@ -55,14 +54,11 @@ func TestRenderDegenerate(t *testing.T) {
 	}
 }
 
-// TestFullFamilyMatrix is the opt-in acceptance run
-// (CACHEBENCH_FULL=1): the entire 976-case family at the paper's
-// sample size. Every published attack must be flagged, the matrix must
-// be internally consistent, and the rendering deterministic.
+// TestFullFamilyMatrix is the acceptance run: the entire 976-case
+// family at the paper's sample size. Every published attack must be
+// flagged, the matrix must be internally consistent, and the rendering
+// deterministic.
 func TestFullFamilyMatrix(t *testing.T) {
-	if os.Getenv("CACHEBENCH_FULL") == "" {
-		t.Skip("set CACHEBENCH_FULL=1 to evaluate the full 976-case family")
-	}
 	m, err := RunMatrix(context.Background(), nil, Options{Runs: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,8 @@
 // straight-line .vasm program assembled through internal/asm. The text
 // form is the case's ground truth — Source exposes it so a case can be
 // inspected, diffed, or replayed under cmd/vpsim — and the assembled
-// isa.Program is what Trial runs on the reference interpreter.
+// isa.Program is what the reference interpreter runs, once per arm, to
+// derive the arm's schedule (run.go).
 
 package cachebench
 
@@ -120,35 +121,58 @@ func (p Pattern) Source(mapped bool) string {
 	return b.String()
 }
 
-// progKey identifies one assembled program: pattern plus arm.
-type progKey struct {
+// armKey identifies one arm: pattern plus mapped or unmapped.
+type armKey struct {
 	pat    Pattern
 	mapped bool
 }
 
+// armEntry is one memoized arm: its assembled program and the schedule
+// derived from running that program once.
+type armEntry struct {
+	prog  *isa.Program
+	sched *schedule
+}
+
 var (
-	progMu    sync.Mutex
-	progCache = map[progKey]*isa.Program{}
+	armMu    sync.Mutex
+	armCache = map[armKey]*armEntry{}
 )
 
-// Compile assembles the pattern's arm, memoizing the result: a family
-// run assembles each of the 2x976 distinct programs once, not once per
-// trial. The returned program is shared — callers must not mutate it.
+// Compile assembles the pattern's arm, memoizing the result with the
+// arm's schedule: a family run assembles and simulates each of the
+// 2x976 distinct programs once, not once per trial. The returned
+// program is shared — callers must not mutate it.
 func (p Pattern) Compile(mapped bool) (*isa.Program, error) {
-	key := progKey{p, mapped}
-	progMu.Lock()
-	prog, ok := progCache[key]
-	progMu.Unlock()
+	e, err := p.arm(mapped)
+	if err != nil {
+		return nil, err
+	}
+	return e.prog, nil
+}
+
+// arm looks up the arm's memo entry, assembling the program and
+// deriving its schedule on first use.
+func (p Pattern) arm(mapped bool) (*armEntry, error) {
+	key := armKey{p, mapped}
+	armMu.Lock()
+	e, ok := armCache[key]
+	armMu.Unlock()
 	if ok {
-		return prog, nil
+		return e, nil
 	}
 	name := fmt.Sprintf("cachebench-%s.%s.vasm", p, map[bool]string{true: "mapped", false: "unmapped"}[mapped])
 	prog, err := asm.Assemble(name, p.Source(mapped))
 	if err != nil {
 		return nil, fmt.Errorf("cachebench: %s: %v", p, err)
 	}
-	progMu.Lock()
-	progCache[key] = prog
-	progMu.Unlock()
-	return prog, nil
+	sched, err := newSchedule(prog)
+	if err != nil {
+		return nil, fmt.Errorf("cachebench: %s: %v", p, err)
+	}
+	e = &armEntry{prog: prog, sched: sched}
+	armMu.Lock()
+	armCache[key] = e
+	armMu.Unlock()
+	return e, nil
 }

@@ -1,12 +1,17 @@
-// Trial execution: a lowered benchmark program runs on the in-order
-// reference interpreter (isa.Interp) against an internal/mem hierarchy.
-// The interpreter charges one cycle per instruction; its retire hook
-// adds the hierarchy's access latencies and the standard jitter model
-// on loads and flushes. The benchmark programs are straight-line
-// loads/flushes around rdtsc pairs; the full out-of-order machine in
-// internal/cpu would add predictor and pipeline effects that are the
-// *subject* of the source paper but confounders here — the benchmark
-// paper's three-step model is about cache state alone.
+// Trial execution. Each arm's lowered program runs once on the in-order
+// reference interpreter (isa.Interp) against a cold internal/mem
+// hierarchy, without jitter. The interpreter charges one cycle per
+// instruction, and its retire hook adds the hierarchy's access
+// latencies on loads and flushes. That one run yields the arm's
+// schedule: the jitter-free step-3 delta plus, for every load and
+// flush, whether DRAM served it and whether it was timed. A trial then
+// replays only the schedule's jitter draws under its own seed (see
+// schedule for why that equals interpreting the program again). The
+// benchmark programs are straight-line loads/flushes around rdtsc
+// pairs; the full out-of-order machine in internal/cpu would add
+// predictor and pipeline effects that are the *subject* of the source
+// paper but confounders here — the benchmark paper's three-step model
+// is about cache state alone.
 
 package cachebench
 
@@ -52,71 +57,106 @@ func newHierarchy() *mem.Hierarchy {
 	return &mem.Hierarchy{L1: l1, L2: l2, Mem: mem.NewMemory(150)}
 }
 
-// trialState is one pooled trial's machinery: the hierarchy, the
-// jitter generator and the interpreter whose retire hook charges them.
-// A family run executes hundreds of thousands of short programs, and
-// fresh line arrays and generators would dominate per-trial allocation
-// otherwise. The generator is an xrand source, as in the attack
-// harness: math/rand's stream with O(1) re-seeding, because a trial
-// draws only a few jitter values.
-type trialState struct {
-	h     *mem.Hierarchy
-	rng   *rand.Rand
-	noise cpu.Noise
-	it    isa.Interp
+// schedule is one arm's trial with the jitter taken out: base is the
+// step-3 delta the arm's program stores at ResultAddr when it runs on
+// isa.Interp against a fresh newHierarchy() with no jitter, and
+// accesses lists every load and flush of that run in program order.
+//
+// Precondition: every trial of the arm makes the same accesses with the
+// same hit/miss outcomes, and differs from this run only in its jitter
+// draws. That holds because the program is straight-line and addresses
+// memory only through movi/addi constants (Source), the caches are
+// timing-only LRU with no prefetcher, every trial starts from a cold
+// hierarchy (Limitations), and jitter only adds cycles — it never feeds
+// an address, a branch or the cache state. A trial's step-3 delta is
+// then base plus the jitter drawn for the timed accesses; the untimed
+// ones still draw, in order, so the generator's stream lines up with a
+// per-trial interpreter run. TestTrialMatchesInterp checks that
+// equality for every arm of the family.
+type schedule struct {
+	base     uint64
+	accesses []access
 }
 
-var trialPool = sync.Pool{New: func() any {
-	s := &trialState{h: newHierarchy(), rng: rand.New(xrand.NewSource(0))}
-	s.it.OnRetire = s.retire
-	return s
-}}
+// access is one load or flush of a schedule.
+type access struct {
+	dram  bool // served from DRAM, so it draws MemJitter; else HitJitter
+	timed bool // retired between the two rdtscs, so its jitter is measured
+}
+
+// newSchedule runs prog once, without jitter, on a cold hierarchy and
+// records its schedule. Stores write the interpreter's memory without
+// touching the caches (the benchmark's result store must not perturb
+// the state under measurement).
+func newSchedule(prog *isa.Program) (*schedule, error) {
+	h := newHierarchy()
+	s := &schedule{}
+	var it isa.Interp
+	rdtscs := 0
+	it.OnRetire = func(c isa.Commit) error {
+		var dram bool
+		switch c.Op {
+		case isa.RDTSC:
+			rdtscs++
+			return nil
+		case isa.LOAD:
+			lat, served := h.Access(c.Addr, true)
+			it.Cycle += lat
+			dram = served == mem.LevelMem
+		case isa.FLUSH:
+			lat := FlushLatency
+			if h.Cached(c.Addr) {
+				lat += FlushCachedExtra
+			}
+			h.Flush(c.Addr)
+			it.Cycle += lat
+		default:
+			return nil
+		}
+		s.accesses = append(s.accesses, access{dram: dram, timed: rdtscs == 1})
+		return nil
+	}
+	it.Reset(prog)
+	if _, err := it.Run(prog); err != nil {
+		return nil, err
+	}
+	s.base = it.Mem[ResultAddr]
+	return s, nil
+}
+
+// rngPool recycles the trials' jitter generators. Each is an xrand
+// source, as in the attack harness: math/rand's stream with O(1)
+// re-seeding, because a trial draws only a few jitter values.
+var rngPool = sync.Pool{New: func() any { return rand.New(xrand.NewSource(0)) }}
+
+// trial replays the schedule under one seed and noise model, returning
+// the step-3 cycle count.
+func (s *schedule) trial(seed int64, noise cpu.Noise) uint64 {
+	rng := rngPool.Get().(*rand.Rand)
+	// Rand.Seed re-arms the pooled xrand source to exactly the stream
+	// a fresh rand.New(rand.NewSource(seed)) would produce.
+	rng.Seed(seed)
+	c := s.base
+	for _, a := range s.accesses {
+		if j := jitter(rng, noise, a.dram); a.timed {
+			c += j
+		}
+	}
+	rngPool.Put(rng)
+	return c
+}
 
 // Trial executes one arm of the pattern's program pair under the given
 // seed and noise model, returning the cycle count the program measured
 // for step 3. Every trial starts from a cold hierarchy; determinism is
-// the trial seed alone.
+// the trial seed alone. It replays the arm's memoized schedule, which
+// gives the same count as running the program (see schedule).
 func (p Pattern) Trial(mapped bool, seed int64, noise cpu.Noise) (uint64, error) {
-	prog, err := p.Compile(mapped)
+	e, err := p.arm(mapped)
 	if err != nil {
 		return 0, err
 	}
-	s := trialPool.Get().(*trialState)
-	defer func() {
-		s.h.Reset()
-		trialPool.Put(s)
-	}()
-	// Rand.Seed re-arms the pooled xrand source to exactly the stream
-	// a fresh rand.New(rand.NewSource(seed)) would produce.
-	s.rng.Seed(seed)
-	s.noise = noise
-	s.it.Reset(prog)
-	if _, err := s.it.Run(prog); err != nil {
-		return 0, err
-	}
-	return s.it.Mem[ResultAddr], nil
-}
-
-// retire charges a retired load or flush its timing: the hierarchy's
-// access latency plus jitter on loads, FlushLatency (plus
-// FlushCachedExtra when the line was cached) plus jitter on flushes.
-// Stores write the interpreter's memory without touching the caches
-// (the benchmark's result store must not perturb the state under
-// measurement).
-func (s *trialState) retire(c isa.Commit) error {
-	switch c.Op {
-	case isa.LOAD:
-		lat, served := s.h.Access(c.Addr, true)
-		s.it.Cycle += lat + jitter(s.rng, s.noise, served == mem.LevelMem)
-	case isa.FLUSH:
-		lat := FlushLatency
-		if s.h.Cached(c.Addr) {
-			lat += FlushCachedExtra
-		}
-		s.h.Flush(c.Addr)
-		s.it.Cycle += lat + jitter(s.rng, s.noise, false)
-	}
-	return nil
+	return e.sched.trial(seed, noise), nil
 }
 
 // jitter draws the access-latency noise, mirroring the pipeline's model

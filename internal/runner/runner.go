@@ -133,6 +133,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	done := ctx.Done()
 
 	// The map span and the per-item enqueue timestamps (for the trial
 	// spans' queue-wait attribute) exist only when tracing is on; the
@@ -170,7 +171,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 				defer wspan.End()
 			}
 			for i := range work {
-				if ctx.Err() != nil {
+				if cancelled(done) {
 					if wspan.Traced() {
 						wspan.Event("skip", obs.Int("item", i))
 					}
@@ -265,12 +266,13 @@ func mapSequential[T any](ctx context.Context, cfg Config, n int, fn func(ctx co
 		defer mspan.End()
 	}
 	out := make([]T, n)
+	done := ctx.Done()
 	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
+		if cancelled(done) {
 			if mspan.Traced() {
 				mspan.Event("cancel", obs.Int("item", i))
 			}
-			return nil, err
+			return nil, ctx.Err()
 		}
 		ictx := ctx
 		var tspan obs.Span
@@ -303,13 +305,14 @@ func mapSequential[T any](ctx context.Context, cfg Config, n int, fn func(ctx co
 func runItem[T any](ctx context.Context, i int, wreg *metrics.Registry, retries int, span obs.Span, fn func(ctx context.Context, index int, reg *metrics.Registry) (T, error)) (T, error) {
 	var zero T
 	var err error
+	done := ctx.Done()
 	for attempt := 0; attempt <= retries; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
+		if cancelled(done) {
 			if span.Traced() {
 				span.Event("cancel", obs.Int("attempt", attempt))
 			}
 			if err == nil {
-				err = cerr
+				err = ctx.Err()
 			}
 			return zero, err
 		}
@@ -348,6 +351,21 @@ func runItem[T any](ctx context.Context, i int, wreg *metrics.Registry, retries 
 		}
 	}
 	return zero, err
+}
+
+// cancelled reports whether done, a context's Done channel, is closed.
+// The per-item checks use it instead of ctx.Err, which takes the
+// context's lock: when Map items run nested Maps, as in
+// cachebench.RunMatrix, every worker checks the same parent context
+// and would contend on that lock once per inner item. A nil done (a
+// context that is never cancelled) is never closed.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // refreshDerivedGauges recomputes the ratio gauges that the simulator

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -51,6 +53,41 @@ func TestCacheMatrixGolden(t *testing.T) {
 	}
 	if !bytes.Equal(want, seq) {
 		t.Fatalf("cachebench-matrix drifted from %s (run `go test ./internal/scenario -update` and review the diff):\n%s", golden, seq)
+	}
+}
+
+// TestCacheMatrixFullDigest pins the whole 976-case family byte for
+// byte: cachebench-matrix-full at Jobs 1 and 4 must both hash (SHA-256
+// of CanonicalJSON) to the cachebench-full digest in
+// tools/bench/pinned.json, with 170 cases vulnerable. The curated
+// golden above covers 16 cases; this is the gate for the other 960.
+func TestCacheMatrixFullDigest(t *testing.T) {
+	const (
+		wantDigest     = "b103980f1a9a808156fbdbcdb8f7cfc59ede88a95624ba66f6a9ea7747c53338"
+		wantVulnerable = 170
+	)
+	s, ok := Lookup("cachebench-matrix-full")
+	if !ok {
+		t.Fatal("cachebench-matrix-full not registered")
+	}
+	for _, jobs := range []int{1, 4} {
+		spec := s
+		spec.Jobs = jobs
+		res, err := Execute(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		data, err := res.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != wantDigest {
+			t.Errorf("jobs=%d: digest %s, want %s", jobs, got, wantDigest)
+		}
+		if m := res.CacheBench; m.Total != 976 || m.Vulnerable != wantVulnerable {
+			t.Errorf("jobs=%d: %d/%d vulnerable, want %d/976", jobs, m.Vulnerable, m.Total, wantVulnerable)
+		}
 	}
 }
 

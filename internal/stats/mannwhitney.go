@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MannWhitneyResult holds the outcome of a two-sided Mann-Whitney U
@@ -36,10 +37,12 @@ func MannWhitneyU(xs, ys []float64) (MannWhitneyResult, error) {
 	for _, y := range ys {
 		all = append(all, obs{y, false})
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
+	slices.SortFunc(all, func(a, b obs) int { return cmp.Compare(a.v, b.v) })
 
-	// Midranks with tie accounting.
-	ranks := make([]float64, len(all))
+	// Midranks with tie accounting. Every member of a tie group shares
+	// its midrank, so r1 adds the group's midrank once per first-sample
+	// member, in sorted order.
+	var r1 float64
 	var tieSum float64 // sum of t^3 - t over tie groups
 	for i := 0; i < len(all); {
 		j := i
@@ -47,18 +50,14 @@ func MannWhitneyU(xs, ys []float64) (MannWhitneyResult, error) {
 			j++
 		}
 		mid := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			ranks[k] = mid
+		for _, o := range all[i:j] {
+			if o.first {
+				r1 += mid
+			}
 		}
 		t := float64(j - i)
 		tieSum += t*t*t - t
 		i = j
-	}
-	var r1 float64
-	for i, o := range all {
-		if o.first {
-			r1 += ranks[i]
-		}
 	}
 	u1 := r1 - float64(n1)*float64(n1+1)/2
 	mean := float64(n1) * float64(n2) / 2

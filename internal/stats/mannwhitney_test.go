@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -59,6 +60,44 @@ func TestMannWhitneyAgainstReference(t *testing.T) {
 	}
 	if res.P < 0.091 || res.P > 0.093 {
 		t.Errorf("p = %v, want ~0.0917", res.P)
+	}
+
+	// Exact float64 bits, pinned so a change to the ranking or the
+	// summation order shows up bit for bit. Two tie-heavy samples of
+	// integer cycle counts (one overlapping, one fully separated, like
+	// a cache-suite case's arms) and one sample with no ties at all.
+	overlapX, overlapY := make([]float64, 100), make([]float64, 100)
+	sepX, sepY := make([]float64, 100), make([]float64, 100)
+	for i := range overlapX {
+		overlapX[i] = 200 + float64((i*7)%13)
+		overlapY[i] = 203 + float64((i*5)%11)
+		sepX[i] = 175 + float64((i*3)%12)
+		sepY[i] = 350 + float64((i*11)%12)
+	}
+	distinctX, distinctY := make([]float64, 37), make([]float64, 41)
+	for i := range distinctX {
+		distinctX[i] = 1.5*float64((i*17)%37) + 0.25
+	}
+	for i := range distinctY {
+		distinctY[i] = 1.5*float64((i*13)%41) + 0.9
+	}
+	for _, c := range []struct {
+		name    string
+		xs, ys  []float64
+		u, z, p uint64
+	}{
+		{"overlapping ties", overlapX, overlapY, 0x40ab000000000000, 0xc00e45f73fc0fba3, 0x3f2436fd81e2d8f5},
+		{"separated ties", sepX, sepY, 0x0, 0xc0288a59bfbbe8e4, 0x38e5c0070aeb0055},
+		{"no ties", distinctX, distinctY, 0x4084d00000000000, 0xbfed9e8fd78b9fee, 0x3fd6b299d1589a70},
+	} {
+		res, err := MannWhitneyU(c.xs, c.ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(res.U) != c.u || math.Float64bits(res.Z) != c.z || math.Float64bits(res.P) != c.p {
+			t.Errorf("%s: U, Z, P = %#x, %#x, %#x; want %#x, %#x, %#x", c.name,
+				math.Float64bits(res.U), math.Float64bits(res.Z), math.Float64bits(res.P), c.u, c.z, c.p)
+		}
 	}
 }
 
