@@ -18,14 +18,17 @@ FUZZTIME ?= 30s
 
 check: vet build race alloc-budget sched-order diff scenarios cachebench defense-check docs server-check
 
-# Defense-architecture gate (DESIGN.md §14): the mechanism registry is
+# Defense-architecture gate (DESIGN.md §14): the mechanism catalog is
 # exhaustive (every mechanism addressable and round-tripping through
-# the stack parser), the legacy 11-strategy matrix/sweep renders and
-# canonical spec hashes are byte-identical to the pinned goldens, and
-# the two post-paper mechanisms (recompute, isolate) each close their
-# previously leaking cell at reduced trial counts.
+# the stack parser, which rejects malformed stacks and decodes JSON on
+# its own), flush-on-switch fires on every time-sliced step (eviction
+# and SMT trials included), the legacy 11-strategy matrix/sweep
+# renders and canonical spec hashes are byte-identical to the pinned
+# goldens, and the two post-paper mechanisms (recompute, isolate) each
+# close their previously leaking cell at reduced trial counts.
 defense-check:
 	$(GO) test ./internal/defense -count=1
+	$(GO) test ./internal/attacks -run 'TestParseStackErrors|TestStackDecodesWithoutDefense|TestFlushOnEveryStep' -count=1
 	$(GO) test ./internal/scenario -run 'TestDefenseMatrixGolden|TestDefenseSweepGolden|TestSpecHashesGolden' -count=1
 
 # Experiment-server gate: build cmd/vpserver, then run the end-to-end
@@ -109,11 +112,11 @@ bench:
 # Documentation gate: vet, formatting, and doc coverage of the
 # experiment surface (every exported symbol in the runner, attacks,
 # report, oracle, progen, scenario, obs, server, cachebench, defense,
-# isa, locality, stats and xrand packages and the scencli command
-# front-end must carry a doc comment — godoc is the reference
+# isa, locality, predictor, stats and xrand packages and the scencli
+# command front-end must carry a doc comment — godoc is the reference
 # documentation the experiments guide links into). -api keeps
 # docs/SERVER.md aligned with the routes internal/server actually
 # registers.
 docs: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
-	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/stats ./internal/xrand ./cmd/internal/scencli
+	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/predictor ./internal/stats ./internal/xrand ./cmd/internal/scencli

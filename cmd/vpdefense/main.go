@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"vpsec/cmd/internal/scencli"
+	"vpsec/internal/attacks"
 	"vpsec/internal/defense"
 	"vpsec/internal/scenario"
 )
@@ -79,16 +80,16 @@ func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 	}
 }
 
-// printStrategies renders the registered mechanism catalog and the
-// named strategy tables.
+// printStrategies renders the mechanism catalog and the named
+// strategy tables.
 func printStrategies(w io.Writer) {
 	fmt.Fprintln(w, "Mechanisms (compose with '+', e.g. -describe-strategy \"A+R(5)+recompute\"):")
-	for _, d := range defense.Mechanisms() {
+	for _, d := range attacks.Mechanisms() {
 		tok := d.Token
 		if d.TakesArg {
 			tok += "(w)"
 		}
-		fmt.Fprintf(w, "  %-10s %-18s %s\n", tok, "["+d.Hooks.String()+"]", d.Summary)
+		printMechanism(w, tok, d.Build(0), d.Summary)
 	}
 	fmt.Fprintln(w, "\nNamed strategies (Sec. VI-B catalog):")
 	for _, s := range defense.Strategies() {
@@ -114,15 +115,15 @@ func describeStrategy(w io.Writer, name string) error {
 		return nil
 	}
 	for _, m := range s.Stack {
-		summary := ""
-		base := m.DefenseName()
-		if j := strings.IndexByte(base, '('); j >= 0 {
-			base = base[:j]
-		}
-		if d, ok := defense.MechanismFor(base); ok {
-			summary = d.Summary
-		}
-		fmt.Fprintf(w, "  %-10s %-18s %s\n", m.DefenseName(), "["+m.Hooks().String()+"]", summary)
+		base, _, _ := strings.Cut(m.DefenseName(), "(")
+		d, _ := attacks.MechanismFor(base)
+		printMechanism(w, m.DefenseName(), m, d.Summary)
 	}
 	return nil
+}
+
+// printMechanism renders one catalog line: the token, the hook classes
+// the mechanism engages, and its summary.
+func printMechanism(w io.Writer, token string, m attacks.Mechanism, summary string) {
+	fmt.Fprintf(w, "  %-10s %-18s %s\n", token, "["+attacks.HookClasses(m)+"]", summary)
 }

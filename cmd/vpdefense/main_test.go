@@ -55,13 +55,27 @@ func TestLegacyManifest(t *testing.T) {
 	}
 }
 
-// TestStrategyCatalog: the catalog modes run without a spec.
+// TestStrategyCatalog: the catalog modes run without a spec, and
+// their whole output — mechanism tokens, hook-class labels, summaries
+// and the named tables — is pinned by the goldens under testdata.
 func TestStrategyCatalog(t *testing.T) {
-	code, stdout, stderr := run("-describe-strategy", "A+R(5)+recompute")
-	if code != 0 || !strings.HasPrefix(stdout, "strategy A+R(5)+recompute\n") {
-		t.Fatalf("exit %d stdout %q stderr %q", code, stdout, stderr)
+	for golden, args := range map[string][]string{
+		"list-strategies.golden":   {"-list-strategies"},
+		"describe-strategy.golden": {"-describe-strategy", "A+R(5)+recompute+flush+isolate"},
+	} {
+		code, stdout, stderr := run(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d stderr %q", args, code, stderr)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stdout != string(want) {
+			t.Errorf("%v drifted from testdata/%s:\n%s", args, golden, stdout)
+		}
 	}
-	code, _, stderr = run("-describe-strategy", "Q(1)")
+	code, _, stderr := run("-describe-strategy", "Q(1)")
 	if code != 1 || !strings.HasPrefix(stderr, "vpdefense: ") {
 		t.Fatalf("unknown strategy: exit %d stderr %q; want 1 and a vpdefense: line", code, stderr)
 	}

@@ -5,60 +5,103 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 
 	"vpsec/internal/cpu"
 	"vpsec/internal/predictor"
 )
 
-// This file defines the composable defense-mechanism layer that
-// replaced the original flat DefenseConfig booleans. A defense is a
-// stack of named Mechanisms; each mechanism declares which harness
-// hooks it needs (DefenseHooks) and implements the matching capability
-// interface:
+// This file is the one place a defense mechanism is declared. A
+// defense is a stack of named Mechanisms, and what a mechanism does to
+// a trial is the set of capability interfaces it implements — each
+// engaged at exactly one site of the harness:
 //
 //   - PredictorWrapper — wraps the trial's predictor (the A- and
-//     R-type transformations of Sec. VI-A);
+//     R-type transformations of Sec. VI-A), when newEnv builds it;
 //   - EffectsMechanism — selects the pipeline's speculation-effects
-//     policy (D-type delay, value recomputation);
+//     policy (D-type delay, value recomputation), when newEnv
+//     configures the machine;
 //   - ContextSwitcher — runs OS work on a simulated context switch
-//     (flush-on-switch, Sec. VI-B);
+//     (flush-on-switch, Sec. VI-B), whenever the env loader hands the
+//     core to another process;
 //   - ContextTagger — assigns predictor isolation-domain tags to
-//     processes (context-tagged predictor partitioning).
+//     processes (context-tagged predictor partitioning), installed on
+//     the machine by newEnv.
 //
-// The catalog of mechanism descriptors, the named strategies of the
-// paper's defense matrix, and the "A+R(5)+recompute" stack syntax all
-// live in internal/defense, which builds on these types; they are
-// defined here so the measurement harness (and its tests) need no
-// import of the higher layer.
+// The catalog below maps each token of the "A+R(5)+recompute" stack
+// syntax to its constructor, and ParseStack reads that syntax. The
+// named strategies of the paper's defense matrix, the window sweeps
+// and the matrix itself live in internal/defense.
 
-// DefenseHooks is a bitmask of the harness hooks a mechanism engages.
-type DefenseHooks uint8
+// Descriptor is one entry of the mechanism catalog.
+type Descriptor struct {
+	// Token is the mechanism's canonical token, e.g. "A" or
+	// "recompute". For parameterized mechanisms it is the bare name; the
+	// rendered form carries the argument, e.g. "R(5)".
+	Token string
 
-// Hook classes. A mechanism may engage several (none do today, but the
-// mask keeps the taxonomy explicit and cheap to query).
-const (
-	// HookPredictor marks a mechanism that wraps the value predictor.
-	HookPredictor DefenseHooks = 1 << iota
-	// HookPipeline marks a mechanism that changes pipeline speculation
-	// semantics (the speculation-effects policy).
-	HookPipeline
-	// HookContext marks a mechanism driven by context switches or
-	// context identity (flush-on-switch, isolation tagging).
-	HookContext
-)
+	// TakesArg marks a parameterized mechanism (token "R" renders and
+	// parses as "R(w)").
+	TakesArg bool
 
-// String renders the hook classes, "+"-joined ("predictor+pipeline"),
-// or "none" for the empty mask.
-func (h DefenseHooks) String() string {
+	// Summary is the one-line description shown by vpdefense
+	// -list-strategies and -describe-strategy.
+	Summary string
+
+	// Build constructs the mechanism; arg is meaningful only when
+	// TakesArg is set.
+	Build func(arg int) Mechanism
+}
+
+// catalog lists every mechanism, sorted by token. A new mechanism is
+// one entry here plus its type below; nothing else names it.
+var catalog = []Descriptor{
+	{Token: "A", Summary: "A-type: always predict, from the history value (Sec. VI-A)",
+		Build: func(int) Mechanism { return AlwaysPredict(false) }},
+	{Token: "A-fixed", Summary: "A-type, fixed flavor: always predict a fixed value (Sec. VI-A)",
+		Build: func(int) Mechanism { return AlwaysPredict(true) }},
+	{Token: "D", Summary: "D-type: delay speculative cache fills until commit (Sec. VI-A)",
+		Build: func(int) Mechanism { return DelayEffects() }},
+	{Token: "R", TakesArg: true, Summary: "R-type: predict within a random window W, P(correct)=1/W (Sec. VI-A)",
+		Build: func(w int) Mechanism { return RandomWindow(w) }},
+	{Token: "flush", Summary: "flush the whole VPS at every context switch (Sec. VI-B)",
+		Build: func(int) Mechanism { return FlushVPS() }},
+	{Token: "isolate", Summary: "context-tagged predictor isolation: per-process tag partitions VPS state",
+		Build: func(int) Mechanism { return IsolateContexts() }},
+	{Token: "recompute", Summary: "value recomputation: shadow-buffer speculative lines, install at commit",
+		Build: func(int) Mechanism { return Recompute() }},
+}
+
+// Mechanisms lists the mechanism catalog, sorted by token.
+func Mechanisms() []Descriptor { return slices.Clone(catalog) }
+
+// MechanismFor resolves a catalog entry by token.
+func MechanismFor(token string) (Descriptor, bool) {
+	for _, d := range catalog {
+		if d.Token == token {
+			return d, true
+		}
+	}
+	return Descriptor{}, false
+}
+
+// HookClasses names the harness hook classes a mechanism engages, read
+// off the capability interfaces it implements: "predictor"
+// (PredictorWrapper), "pipeline" (EffectsMechanism) and "context"
+// (ContextSwitcher or ContextTagger), "+"-joined, or "none".
+func HookClasses(m Mechanism) string {
 	var parts []string
-	if h&HookPredictor != 0 {
+	if _, ok := m.(PredictorWrapper); ok {
 		parts = append(parts, "predictor")
 	}
-	if h&HookPipeline != 0 {
+	if _, ok := m.(EffectsMechanism); ok {
 		parts = append(parts, "pipeline")
 	}
-	if h&HookContext != 0 {
+	_, switcher := m.(ContextSwitcher)
+	_, tagger := m.(ContextTagger)
+	if switcher || tagger {
 		parts = append(parts, "context")
 	}
 	if len(parts) == 0 {
@@ -68,13 +111,11 @@ func (h DefenseHooks) String() string {
 }
 
 // Mechanism is one composable defense. Implementations additionally
-// satisfy the capability interfaces matching their Hooks bits.
+// satisfy the capability interfaces of the hooks they engage.
 type Mechanism interface {
 	// DefenseName returns the mechanism's canonical token, e.g. "A",
 	// "R(5)", "recompute" — what strategy strings are built from.
 	DefenseName() string
-	// Hooks reports which harness hooks the mechanism engages.
-	Hooks() DefenseHooks
 	// Validate reports parameterization errors.
 	Validate() error
 }
@@ -209,35 +250,62 @@ func (s DefenseStack) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// stackParser decodes a canonical stack string; internal/defense
-// registers its parser here (RegisterStackParser) so the JSON codec
-// does not depend on the strategy catalog.
-var stackParser func(string) (DefenseStack, error)
-
-// RegisterStackParser installs the canonical stack-string parser used
-// by DefenseStack.UnmarshalJSON. Called once from internal/defense.
-func RegisterStackParser(fn func(string) (DefenseStack, error)) { stackParser = fn }
-
-// UnmarshalJSON decodes a canonical stack string via the registered
-// parser.
+// UnmarshalJSON decodes a canonical stack string (see ParseStack).
 func (s *DefenseStack) UnmarshalJSON(data []byte) error {
 	var str string
 	if err := json.Unmarshal(data, &str); err != nil {
 		return err
 	}
-	if str == "" || str == "none" {
-		*s = nil
-		return nil
-	}
-	if stackParser == nil {
-		return errors.New("attacks: no defense stack parser registered (import internal/defense)")
-	}
-	st, err := stackParser(str)
+	st, err := ParseStack(str)
 	if err != nil {
 		return err
 	}
 	*s = st
 	return nil
+}
+
+// ParseStack parses the canonical stack syntax: mechanism tokens
+// joined with "+", parameterized tokens carrying their argument in
+// parentheses — "A+R(5)+recompute". "none" (or the empty string) is
+// the empty stack and composes with nothing.
+func ParseStack(s string) (DefenseStack, error) {
+	if s == "" || s == "none" {
+		return nil, nil
+	}
+	var stack DefenseStack
+	for _, tok := range strings.Split(s, "+") {
+		tok = strings.TrimSpace(tok)
+		name, arg, hasArg := tok, 0, false
+		if i := strings.IndexByte(tok, '('); i >= 0 {
+			if !strings.HasSuffix(tok, ")") {
+				return nil, fmt.Errorf("attacks: malformed mechanism token %q", tok)
+			}
+			n, err := strconv.Atoi(tok[i+1 : len(tok)-1])
+			if err != nil {
+				return nil, fmt.Errorf("attacks: bad argument in %q: %v", tok, err)
+			}
+			name, arg, hasArg = tok[:i], n, true
+		}
+		d, ok := MechanismFor(name)
+		if !ok {
+			tokens := make([]string, len(catalog))
+			for i, d := range catalog {
+				tokens[i] = d.Token
+			}
+			return nil, fmt.Errorf("attacks: unknown mechanism %q (mechanisms: %s)", name, strings.Join(tokens, ", "))
+		}
+		if d.TakesArg != hasArg {
+			if d.TakesArg {
+				return nil, fmt.Errorf("attacks: mechanism %q needs an argument, e.g. %s(5)", name, name)
+			}
+			return nil, fmt.Errorf("attacks: mechanism %q takes no argument", name)
+		}
+		stack = append(stack, d.Build(arg))
+	}
+	if err := stack.Validate(); err != nil {
+		return nil, err
+	}
+	return stack, nil
 }
 
 // aType is the A-type defense (Sec. VI-A): always predict, from the
@@ -257,22 +325,14 @@ func (a aType) DefenseName() string {
 	return "A"
 }
 
-func (a aType) Hooks() DefenseHooks { return HookPredictor }
-
 func (a aType) Validate() error { return nil }
 
-// WrapPredictor implements PredictorWrapper via the predictor-wrapper
-// registry.
-func (a aType) WrapPredictor(inner predictor.Predictor, rng *rand.Rand) predictor.Predictor {
-	kind := "a-type"
+// WrapPredictor implements PredictorWrapper.
+func (a aType) WrapPredictor(inner predictor.Predictor, _ *rand.Rand) predictor.Predictor {
 	if a.fixedOnly {
-		kind = "a-type-fixed"
+		return predictor.NewATypeFixed(inner, 0)
 	}
-	p, err := predictor.NewWrapper(kind, inner, predictor.WrapConfig{})
-	if err != nil {
-		panic(err) // built-in wrapper; registration is unconditional
-	}
-	return p
+	return predictor.NewAType(inner, 0)
 }
 
 // rType is the R-type defense: predict within a random window W.
@@ -284,8 +344,6 @@ type rType struct{ window int }
 func RandomWindow(w int) Mechanism { return rType{window: w} }
 
 func (r rType) DefenseName() string { return fmt.Sprintf("R(%d)", r.window) }
-
-func (r rType) Hooks() DefenseHooks { return HookPredictor }
 
 func (r rType) Validate() error {
 	if r.window < 0 {
@@ -301,11 +359,7 @@ func (r rType) WrapPredictor(inner predictor.Predictor, rng *rand.Rand) predicto
 	if r.window <= 1 {
 		return inner
 	}
-	p, err := predictor.NewWrapper("r-type", inner, predictor.WrapConfig{Window: r.window, Rng: rng})
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return predictor.NewRType(inner, r.window, rng)
 }
 
 // dType is the D-type defense: delay speculative side effects.
@@ -316,8 +370,6 @@ type dType struct{}
 func DelayEffects() Mechanism { return dType{} }
 
 func (dType) DefenseName() string { return "D" }
-
-func (dType) Hooks() DefenseHooks { return HookPipeline }
 
 func (dType) Validate() error { return nil }
 
@@ -333,8 +385,6 @@ type recompute struct{}
 func Recompute() Mechanism { return recompute{} }
 
 func (recompute) DefenseName() string { return "recompute" }
-
-func (recompute) Hooks() DefenseHooks { return HookPipeline }
 
 func (recompute) Validate() error { return nil }
 
@@ -352,8 +402,6 @@ func FlushVPS() Mechanism { return flushVPS{} }
 
 func (flushVPS) DefenseName() string { return "flush" }
 
-func (flushVPS) Hooks() DefenseHooks { return HookContext }
-
 func (flushVPS) Validate() error { return nil }
 
 // OnContextSwitch implements ContextSwitcher.
@@ -370,8 +418,6 @@ type isolate struct{}
 func IsolateContexts() Mechanism { return isolate{} }
 
 func (isolate) DefenseName() string { return "isolate" }
-
-func (isolate) Hooks() DefenseHooks { return HookContext }
 
 func (isolate) Validate() error { return nil }
 

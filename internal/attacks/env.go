@@ -234,13 +234,6 @@ type env struct {
 	procN uint8
 }
 
-// nextProc hands out the env's next recycled Process slot.
-func (e *env) nextProc() *cpu.Process {
-	p := &e.procs[e.procN&3]
-	e.procN++
-	return p
-}
-
 // switchTo models the OS scheduler handing the core to pid: crossing a
 // process boundary runs every context-hook mechanism in the defense
 // stack (flush-on-switch clears the VPS here).
@@ -253,6 +246,55 @@ func (e *env) switchTo(pid uint64) {
 		}
 	}
 	e.lastPID = pid
+}
+
+// load time-slices one program onto the core: it hands the core to pid
+// (switchTo), opens the step's trace span, and installs the compiled
+// program p describes at physBase. Every program a trial runs in turn
+// — the uniform, volatile and eviction kernels, the reload probe and
+// the SMT trigger — comes through here, so no family of trials can
+// skip a context hook. The caller runs the process and ends the span.
+func (e *env) load(pid uint64, p kernelParams, physBase uint64) (*cpu.Process, obs.Span, error) {
+	e.switchTo(pid)
+	var span obs.Span
+	if e.span.Traced() {
+		if p.prog == reloadProbe {
+			span = e.span.Child("probe", obs.Int("line", int((p.target-probeBase)>>probeShift)))
+		} else {
+			span = e.span.Child("kernel", obs.Str("kernel", p.name), obs.Int("iters", p.iters))
+		}
+	}
+	proc, err := e.install(pid, p, physBase)
+	if err != nil {
+		span.End()
+		return nil, obs.Span{}, err
+	}
+	return proc, span, nil
+}
+
+// install puts the compiled program p describes into the env's next
+// recycled Process slot at physBase. It switches no context: load does
+// that for programs that take the core, and the SMT sampler, which
+// runs beside the trigger on the sibling thread, is installed directly.
+func (e *env) install(pid uint64, p kernelParams, physBase uint64) (*cpu.Process, error) {
+	img, err := compiled(p)
+	if err != nil {
+		return nil, err
+	}
+	proc := &e.procs[e.procN&3]
+	e.procN++
+	e.m.InitProcessImage(proc, pid, img, physBase)
+	return proc, nil
+}
+
+// run loads the program p describes for pid and runs it to completion.
+func (e *env) run(pid uint64, p kernelParams, physBase uint64) (cpu.RunResult, error) {
+	proc, span, err := e.load(pid, p, physBase)
+	if err != nil {
+		return cpu.RunResult{}, err
+	}
+	defer span.End()
+	return e.m.Run(proc)
 }
 
 // trialState is one pooled bundle of everything a trial env reuses:

@@ -23,10 +23,9 @@ const evWays = 9
 
 // buildEvictionKernel is buildKernel with the FLUSH of the target
 // replaced by an eviction-set walk. All kernels of this family share
-// their attacked-load PC (returned alongside the program), so
-// train/modify/trigger steps built from it collide in a PC-indexed VPS
-// exactly like the FLUSH-based family.
-func buildEvictionKernel(p kernelParams) (*isa.Program, int, error) {
+// their attacked-load PC, so train/modify/trigger steps built from it
+// collide in a PC-indexed VPS exactly like the FLUSH-based family.
+func buildEvictionKernel(p kernelParams) (*isa.Program, error) {
 	b := isa.NewBuilder(p.name)
 	if p.setValue {
 		b.Word(p.target, p.value)
@@ -50,7 +49,6 @@ func buildEvictionKernel(p kernelParams) (*isa.Program, int, error) {
 	b.Blt(isa.R17, isa.R18, "evict")
 	b.Fence()
 	b.Rdtsc(isa.R20)
-	loadPC := b.PC()
 	b.Load(isa.R2, isa.R1, 0) // the attacked load
 	b.AndI(isa.R5, isa.R2, valueMask)
 	b.ShlI(isa.R5, isa.R5, probeShift)
@@ -69,38 +67,14 @@ func buildEvictionKernel(p kernelParams) (*isa.Program, int, error) {
 	b.AddI(isa.R3, isa.R3, 1)
 	b.Blt(isa.R3, isa.R4, "loop")
 	b.Halt()
-	prog, err := b.Build()
-	if err != nil {
-		return nil, 0, err
-	}
-	return prog, loadPC, nil
-}
-
-// runEvictionKernel builds and runs an eviction-family kernel.
-func (e *env) runEvictionKernel(pid uint64, p kernelParams, physBase uint64) ([]uint64, int, error) {
-	prog, loadPC, err := buildEvictionKernel(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	proc := e.nextProc()
-	if err := e.m.InitProcess(proc, pid, prog, physBase); err != nil {
-		return nil, 0, err
-	}
-	if _, err := e.m.Run(proc); err != nil {
-		return nil, 0, err
-	}
-	times := make([]uint64, p.iters)
-	for i := range times {
-		times[i] = e.m.Hier.Mem.Peek(physBase + p.results + uint64(8*i))
-	}
-	return times, loadPC, nil
+	return b.Build()
 }
 
 // trialTrainTestEviction is the Train+Test timing-window trial with
 // all misses forced by eviction sets instead of CLFLUSH.
 func (e *env) trialTrainTestEviction(mapped bool) (float64, error) {
-	if _, _, err := e.runEvictionKernel(2, kernelParams{
-		name: "ev-train", target: knownAddr, value: knownValue, setValue: true,
+	if _, _, err := e.runKernel(2, kernelParams{
+		prog: evictionKernel, name: "ev-train", target: knownAddr, value: knownValue, setValue: true,
 		iters: e.conf, depBase: probeBase, results: resultsB,
 	}, recvPhys); err != nil {
 		return 0, err
@@ -109,15 +83,15 @@ func (e *env) trialTrainTestEviction(mapped bool) (float64, error) {
 	if mapped {
 		skew = 0
 	}
-	if _, _, err := e.runEvictionKernel(1, kernelParams{
-		name: "ev-modify", target: secretAddr, value: senderValue, setValue: true,
+	if _, _, err := e.runKernel(1, kernelParams{
+		prog: evictionKernel, name: "ev-modify", target: secretAddr, value: senderValue, setValue: true,
 		iters: e.conf, depBase: probeBase, results: resultsA, skew: skew,
 	}, senderPhys); err != nil {
 		return 0, err
 	}
 	e.flushProbeRegion(recvPhys)
-	times, _, err := e.runEvictionKernel(2, kernelParams{
-		name: "ev-trigger", target: knownAddr,
+	times, _, err := e.runKernel(2, kernelParams{
+		prog: evictionKernel, name: "ev-trigger", target: knownAddr,
 		iters: 1, depBase: probeBase, results: resultsB,
 	}, recvPhys)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"vpsec/internal/cpu"
 	"vpsec/internal/isa"
-	"vpsec/internal/obs"
 )
 
 // The attack steps are all instances of one uniform access kernel so
@@ -44,8 +43,22 @@ const attackLoadPC = 10
 // load maps to a different predictor index.
 const pcSkew = 3
 
-// kernelParams parameterizes one kernel program.
+// program selects the builder of a kernelParams: the families of
+// programs a trial runs.
+type program uint8
+
+const (
+	uniformKernel  program = iota // buildKernel: every FLUSH-based attack step
+	volatileKernel                // buildVolatileKernel: the port-contention trigger
+	evictionKernel                // buildEvictionKernel: eviction-set misses, no FLUSH
+	reloadProbe                   // buildProbe: the persistent channel's decode of target
+	smtSampler                    // buildSampler: the co-runner on the sibling SMT thread
+)
+
+// kernelParams parameterizes one program. The probe uses only target
+// (the probed line's address) and the sampler no field at all.
 type kernelParams struct {
+	prog     program
 	name     string
 	target   uint64 // address of the attacked load
 	value    uint64 // initial data word at target (0 leaves it unset)
@@ -113,32 +126,34 @@ func buildKernel(p kernelParams) (*isa.Program, error) {
 	return prog, nil
 }
 
-// kernelKey identifies a memoized kernel build: the full parameter set
-// plus which builder produced it.
-type kernelKey struct {
-	volatile bool
-	p        kernelParams
-}
+// images memoizes *compiled* programs. Builds are deterministic in
+// kernelParams and images are immutable once compiled (the pipeline
+// and InitProcessImage only read them), so trials — including parallel
+// ones on different goroutines — share one build AND one validation:
+// installing a cached image per trial is a plain data-copy loop, with
+// the Validate pass and Data map walk paid once per distinct program
+// instead of once per run.
+var images sync.Map // kernelParams -> *isa.Image
 
-// kernelCache memoizes *compiled* kernel images. Builds are
-// deterministic in kernelParams and images are immutable once compiled
-// (the pipeline and InitProcessImage only read them), so trials —
-// including parallel ones on different goroutines — share one build
-// AND one validation: installing a cached image per trial is a plain
-// data-copy loop, with the per-trial Validate pass and Data map walk
-// paid once per distinct kernel instead of once per kernel run.
-var kernelCache sync.Map // kernelKey -> *isa.Image
-
-func buildKernelCached(volatile bool, p kernelParams) (*isa.Image, error) {
-	key := kernelKey{volatile: volatile, p: p}
-	if v, ok := kernelCache.Load(key); ok {
+// compiled builds (or fetches) the compiled program p describes.
+func compiled(p kernelParams) (*isa.Image, error) {
+	if v, ok := images.Load(p); ok {
 		return v.(*isa.Image), nil
 	}
-	build := buildKernel
-	if volatile {
-		build = buildVolatileKernel
+	var prog *isa.Program
+	var err error
+	switch p.prog {
+	case volatileKernel:
+		prog, err = buildVolatileKernel(p)
+	case evictionKernel:
+		prog, err = buildEvictionKernel(p)
+	case reloadProbe:
+		prog, err = buildProbe(p.target)
+	case smtSampler:
+		prog, err = buildSampler()
+	default:
+		prog, err = buildKernel(p)
 	}
-	prog, err := build(p)
 	if err != nil {
 		return nil, err
 	}
@@ -146,25 +161,15 @@ func buildKernelCached(volatile bool, p kernelParams) (*isa.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, _ := kernelCache.LoadOrStore(key, img)
+	v, _ := images.LoadOrStore(p, img)
 	return v.(*isa.Image), nil
 }
 
-// runKernel builds the kernel, runs it in a process at physBase, and
-// returns the per-iteration timings plus the run result.
+// runKernel runs one kernel step — the uniform kernel, or the eviction
+// family when p.prog says so — in a process at physBase, and returns
+// the per-iteration timings plus the run result.
 func (e *env) runKernel(pid uint64, p kernelParams, physBase uint64) ([]uint64, cpu.RunResult, error) {
-	e.switchTo(pid)
-	if e.span.Traced() {
-		ks := e.span.Child("kernel", obs.Str("kernel", p.name), obs.Int("iters", p.iters))
-		defer ks.End()
-	}
-	img, err := buildKernelCached(false, p)
-	if err != nil {
-		return nil, cpu.RunResult{}, err
-	}
-	proc := e.nextProc()
-	e.m.InitProcessImage(proc, pid, img, physBase)
-	res, err := e.m.Run(proc)
+	res, err := e.run(pid, p, physBase)
 	if err != nil {
 		return nil, cpu.RunResult{}, err
 	}
@@ -203,16 +208,9 @@ func (e *env) flushProbeRegion(physBase uint64) {
 	}
 }
 
-// probeCache memoizes the per-line reload-probe images (immutable
-// once compiled, like the kernel cache).
-var probeCache sync.Map // uint64 probe address -> *isa.Image
-
-// buildProbeCached builds (or fetches) the compiled single-load reload
-// probe for one probe-line address.
-func buildProbeCached(addr uint64) (*isa.Image, error) {
-	if v, ok := probeCache.Load(addr); ok {
-		return v.(*isa.Image), nil
-	}
+// buildProbe emits the single-load reload probe of one probe-line
+// address.
+func buildProbe(addr uint64) (*isa.Program, error) {
 	b := isa.NewBuilder("probe")
 	b.MovI(isa.R1, int64(addr))
 	b.Rdtsc(isa.R20)
@@ -221,35 +219,16 @@ func buildProbeCached(addr uint64) (*isa.Image, error) {
 	b.Rdtsc(isa.R21)
 	b.Sub(isa.R22, isa.R21, isa.R20)
 	b.Halt()
-	built, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	compiled, err := isa.Compile(built)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := probeCache.LoadOrStore(addr, compiled)
-	return v.(*isa.Image), nil
+	return b.Build()
 }
 
 // probeLatency runs a minimal reload probe in a process at physBase:
 // it times a single load of probe line `line` and returns the latency
 // (the decode step of the persistent channel, Fig. 4 lines 18-24).
 func (e *env) probeLatency(pid uint64, physBase uint64, line uint64) (uint64, error) {
-	e.switchTo(pid)
-	if e.span.Traced() {
-		ps := e.span.Child("probe", obs.Int("line", int(line&valueMask)))
-		defer ps.End()
-	}
-	addr := probeBase + (line&valueMask)<<probeShift
-	img, err := buildProbeCached(addr)
-	if err != nil {
-		return 0, err
-	}
-	proc := e.nextProc()
-	e.m.InitProcessImage(proc, pid, img, physBase)
-	res, err := e.m.Run(proc)
+	res, err := e.run(pid, kernelParams{
+		prog: reloadProbe, target: probeBase + (line&valueMask)<<probeShift,
+	}, physBase)
 	if err != nil {
 		return 0, err
 	}
@@ -327,18 +306,8 @@ const volatileWindow = 100
 // runVolatileTrigger runs the volatile trigger kernel and returns the
 // windowed contention observation.
 func (e *env) runVolatileTrigger(pid uint64, p kernelParams, physBase uint64) (float64, cpu.RunResult, error) {
-	e.switchTo(pid)
-	if e.span.Traced() {
-		ks := e.span.Child("kernel", obs.Str("kernel", p.name), obs.Int("iters", p.iters))
-		defer ks.End()
-	}
-	img, err := buildKernelCached(true, p)
-	if err != nil {
-		return 0, cpu.RunResult{}, err
-	}
-	proc := e.nextProc()
-	e.m.InitProcessImage(proc, pid, img, physBase)
-	res, err := e.m.Run(proc)
+	p.prog = volatileKernel
+	res, err := e.run(pid, p, physBase)
 	if err != nil {
 		return 0, cpu.RunResult{}, err
 	}

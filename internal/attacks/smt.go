@@ -46,8 +46,12 @@ func buildSampler() (*isa.Program, error) {
 	return b.Build()
 }
 
-// samplerPhys places the co-runner's memory away from both parties.
-const samplerPhys = 3 << 30
+// The co-runner runs as its own process, with memory away from both
+// parties.
+const (
+	samplerPID  = 5
+	samplerPhys = 3 << 30
+)
 
 // trialTestHitVolatileSMT is trialTestHitVolatile with the co-runner
 // observation: train as usual, then run the receiver's trigger and the
@@ -91,20 +95,16 @@ func (e *env) trialTestHitVolatileSMT(mapped bool) (float64, uint64, error) {
 // observation: the summed sampler window latencies (larger when the
 // trigger's transient parity burst contends for the shared ports).
 func (e *env) runTriggerWithSampler(pid uint64, p kernelParams, physBase uint64) (float64, uint64, error) {
-	trigger, err := buildVolatileKernel(p)
+	p.prog = volatileKernel
+	victim, span, err := e.load(pid, p, physBase)
 	if err != nil {
 		return 0, 0, err
 	}
-	victim := e.nextProc()
-	if err := e.m.InitProcess(victim, pid, trigger, physBase); err != nil {
-		return 0, 0, err
-	}
-	samp, err := buildSampler()
+	defer span.End()
+	// The sampler shares the core on the sibling hardware thread rather
+	// than taking it over, so installing it switches no context.
+	sampler, err := e.install(samplerPID, kernelParams{prog: smtSampler}, samplerPhys)
 	if err != nil {
-		return 0, 0, err
-	}
-	sampler := e.nextProc()
-	if err := e.m.InitProcess(sampler, 5, samp, samplerPhys); err != nil {
 		return 0, 0, err
 	}
 	rv, rs, err := e.m.RunSMT(victim, sampler)

@@ -180,27 +180,14 @@ func (m *Machine) Reset(cfg Config, pred predictor.Predictor, rng *rand.Rand) er
 	return nil
 }
 
-// InitProcess registers a process into caller-provided storage: p is
-// overwritten and the program's initial data words are written to
-// physical memory at physBase + vaddr. Trial harnesses that run many
-// short programs use it to recycle Process structs.
-func (m *Machine) InitProcess(p *Process, pid uint64, prog *isa.Program, physBase uint64) error {
-	if err := prog.Validate(); err != nil {
-		return err
-	}
-	*p = Process{PID: pid, Prog: prog, PhysBase: physBase}
-	for a, v := range prog.Data {
-		m.Hier.Mem.Write(physBase+a, v)
-	}
-	return nil
-}
-
-// InitProcessImage installs a precompiled isa.Image: the program was
+// InitProcessImage installs a precompiled isa.Image into
+// caller-provided storage: p is overwritten and the image's data words
+// are written to physical memory at physBase + vaddr. The program was
 // validated at Compile time and its data section is a dense sorted
-// slice, so per-trial installation is a plain copy loop with no
-// validation pass and no map iteration. The trial driver in
-// internal/attacks leans on this to recycle pooled machines through
-// hundreds of trials of the same compiled kernels.
+// slice, so installation is a plain copy loop with no validation pass
+// and no map iteration. The trial driver in internal/attacks leans on
+// this to recycle pooled machines and Process structs through hundreds
+// of trials of the same compiled kernels.
 func (m *Machine) InitProcessImage(p *Process, pid uint64, img *isa.Image, physBase uint64) {
 	*p = Process{PID: pid, Prog: img.Prog, PhysBase: physBase}
 	for _, w := range img.Data {
@@ -208,13 +195,16 @@ func (m *Machine) InitProcessImage(p *Process, pid uint64, img *isa.Image, physB
 	}
 }
 
-// NewProcess registers a process: its initial data words are written
-// to physical memory at physBase + vaddr.
+// NewProcess registers a process: the program is compiled (validated)
+// and its initial data words are written to physical memory at
+// physBase + vaddr.
 func (m *Machine) NewProcess(pid uint64, prog *isa.Program, physBase uint64) (*Process, error) {
-	p := new(Process)
-	if err := m.InitProcess(p, pid, prog, physBase); err != nil {
+	img, err := isa.Compile(prog)
+	if err != nil {
 		return nil, err
 	}
+	p := new(Process)
+	m.InitProcessImage(p, pid, img, physBase)
 	return p, nil
 }
 

@@ -1,15 +1,15 @@
 // Package defense evaluates the paper's defense mechanisms (Sec. VI)
-// against the attack taxonomy. The mechanism catalog (mechanism.go)
-// mirrors the predictor factory: every composable mechanism — A-type,
+// against the attack taxonomy. The mechanisms themselves — A-type,
 // R-type, D-type delay, flush-on-switch, value recomputation, context
-// isolation — is a registered descriptor, a Strategy is a named stack
-// of them, and stacks round-trip through the canonical "A+R(5)+D"
-// string syntax. This file drives the attack harness across defense
-// configurations to reproduce the Sec. VI-B results: the R-type window
-// sweeps whose minimal secure sizes are 3 for Train+Test and 9 for
-// Test+Hit, and the per-attack defense matrix — now with per-cell cost
-// (mean trial cycles and slowdown vs the undefended baseline) so
-// security can be weighed against performance.
+// isolation — and the canonical "A+R(5)+D" stack syntax are declared
+// in internal/attacks (attacks.Mechanisms, attacks.ParseStack). This
+// package names strategies, stacks of those mechanisms (strategy.go),
+// and drives the attack harness across defense configurations to
+// reproduce the Sec. VI-B results: the R-type window sweeps whose
+// minimal secure sizes are 3 for Train+Test and 9 for Test+Hit, and
+// the per-attack defense matrix — now with per-cell cost (mean trial
+// cycles and slowdown vs the undefended baseline) so security can be
+// weighed against performance.
 package defense
 
 import (

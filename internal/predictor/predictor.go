@@ -29,6 +29,8 @@ const (
 	ByPhysAddr
 )
 
+// String renders the scheme's name: "pc", "data-addr" or "phys-addr"
+// ("?" for an unknown value).
 func (s IndexScheme) String() string {
 	switch s {
 	case ByPC:
