@@ -81,14 +81,9 @@ func BenchmarkFig8TestHit(b *testing.B) {
 // sequence of the modexp victim and the exponent recovery (paper:
 // 95.7% success, 9.65 Kbps).
 func BenchmarkFig7RSAKeyLeak(b *testing.B) {
-	cfg := rsa.VictimConfig{
-		Base:     0x1234567,
-		Mod:      0x3b9aca07,
-		Exponent: 0b101100111010110111001011,
-		ExpBits:  24,
-	}
+	cfg := rsa.PaperVictim(24)
 	for i := 0; i < b.N; i++ {
-		res, err := rsa.Attack(cfg, rsa.AttackOptions{Seed: int64(i) + 1})
+		res, err := rsa.Attack(context.Background(), cfg, rsa.AttackOptions{Seed: int64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -316,26 +311,6 @@ func BenchmarkVolatileChannel(b *testing.B) {
 	}
 }
 
-// BenchmarkRSA2Limb runs the 128-bit MPI victim key recovery — the
-// heaviest end-to-end experiment (two full two-limb modexps per op).
-func BenchmarkRSA2Limb(b *testing.B) {
-	cfg := rsa.VictimConfig2{
-		Base:     [2]uint64{0x123456789abcdef, 0x2},
-		Mod:      [2]uint64{0xffffffffffffff61, 0x3fffffffffffffff},
-		Exponent: 0b1011001110,
-		ExpBits:  10,
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := rsa.Attack2(cfg, rsa.AttackOptions{Seed: int64(i) + 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(res.BitSuccess*100, "%bit_success")
-		}
-	}
-}
-
 // BenchmarkTableIIVariants executes all twelve Table II rows end to
 // end; the metric reports how many leak (want 12).
 func BenchmarkTableIIVariants(b *testing.B) {
@@ -413,10 +388,7 @@ func BenchmarkStride2D(b *testing.B) {
 // attack-surface audit of cmd/vplocality); the metric reports how many
 // static loads the audit flags as predictable.
 func BenchmarkLocalityAudit(b *testing.B) {
-	prog, err := rsa.BuildVictim(rsa.VictimConfig{
-		Base: 0x1234567, Mod: 0x3b9aca07,
-		Exponent: 0b1011_0011_1010_1101_1100_1011, ExpBits: 24,
-	})
+	prog, err := rsa.BuildVictim(rsa.PaperVictim(24))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -60,13 +61,7 @@ func flags(fs *flag.FlagSet, env *scencli.Env) scencli.Plan {
 // rsaFigure renders Fig. 7: the receiver's per-iteration observation of
 // the modular-exponentiation victim, labeled with the true e_bit.
 func rsaFigure(w io.Writer, seed int64, render scenario.RenderOptions) error {
-	cfg := rsa.VictimConfig{
-		Base:     0x1234567,
-		Mod:      0x3b9aca07,
-		Exponent: 0b101100111010110111001011110011010110111001011010101, // 51 bits
-		ExpBits:  51,
-	}
-	res, err := rsa.Attack(cfg, rsa.AttackOptions{Seed: seed})
+	res, err := rsa.Attack(context.Background(), rsa.PaperVictim(51), rsa.AttackOptions{Seed: seed})
 	if err != nil {
 		return err
 	}

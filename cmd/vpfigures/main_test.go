@@ -44,6 +44,27 @@ func TestLegacyMatchesScenario(t *testing.T) {
 	}
 }
 
+// TestFig7Golden: the RSA figure, in ASCII and with -csv, is pinned by
+// the goldens under testdata.
+func TestFig7Golden(t *testing.T) {
+	for golden, args := range map[string][]string{
+		"fig7.golden":     {"-fig", "7", "-seed", "1"},
+		"fig7-csv.golden": {"-fig", "7", "-seed", "1", "-csv"},
+	} {
+		code, stdout, stderr := run(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d\n%s", args, code, stderr)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stdout != string(want) {
+			t.Errorf("%v drifted from testdata/%s:\n%s", args, golden, stdout)
+		}
+	}
+}
+
 // TestScenarioConflict: an experiment flag next to -scenario is an
 // error naming the flag, and nothing runs.
 func TestScenarioConflict(t *testing.T) {

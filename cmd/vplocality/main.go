@@ -131,10 +131,7 @@ func publishAudit(reg *metrics.Registry, r *locality.Report, threshold float64) 
 
 func loadProgram(rsaDemo bool) (*isa.Program, error) {
 	if rsaDemo {
-		return rsa.BuildVictim(rsa.VictimConfig{
-			Base: 0x1234567, Mod: 0x3b9aca07,
-			Exponent: 0b1011_0011_1010_1101_1100_1011, ExpBits: 24,
-		})
+		return rsa.BuildVictim(rsa.PaperVictim(24))
 	}
 	if flag.NArg() != 1 {
 		return nil, fmt.Errorf("usage: vplocality [flags] prog.vasm (or -rsa)")

@@ -22,8 +22,8 @@
 //     and Table III;
 //   - internal/defense: the Sec. VI defense evaluation (window sweeps,
 //     strategy matrix);
-//   - internal/mpi + internal/rsa: the multiprecision modexp victim of
-//     Fig. 6 and the key-recovery attack of Fig. 7;
+//   - internal/rsa: the modexp victim of Fig. 6 and the key-recovery
+//     attack of Fig. 7;
 //   - internal/workload: the value-locality kernels behind the
 //     performance claims.
 //

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	fmt.Println("        unconditional multiply + balanced pointer loads)")
 	fmt.Printf("secret exponent: %#x (%d bits)\n\n", cfg.Exponent, cfg.ExpBits)
 
-	res, err := rsa.Attack(cfg, rsa.AttackOptions{Seed: 2026})
+	res, err := rsa.Attack(context.Background(), cfg, rsa.AttackOptions{Seed: 2026})
 	if err != nil {
 		log.Fatal(err)
 	}

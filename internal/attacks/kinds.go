@@ -13,10 +13,10 @@ func PredictorKinds() []PredictorKind {
 	return []PredictorKind{NoVP, LVP, VTAGE, Stride, Stride2D, FCM, OracleLVP, OracleVTAGE}
 }
 
-// Base resolves the kind to its name in the predictor factory registry
-// plus whether the oracle PC filter wraps the constructed predictor
-// (OracleLVP/OracleVTAGE restrict predictions to the attacked load's
-// PC, as in the paper's experimental setup). This is the single
+// Base resolves the kind to its predictor.New kind name plus whether
+// the oracle PC filter wraps the constructed predictor (OracleLVP/
+// OracleVTAGE restrict predictions to the attacked load's PC, as in
+// the paper's experimental setup). This is the single
 // string→constructor mapping behind every front-end; the former
 // per-tool construction switches are gone.
 func (k PredictorKind) Base() (name string, oracle bool, err error) {

@@ -227,6 +227,6 @@ func mul128(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Mul128 exposes the widening multiply for reuse (internal/mpi and the
-// pipeline's MULHU unit share these semantics).
+// Mul128 exposes the widening multiply for reuse (the pipeline's MULHU
+// unit shares these semantics).
 func Mul128(a, b uint64) (hi, lo uint64) { return mul128(a, b) }

@@ -68,15 +68,6 @@ type FCM struct {
 	stats Stats
 }
 
-func init() {
-	Register("fcm", func(cfg FactoryConfig) (Predictor, error) {
-		return NewFCM(FCMConfig{
-			Confidence: cfg.Confidence, HistoryLen: cfg.HistoryLen,
-			Scheme: cfg.Scheme, UsePID: cfg.UsePID,
-		})
-	})
-}
-
 // NewFCM builds an FCM predictor from cfg.
 func NewFCM(cfg FCMConfig) (*FCM, error) {
 	if err := cfg.Validate(); err != nil {

@@ -67,15 +67,6 @@ type LVP struct {
 	stats Stats
 }
 
-func init() {
-	Register("lvp", func(cfg FactoryConfig) (Predictor, error) {
-		return NewLVP(LVPConfig{
-			Confidence: cfg.Confidence, Scheme: cfg.Scheme, UsePID: cfg.UsePID,
-			FPC: cfg.FPC, FPCSeed: cfg.FPCSeed,
-		})
-	})
-}
-
 // NewLVP builds an LVP from cfg (zero fields take defaults).
 func NewLVP(cfg LVPConfig) (*LVP, error) {
 	if err := cfg.Validate(); err != nil {

@@ -2,17 +2,15 @@ package predictor
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
-// FactoryConfig is the common constructor parameterization every
-// registered predictor factory accepts. It is the intersection of the
-// knobs the experiment surface exposes (cmd tools, internal/attacks,
-// internal/scenario); kind-specific capacities keep their package
-// defaults. Fields a kind does not support are ignored, matching how
-// the pre-registry construction switches behaved (e.g. FPC only
-// exists on lvp and vtage, Scheme is meaningless for vtage).
+// FactoryConfig is the common constructor parameterization New accepts
+// for every kind. It is the intersection of the knobs the experiment
+// surface exposes (cmd tools, internal/attacks, internal/scenario);
+// kind-specific capacities keep their package defaults. Fields a kind
+// does not support are ignored (e.g. FPC only exists on lvp and vtage,
+// Scheme is meaningless for vtage).
 type FactoryConfig struct {
 	Confidence int         // confidence number; 0 means each kind's default (4)
 	Scheme     IndexScheme // table index: ByPC (default), ByDataAddr, ByPhysAddr
@@ -22,63 +20,50 @@ type FactoryConfig struct {
 	HistoryLen int         // context depth for history-based kinds (fcm); 0 keeps the kind default
 }
 
-// Factory constructs one predictor kind from the common config.
-type Factory func(cfg FactoryConfig) (Predictor, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register adds a named predictor factory. Each implementation file
-// self-registers in its init, so the set of constructible kinds lives
-// next to the kinds themselves instead of in per-tool switches.
-// Register panics on a duplicate name: two factories claiming one name
-// is a programming error, not a runtime condition.
-func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || f == nil {
-		panic("predictor: Register with empty name or nil factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic("predictor: duplicate Register of " + name)
-	}
-	registry[name] = f
-}
+// kinds lists the predictor kinds New constructs, in sorted order.
+var kinds = []string{"fcm", "lvp", "none", "stride", "stride-2d", "vtage"}
 
 // New constructs the named predictor kind from the common config. The
 // name must be one of Names; unknown names report an error listing the
 // registered kinds.
 func New(name string, cfg FactoryConfig) (Predictor, error) {
-	registryMu.RLock()
-	f := registry[name]
-	registryMu.RUnlock()
-	if f == nil {
-		return nil, fmt.Errorf("predictor: unknown kind %q (registered: %v)", name, Names())
+	switch name {
+	case "fcm":
+		return NewFCM(FCMConfig{
+			Confidence: cfg.Confidence, HistoryLen: cfg.HistoryLen,
+			Scheme: cfg.Scheme, UsePID: cfg.UsePID,
+		})
+	case "lvp":
+		return NewLVP(LVPConfig{
+			Confidence: cfg.Confidence, Scheme: cfg.Scheme, UsePID: cfg.UsePID,
+			FPC: cfg.FPC, FPCSeed: cfg.FPCSeed,
+		})
+	case "none":
+		return NewNone(), nil
+	case "stride":
+		return NewStride(StrideConfig{
+			Confidence: cfg.Confidence, Scheme: cfg.Scheme, UsePID: cfg.UsePID,
+		})
+	case "stride-2d":
+		return NewStride2D(Stride2DConfig{
+			Confidence: cfg.Confidence, Scheme: cfg.Scheme, UsePID: cfg.UsePID,
+		})
+	case "vtage":
+		// VTAGE is inherently PC-plus-history indexed; cfg.Scheme does
+		// not apply.
+		return NewVTAGE(VTAGEConfig{
+			Confidence: cfg.Confidence, UsePID: cfg.UsePID,
+			FPC: cfg.FPC, FPCSeed: cfg.FPCSeed,
+		})
 	}
-	return f(cfg)
+	return nil, fmt.Errorf("predictor: unknown kind %q (registered: %v)", name, Names())
 }
 
-// Registered reports whether a factory exists for the name.
-func Registered(name string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
+// Registered reports whether New constructs the named kind.
+func Registered(name string) bool { return slices.Contains(kinds, name) }
 
-// Names lists the registered predictor kinds in sorted order.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names lists the predictor kinds New constructs, in sorted order.
+func Names() []string { return slices.Clone(kinds) }
 
 // ParseScheme parses the CLI/spec spelling of an index scheme: "pc"
 // (or empty, the default), "addr", or "phys".
@@ -92,11 +77,4 @@ func ParseScheme(s string) (IndexScheme, error) {
 		return ByPhysAddr, nil
 	}
 	return ByPC, fmt.Errorf("unknown index scheme %q", s)
-}
-
-func init() {
-	// "none" has no implementation file of its own; register it here.
-	Register("none", func(FactoryConfig) (Predictor, error) {
-		return NewNone(), nil
-	})
 }

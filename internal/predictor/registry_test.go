@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestRegistryConstructsEveryKind proves the factory registry is
-// exhaustive: every registered name constructs under the zero config
-// and under a fully-populated one, and the expected kind set is
-// present (a missing init() registration fails here, not in a tool).
+// TestRegistryConstructsEveryKind proves the kind table is exhaustive:
+// every registered name constructs under the zero config and under a
+// fully-populated one, and the expected kind set is present (a kind
+// missing from New's switch fails here, not in a tool).
 func TestRegistryConstructsEveryKind(t *testing.T) {
 	want := []string{"fcm", "lvp", "none", "stride", "stride-2d", "vtage"}
 	if got := Names(); !reflect.DeepEqual(got, want) {

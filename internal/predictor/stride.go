@@ -53,14 +53,6 @@ type Stride struct {
 	stats Stats
 }
 
-func init() {
-	Register("stride", func(cfg FactoryConfig) (Predictor, error) {
-		return NewStride(StrideConfig{
-			Confidence: cfg.Confidence, Scheme: cfg.Scheme, UsePID: cfg.UsePID,
-		})
-	})
-}
-
 // NewStride builds a stride predictor from cfg.
 func NewStride(cfg StrideConfig) (*Stride, error) {
 	if err := cfg.Validate(); err != nil {

@@ -58,14 +58,6 @@ type Stride2D struct {
 	stats Stats
 }
 
-func init() {
-	Register("stride-2d", func(cfg FactoryConfig) (Predictor, error) {
-		return NewStride2D(Stride2DConfig{
-			Confidence: cfg.Confidence, Scheme: cfg.Scheme, UsePID: cfg.UsePID,
-		})
-	})
-}
-
 // NewStride2D builds a 2-delta stride predictor from cfg.
 func NewStride2D(cfg Stride2DConfig) (*Stride2D, error) {
 	if err := cfg.Validate(); err != nil {

@@ -82,17 +82,6 @@ type VTAGE struct {
 	stats  Stats
 }
 
-func init() {
-	// VTAGE is inherently PC-plus-history indexed; FactoryConfig.Scheme
-	// does not apply (matching the pre-registry construction switches).
-	Register("vtage", func(cfg FactoryConfig) (Predictor, error) {
-		return NewVTAGE(VTAGEConfig{
-			Confidence: cfg.Confidence, UsePID: cfg.UsePID,
-			FPC: cfg.FPC, FPCSeed: cfg.FPCSeed,
-		})
-	})
-}
-
 // NewVTAGE builds a VTAGE from cfg (zero fields take defaults).
 func NewVTAGE(cfg VTAGEConfig) (*VTAGE, error) {
 	if err := cfg.Validate(); err != nil {

@@ -358,13 +358,8 @@ func Generate(ctx context.Context, cfg Config, now time.Time) (*Report, error) {
 	}
 
 	// RSA key recovery.
-	rsaCfg := rsa.VictimConfig{
-		Base:     0x1234567,
-		Mod:      0x3b9aca07,
-		Exponent: 0b101100111010110111001011,
-		ExpBits:  24,
-	}
-	res, err := rsa.Attack(rsaCfg, rsa.AttackOptions{Seed: cfg.Seed + 1})
+	rsaCfg := rsa.PaperVictim(24)
+	res, err := rsa.Attack(ctx, rsaCfg, rsa.AttackOptions{Seed: cfg.Seed + 1})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package rsa
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,16 +10,37 @@ import (
 	"vpsec/internal/cpu"
 	"vpsec/internal/isa"
 	"vpsec/internal/mem"
-	"vpsec/internal/mpi"
 	"vpsec/internal/predictor"
 )
 
-func testCfg() VictimConfig {
-	return VictimConfig{
-		Base:     0x1234567,
-		Mod:      0x3b9aca07, // ~1e9, odd
-		Exponent: 0b101100111010110111001011,
-		ExpBits:  24,
+func testCfg() VictimConfig { return PaperVictim(24) }
+
+// TestPaperVictim pins PaperVictim to the literal configurations the
+// report and vplocality (24 bits) and vpfigures (51 bits) spelled out
+// before it existed.
+func TestPaperVictim(t *testing.T) {
+	for _, want := range []VictimConfig{
+		{Base: 0x1234567, Mod: 0x3b9aca07, Exponent: 0b101100111010110111001011, ExpBits: 24},
+		{Base: 0x1234567, Mod: 0x3b9aca07, Exponent: 0b101100111010110111001011110011010110111001011010101, ExpBits: 51},
+	} {
+		if got := PaperVictim(want.ExpBits); got != want {
+			t.Errorf("PaperVictim(%d) = %+v, want %+v", want.ExpBits, got, want)
+		}
+	}
+}
+
+// TestModExpKnown checks the host-side golden model on known answers.
+func TestModExpKnown(t *testing.T) {
+	for _, c := range []struct{ b, e, m, want uint64 }{
+		{2, 10, 1000, 24},
+		{3, 0, 7, 1},
+		{0, 5, 7, 0},
+		{5, 5, 1, 0},
+		{7, 560, 561, 1}, // 561 is a Carmichael number
+	} {
+		if got := modExp(c.b, c.e, c.m); got != c.want {
+			t.Errorf("modExp(%d, %d, %d) = %d, want %d", c.b, c.e, c.m, got, c.want)
+		}
 	}
 }
 
@@ -40,7 +63,7 @@ func TestVictimConfigValidate(t *testing.T) {
 	}
 }
 
-// TestVictimComputesModExp checks the ISA victim against the mpi
+// TestVictimComputesModExp checks the ISA victim against the host-side
 // golden model on the simulator, without any attack.
 func TestVictimComputesModExp(t *testing.T) {
 	cfg := testCfg()
@@ -59,9 +82,9 @@ func TestVictimComputesModExp(t *testing.T) {
 	if _, err := m.Run(proc); err != nil {
 		t.Fatal(err)
 	}
-	want := mpi.ModExp(mpi.FromUint64(cfg.Base), mpi.FromUint64(cfg.Exponent), mpi.FromUint64(cfg.Mod))
-	if got := m.Hier.Mem.Peek(ResultAddr); got != want.Uint64() {
-		t.Errorf("victim modexp = %#x, want %#x", got, want.Uint64())
+	want := modExp(cfg.Base, cfg.Exponent, cfg.Mod)
+	if got := m.Hier.Mem.Peek(ResultAddr); got != want {
+		t.Errorf("victim modexp = %#x, want %#x", got, want)
 	}
 }
 
@@ -69,7 +92,7 @@ func TestVictimComputesModExp(t *testing.T) {
 // squashes) never corrupt the architectural result.
 func TestVictimCorrectUnderPrediction(t *testing.T) {
 	cfg := testCfg()
-	res, err := Attack(cfg, AttackOptions{Seed: 5})
+	res, err := Attack(context.Background(), cfg, AttackOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +113,9 @@ func TestVictimMatchesInterp(t *testing.T) {
 	if _, err := it.Run(prog); err != nil {
 		t.Fatal(err)
 	}
-	want := mpi.ModExp(mpi.FromUint64(cfg.Base), mpi.FromUint64(cfg.Exponent), mpi.FromUint64(cfg.Mod))
-	if it.Mem[ResultAddr] != want.Uint64() {
-		t.Errorf("interp modexp = %#x, want %#x", it.Mem[ResultAddr], want.Uint64())
+	want := modExp(cfg.Base, cfg.Exponent, cfg.Mod)
+	if it.Mem[ResultAddr] != want {
+		t.Errorf("interp modexp = %#x, want %#x", it.Mem[ResultAddr], want)
 	}
 }
 
@@ -100,7 +123,7 @@ func TestVictimMatchesInterp(t *testing.T) {
 // timing sequence recovers the full exponent with the LVP enabled.
 func TestAttackRecoversExponent(t *testing.T) {
 	cfg := testCfg()
-	res, err := Attack(cfg, AttackOptions{Seed: 7})
+	res, err := Attack(context.Background(), cfg, AttackOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +163,8 @@ func TestAttackRecoversExponent(t *testing.T) {
 // the balanced victim leaks nothing.
 func TestAttackFailsWithoutVP(t *testing.T) {
 	cfg := testCfg()
-	res, err := Attack(cfg, AttackOptions{Seed: 7, NoVP: true})
+	res, err := Attack(context.Background(), cfg, AttackOptions{Seed: 7,
+		MakePredictor: func() (predictor.Predictor, error) { return predictor.NewNone(), nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +177,33 @@ func TestAttackFailsWithoutVP(t *testing.T) {
 }
 
 func TestKeyRecoveryRate(t *testing.T) {
-	rate, err := KeyRecoveryRate(testCfg(), AttackOptions{Seed: 11}, 5)
+	rate, err := KeyRecoveryRate(context.Background(), testCfg(), AttackOptions{Seed: 11}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rate < 0.95 {
 		t.Errorf("mean recovery rate %.3f, want >= 0.95", rate)
 	}
-	if _, err := KeyRecoveryRate(testCfg(), AttackOptions{}, 0); err == nil {
+	if _, err := KeyRecoveryRate(context.Background(), testCfg(), AttackOptions{}, 0); err == nil {
 		t.Error("zero trials should fail")
 	}
 }
 
+// TestAttackCancelled: an already-cancelled context stops the attack
+// before the victim runs.
+func TestAttackCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Attack(ctx, testCfg(), AttackOptions{Seed: 7}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Attack under a cancelled context: err %v, want context.Canceled", err)
+	}
+	if _, err := KeyRecoveryRate(ctx, testCfg(), AttackOptions{Seed: 7}, 3); !errors.Is(err, context.Canceled) {
+		t.Errorf("KeyRecoveryRate under a cancelled context: err %v, want context.Canceled", err)
+	}
+}
+
 func TestAttackBuildErrorPropagates(t *testing.T) {
-	if _, err := Attack(VictimConfig{Mod: 4}, AttackOptions{}); err == nil {
+	if _, err := Attack(context.Background(), VictimConfig{Mod: 4}, AttackOptions{}); err == nil {
 		t.Error("invalid victim config should fail")
 	}
 	if _, err := BuildVictim(VictimConfig{Mod: 4}); err == nil {
@@ -192,8 +229,7 @@ func TestPropertyVictimModExp(t *testing.T) {
 		if _, err := it.Run(prog); err != nil {
 			return false
 		}
-		want := mpi.ModExp(mpi.FromUint64(cfg.Base), mpi.FromUint64(exp), mpi.FromUint64(mod))
-		return it.Mem[ResultAddr] == want.Uint64()
+		return it.Mem[ResultAddr] == modExp(cfg.Base, exp, mod)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -208,7 +244,7 @@ func TestPropertyVictimModExp(t *testing.T) {
 // channels of their own); the paper's LVP/VTAGE threat remains.
 func TestFCMNeutralizesTheAlternationLeak(t *testing.T) {
 	cfg := testCfg()
-	res, err := Attack(cfg, AttackOptions{Seed: 5, TrainRuns: 3,
+	res, err := Attack(context.Background(), cfg, AttackOptions{Seed: 5, TrainRuns: 3,
 		MakePredictor: func() (predictor.Predictor, error) {
 			return predictor.NewFCM(predictor.FCMConfig{Confidence: 4, HistoryLen: 2})
 		}})
@@ -222,7 +258,7 @@ func TestFCMNeutralizesTheAlternationLeak(t *testing.T) {
 		t.Errorf("FCM bit success %.2f: alternation leak should be gone", res.BitSuccess)
 	}
 	// The LVP baseline on identical parameters recovers everything.
-	lvp, err := Attack(cfg, AttackOptions{Seed: 5, TrainRuns: 3})
+	lvp, err := Attack(context.Background(), cfg, AttackOptions{Seed: 5, TrainRuns: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,11 @@
 // cache each iteration (clflush from another core; modeled as inline
 // flushes, per the threat model "the miss ... can be forced by a
 // malicious attacker").
+//
+// The package has one victim, on one-limb operands (a modulus below
+// 2^62), and checks its architectural result against a host-side
+// uint64 modexp. PaperVictim is the configuration Fig. 7, the report
+// and the locality audit attack.
 package rsa
 
 import (
@@ -49,6 +54,30 @@ type VictimConfig struct {
 	Mod      uint64 // must be odd, >= 3, and < 2^62 (reduction headroom)
 	Exponent uint64 // the secret
 	ExpBits  int    // bits processed, MSB first; 0 means Exponent's bit length
+}
+
+// paperSecret is the fixed secret exponent of Fig. 7, paperSecretBits
+// bits long.
+const (
+	paperSecret     = 0b101100111010110111001011110011010110111001011010101
+	paperSecretBits = 51
+)
+
+// PaperVictim returns the victim configuration of Fig. 7, the report
+// and the locality audit: base 0x1234567, the odd modulus 0x3b9aca07
+// (~1e9) and, as the secret, the top bits bits of the fixed 51-bit
+// Fig. 7 exponent. bits must be in [1,51]; PaperVictim panics
+// otherwise.
+func PaperVictim(bits int) VictimConfig {
+	if bits < 1 || bits > paperSecretBits {
+		panic(fmt.Sprintf("rsa: PaperVictim(%d): bits must be in [1,%d]", bits, paperSecretBits))
+	}
+	return VictimConfig{
+		Base:     0x1234567,
+		Mod:      0x3b9aca07,
+		Exponent: paperSecret >> (paperSecretBits - bits),
+		ExpBits:  bits,
+	}
 }
 
 // Validate checks the configuration.
@@ -213,9 +242,5 @@ func emitMulMod(b *isa.Builder, tag string) {
 	b.Bne(isa.R11, isa.R0, loop)
 }
 
-// ResultAddr and ResultsBase expose the victim's output locations for
-// harnesses.
-const (
-	ResultAddr  = resAddr
-	ResultsBase = resultsAt
-)
+// ResultAddr is where the victim stores its modexp result.
+const ResultAddr = resAddr
