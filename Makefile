@@ -44,10 +44,12 @@ server-check:
 # Scenario registry gate: every registered spec validates, round-trips
 # through JSON byte-for-byte, matches the committed golden registry
 # (testdata/registry.json; -update moves it deliberately), hashes
-# stably across its own serialization, and executes byte-identically
-# at every -jobs level (see internal/scenario).
+# stably across its own serialization, executes byte-identically at
+# every -jobs level, and its 68 attack-side specs hash to the
+# registry-sweep digest pinned in tools/bench/pinned.json (see
+# internal/scenario).
 scenarios:
-	$(GO) test ./internal/scenario -run 'TestRegistryGolden|TestRoundTrip|TestRegistryCoverage|TestRegisteredScenariosExecute|TestRegistryHashRoundTrip|TestRegistryExecuteJobsInvariance' -count=1
+	$(GO) test ./internal/scenario -run 'TestRegistryGolden|TestRoundTrip|TestRegistryCoverage|TestRegisteredScenariosExecute|TestRegistryHashRoundTrip|TestRegistryExecuteJobsInvariance|TestRegistrySweepDigest' -count=1
 
 # Cache-vulnerability benchmark gate: the three-step taxonomy package
 # (enumeration, lowering, schedule-vs-interpreter equivalence,

@@ -34,7 +34,7 @@ func benchOpt(ch core.Channel, pk attacks.PredictorKind, seed int64) attacks.Opt
 // runCase is a benchmark helper executing one attack cell.
 func runCase(b *testing.B, cat core.Category, opt attacks.Options) attacks.CaseResult {
 	b.Helper()
-	r, err := attacks.Run(cat, opt)
+	r, err := attacks.Run(context.Background(), cat, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func BenchmarkTableIIVariants(b *testing.B) {
 // BenchmarkSMTVolatile measures the co-runner volatile channel.
 func BenchmarkSMTVolatile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := attacks.RunTestHitVolatileSMT(context.Background(), attacks.Options{Runs: benchRuns, Seed: 6})
+		r, err := attacks.RunVolatileSMT(context.Background(), core.TestHit, attacks.Options{Runs: benchRuns, Seed: 6})
 		if err != nil {
 			b.Fatal(err)
 		}

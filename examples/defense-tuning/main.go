@@ -57,7 +57,7 @@ func main() {
 	// The practical combination for Test+Hit: window 5 + A-type.
 	opt := base
 	opt.Defense = attacks.Stack(attacks.AlwaysPredict(true), attacks.RandomWindow(5))
-	r, err := attacks.Run(core.TestHit, opt)
+	r, err := attacks.Run(context.Background(), core.TestHit, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -59,7 +60,7 @@ func main() {
 		for _, m := range mitigations {
 			opt := attacks.Options{Channel: core.TimingWindow, Runs: 60, Seed: 21}
 			m.apply(&opt)
-			r, err := attacks.Run(cat, opt)
+			r, err := attacks.Run(context.Background(), cat, opt)
 			if err != nil {
 				log.Fatal(err)
 			}

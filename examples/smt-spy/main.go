@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"vpsec/internal/attacks"
+	"vpsec/internal/core"
 	"vpsec/internal/stats"
 )
 
@@ -20,7 +21,7 @@ func main() {
 	fmt.Println()
 
 	for _, pk := range []attacks.PredictorKind{attacks.NoVP, attacks.LVP} {
-		r, err := attacks.RunTestHitVolatileSMT(context.Background(), attacks.Options{
+		r, err := attacks.RunVolatileSMT(context.Background(), core.TestHit, attacks.Options{
 			Predictor: pk, Runs: 40, Seed: 11,
 		})
 		if err != nil {

@@ -70,7 +70,7 @@ func TestPhysAddrIndexingNeedsSharedMemory(t *testing.T) {
 
 	train := kernelParams{
 		name: "pa-train", target: knownAddr, value: 7, setValue: true,
-		iters: 4, flush: true, depBase: dummyAddr, results: resultsA,
+		iters: 4, depBase: dummyAddr, results: resultsA,
 	}
 	prog, err := buildKernel(train)
 	if err != nil {
@@ -88,7 +88,7 @@ func TestPhysAddrIndexingNeedsSharedMemory(t *testing.T) {
 	// predictor collision.
 	trigger := kernelParams{
 		name: "pa-trigger", target: knownAddr, value: 7, setValue: true,
-		iters: 1, flush: true, depBase: dummyAddr, results: resultsB,
+		iters: 1, depBase: dummyAddr, results: resultsB,
 	}
 	tprog, err := buildKernel(trigger)
 	if err != nil {
@@ -192,51 +192,33 @@ func TestTrainTestResetModifyVariant(t *testing.T) {
 }
 
 // TestTrainTestSenderTrainedVariant exercises the S^KI, S^SI', R^KI
-// row of Table II: the *sender* trains the known (shared-library)
-// index, its secret access modifies, and the receiver triggers. Both
-// parties know the shared data value, so the receiver's trigger still
-// distinguishes correct prediction from misprediction.
+// row of Table II through the executor, trial by trial: the *sender*
+// trains the known (shared-library) index, its secret access modifies,
+// and the receiver triggers. Both parties know the shared data value,
+// so the receiver's trigger still distinguishes correct prediction
+// from misprediction.
 func TestTrainTestSenderTrainedVariant(t *testing.T) {
+	v, err := FindVariant("S^KI, S^SI', R^KI")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok := row(v)
+	if !ok {
+		t.Fatal("no row entry for", v.Pattern)
+	}
 	opt := testOpt(core.TimingWindow, LVP)
-	opt.setDefaults() // this test drives env/kernels directly, not Run()
+	opt.setDefaults() // this test drives the executor directly, not Run()
 	runTrial := func(mapped bool, seed int64) float64 {
 		o := opt
 		e, err := newEnv(&o, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 1) Train: the SENDER establishes the known-index state (the
-		// known data is shared, so both processes hold knownValue).
-		if _, _, err := e.runKernel(1, kernelParams{
-			name: "stt-train", target: knownAddr, value: knownValue, setValue: true,
-			iters: o.Confidence, flush: true, depBase: probeBase, flushDep: true,
-			results: resultsA,
-		}, senderPhys); err != nil {
-			t.Fatal(err)
-		}
-		// 2) Modify: the sender's secret-dependent access.
-		skew := pcSkew
-		if mapped {
-			skew = 0
-		}
-		if _, _, err := e.runKernel(1, kernelParams{
-			name: "stt-modify", target: secretAddr, value: senderValue, setValue: true,
-			iters: o.Confidence, flush: true, depBase: probeBase, flushDep: true,
-			results: resultsA, skew: skew,
-		}, senderPhys); err != nil {
-			t.Fatal(err)
-		}
-		// 3) Trigger: the receiver probes the shared index.
-		e.flushProbeRegion(recvPhys)
-		times, _, err := e.runKernel(2, kernelParams{
-			name: "stt-trigger", target: knownAddr, value: knownValue, setValue: true,
-			iters: 1, flush: true, depBase: probeBase, flushDep: false,
-			results: resultsB,
-		}, recvPhys)
+		obs, _, err := e.exec(&r, mapped)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(times[0])
+		return obs
 	}
 	var mappedObs, unmappedObs []float64
 	for i := int64(0); i < 25; i++ {

@@ -19,7 +19,7 @@ func testOpt(ch core.Channel, pk PredictorKind) Options {
 
 func runCase(t *testing.T, cat core.Category, opt Options) CaseResult {
 	t.Helper()
-	r, err := Run(cat, opt)
+	r, err := Run(context.Background(), cat, opt)
 	if err != nil {
 		t.Fatalf("%v/%v/%v: %v", cat, opt.Channel, opt.Predictor, err)
 	}
@@ -144,17 +144,17 @@ func TestDTypeDefendsPersistentOnly(t *testing.T) {
 }
 
 func TestUnsupportedChannelErrors(t *testing.T) {
-	if _, err := Run(core.SpillOver, testOpt(core.Persistent, LVP)); err == nil {
+	if _, err := Run(context.Background(), core.SpillOver, testOpt(core.Persistent, LVP)); err == nil {
 		t.Error("Spill Over has no persistent variant; want error")
 	}
-	if _, err := Run(core.TrainHit, testOpt(core.Volatile, LVP)); err == nil {
+	if _, err := Run(context.Background(), core.TrainHit, testOpt(core.Volatile, LVP)); err == nil {
 		t.Error("volatile variant not implemented; want error")
 	}
-	if _, err := Run(core.Category("bogus"), testOpt(core.TimingWindow, LVP)); err == nil {
+	if _, err := Run(context.Background(), core.Category("bogus"), testOpt(core.TimingWindow, LVP)); err == nil {
 		t.Error("unknown category; want error")
 	}
 	opt := testOpt(core.TimingWindow, PredictorKind("quantum"))
-	if _, err := Run(core.TrainTest, opt); err == nil {
+	if _, err := Run(context.Background(), core.TrainTest, opt); err == nil {
 		t.Error("unknown predictor; want error")
 	}
 }
@@ -224,7 +224,7 @@ func TestKernelAlignment(t *testing.T) {
 	}
 	other, err := buildKernel(kernelParams{
 		name: "b", target: secretAddr, value: 7, setValue: true, iters: 9,
-		flush: true, depBase: probeBase, flushDep: true, results: resultsA,
+		depBase: probeBase, flushDep: true, results: resultsA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,10 +327,10 @@ func TestMannWhitneyCrossCheck(t *testing.T) {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	if _, err := Run(core.TrainTest, Options{Runs: -1}); err == nil {
+	if _, err := Run(context.Background(), core.TrainTest, Options{Runs: -1}); err == nil {
 		t.Error("negative runs should fail")
 	}
-	if _, err := Run(core.TrainTest, Options{Defense: Stack(RandomWindow(-2))}); err == nil {
+	if _, err := Run(context.Background(), core.TrainTest, Options{Defense: Stack(RandomWindow(-2))}); err == nil {
 		t.Error("negative window should fail")
 	}
 }

@@ -51,7 +51,7 @@ func TestCrossCoreScoping(t *testing.T) {
 	mA, mB, _, lvpB := newCorePair(101)
 	trainProg, err := buildKernel(kernelParams{
 		name: "cc-train", target: knownAddr, value: knownValue, setValue: true,
-		iters: 4, flush: true, depBase: dummyAddr, results: resultsA,
+		iters: 4, depBase: dummyAddr, results: resultsA,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCrossCoreScoping(t *testing.T) {
 	}
 	trigProg, err := buildKernel(kernelParams{
 		name: "cc-trigger", target: knownAddr, value: knownValue, setValue: true,
-		iters: 1, flush: true, depBase: dummyAddr, results: resultsB,
+		iters: 1, depBase: dummyAddr, results: resultsB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestCrossCoreScoping(t *testing.T) {
 		m, _, _, _ := newCorePair(seed)
 		tr, err := buildKernel(kernelParams{
 			name: "cc-trh-train", target: secretAddr, value: knownValue, setValue: true,
-			iters: 4, flush: true, depBase: probeBase, flushDep: true, results: resultsA,
+			iters: 4, depBase: probeBase, flushDep: true, results: resultsA,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestCrossCoreScoping(t *testing.T) {
 		}
 		tg, err := buildKernel(kernelParams{
 			name: "cc-trh-trigger", target: secretAddr,
-			iters: 1, flush: true, depBase: probeBase, results: resultsA,
+			iters: 1, depBase: probeBase, results: resultsA,
 		})
 		if err != nil {
 			t.Fatal(err)

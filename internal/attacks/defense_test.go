@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"slices"
 	"testing"
+
+	"vpsec/internal/core"
 )
 
 // TestFlushOnEveryStep: flush-on-switch fires on every time-sliced
@@ -26,11 +28,11 @@ func TestFlushOnEveryStep(t *testing.T) {
 		}
 	}
 
-	undefended, err := RunTestHitVolatileSMT(context.Background(), Options{Runs: 30, Seed: 77})
+	undefended, err := RunVolatileSMT(context.Background(), core.TestHit, Options{Runs: 30, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flushed, err := RunTestHitVolatileSMT(context.Background(), Options{Defense: flush, Runs: 30, Seed: 77})
+	flushed, err := RunVolatileSMT(context.Background(), core.TestHit, Options{Defense: flush, Runs: 30, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}

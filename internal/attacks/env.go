@@ -4,10 +4,14 @@
 // timing distributions (Figs. 5 and 8), p-value attack decisions, and
 // transmission rates (Table III).
 //
-// Every evaluation entry point (Run, RunVariant, RunTrainTestEviction,
-// RunVolatileSMT) executes Options.Runs independent mapped/unmapped
-// trial pairs, each on a fresh machine seeded from the trial index,
-// and fans them over internal/runner's worker pool (Options.Jobs;
+// Every trial is data: an entry of one step table (table.go), either a
+// headline cell — a category read through one observer — or a Table II
+// row, each a list of train, modify and trigger steps that one
+// executor runs. Every evaluation entry point (Run, RunVariant,
+// RunTrainTestEviction, RunVolatileSMT) looks up its entry and hands it
+// to one evaluator, which executes Options.Runs independent
+// mapped/unmapped trial pairs, each on a fresh machine seeded from the
+// trial index, fanned over internal/runner's worker pool (Options.Jobs;
 // default all cores). Results are byte-identical at any worker count —
 // the determinism contract in DESIGN.md §8. End-to-end recipes for
 // each paper figure live in docs/EXPERIMENTS-GUIDE.md.
@@ -84,14 +88,15 @@ type Options struct {
 	// (pair with TrainIters; see the FPC ablation test).
 	FPC int
 
-	// TrainIters overrides the number of accesses in each trial's
-	// *training* step (0 means the confidence number, the paper's
-	// minimum). Modify/retrain steps and Spill Over's deliberate
-	// confidence-1 count are unaffected.
+	// TrainIters overrides the number of accesses in every trial's
+	// *training* step, in every family of trials (0 means the confidence
+	// number, the paper's minimum). Modify/retrain steps and Spill
+	// Over's deliberate confidence-1 count are unaffected.
 	TrainIters int
 
 	// ResetModify switches Train+Test and Modify+Test to the paper's
-	// 1-access modify variant (Sec. IV-A): instead of retraining the
+	// 1-access modify variant (Sec. IV-A), on every channel and in their
+	// SMT, eviction-set and Table II row forms: instead of retraining the
 	// entry with a confidence count of accesses (misprediction in the
 	// trigger), a single conflicting access resets the confidence and
 	// the trigger sees *no prediction* — the new timing-window contrast.
@@ -178,17 +183,16 @@ func (o *Options) setDefaults() {
 // run at different physical offsets, so cache state is disjoint unless
 // a shared mapping is modeled explicitly.
 const (
-	knownAddr   = 0x1000  // receiver-known data (arr3 / known_bit)
-	secretAddr  = 0x2000  // sender secret-related data (arr1 / secret)
-	dummyAddr   = 0x7000  // flush sink when a step must not evict anything
-	probeBase   = 0x40000 // dependent / probe array (Fig. 4's arr2), 64 lines
-	resultsA    = 0x20000 // sender per-iteration timings
-	resultsB    = 0x28000 // receiver per-iteration timings
-	senderPhys  = 0
-	recvPhys    = 1 << 30
-	valueMask   = 0x3f // probe index bits taken from a loaded value
-	probeShift  = 6    // 64-byte line per value step
-	dummyTarget = dummyAddr + 0x800
+	knownAddr  = 0x1000  // receiver-known data (arr3 / known_bit)
+	secretAddr = 0x2000  // sender secret-related data (arr1 / secret)
+	dummyAddr  = 0x7000  // flush sink when a step must not evict anything
+	probeBase  = 0x40000 // dependent / probe array (Fig. 4's arr2), 64 lines
+	resultsA   = 0x20000 // sender per-iteration timings
+	resultsB   = 0x28000 // receiver per-iteration timings
+	senderPhys = 0
+	recvPhys   = 1 << 30
+	valueMask  = 0x3f // probe index bits taken from a loaded value
+	probeShift = 6    // 64-byte line per value step
 )
 
 // Values used by the PoCs; all < 64 so they map to distinct probe

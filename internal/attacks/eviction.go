@@ -1,11 +1,6 @@
 package attacks
 
-import (
-	"context"
-
-	"vpsec/internal/isa"
-	"vpsec/internal/stats"
-)
+import "vpsec/internal/isa"
 
 // The threat model (Sec. II) says the trigger miss "is assumed to
 // occur naturally ... or can be forced by a malicious attacker that
@@ -68,73 +63,4 @@ func buildEvictionKernel(p kernelParams) (*isa.Program, error) {
 	b.Blt(isa.R3, isa.R4, "loop")
 	b.Halt()
 	return b.Build()
-}
-
-// trialTrainTestEviction is the Train+Test timing-window trial with
-// all misses forced by eviction sets instead of CLFLUSH.
-func (e *env) trialTrainTestEviction(mapped bool) (float64, error) {
-	if _, _, err := e.runKernel(2, kernelParams{
-		prog: evictionKernel, name: "ev-train", target: knownAddr, value: knownValue, setValue: true,
-		iters: e.conf, depBase: probeBase, results: resultsB,
-	}, recvPhys); err != nil {
-		return 0, err
-	}
-	skew := pcSkew
-	if mapped {
-		skew = 0
-	}
-	if _, _, err := e.runKernel(1, kernelParams{
-		prog: evictionKernel, name: "ev-modify", target: secretAddr, value: senderValue, setValue: true,
-		iters: e.conf, depBase: probeBase, results: resultsA, skew: skew,
-	}, senderPhys); err != nil {
-		return 0, err
-	}
-	e.flushProbeRegion(recvPhys)
-	times, _, err := e.runKernel(2, kernelParams{
-		prog: evictionKernel, name: "ev-trigger", target: knownAddr,
-		iters: 1, depBase: probeBase, results: resultsB,
-	}, recvPhys)
-	if err != nil {
-		return 0, err
-	}
-	return float64(times[0]), nil
-}
-
-// RunTrainTestEviction evaluates the eviction-based Train+Test over
-// opt.Runs trials per case. Trials run opt.Jobs at a time (see
-// Options.Jobs); the result is byte-identical at any worker count.
-// ctx aborts in-flight trials and surfaces ctx.Err().
-func RunTrainTestEviction(ctx context.Context, opt Options) (CaseResult, error) {
-	opt.setDefaults()
-	res := CaseResult{Category: "Train + Test (eviction)", Channel: opt.Channel, Opt: opt}
-	_, err := runCaseTrials(ctx, &opt, &res, true,
-		func(e *env, mapped bool) (float64, uint64, error) {
-			obs, err := e.trialTrainTestEviction(mapped)
-			return obs, 0, err
-		})
-	if err != nil {
-		return res, err
-	}
-	if err := res.finalizeStats(); err != nil {
-		return res, err
-	}
-	res.publishCase(opt.Metrics)
-	return res, nil
-}
-
-// finalizeStats fills the test statistics from the observation sets.
-func (r *CaseResult) finalizeStats() error {
-	t, err := stats.WelchTTest(r.Mapped, r.Unmapped)
-	if err != nil {
-		return err
-	}
-	r.T = t
-	r.P = t.P
-	mw, err := stats.MannWhitneyU(r.Mapped, r.Unmapped)
-	if err != nil {
-		return err
-	}
-	r.MWp = mw.P
-	r.SuccessRate = successRate(r.Mapped, r.Unmapped)
-	return nil
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"vpsec/internal/cpu"
+	"vpsec/internal/core"
 	"vpsec/internal/isa"
 )
 
@@ -12,13 +12,14 @@ import (
 // that the attacked load sits at the same virtual PC in every party's
 // program — the cross-process index collision the PoCs construct with
 // NOP padding (Fig. 3, receiver lines 2-4). Structural choices
-// (whether to flush the target, where the dependent load points) are
-// expressed as address parameters rather than omitted instructions,
-// keeping every kernel's shape, and therefore its PCs, identical.
+// (where the dependent load points, whether its line is re-evicted)
+// are expressed as address parameters rather than omitted
+// instructions, keeping every kernel's shape, and therefore its PCs,
+// identical.
 //
 // Kernel shape, per iteration i in [0, iters):
 //
-//	flush  flushAddr            ; evict the target (or a dummy line)
+//	flush  target               ; evict the target
 //	fence
 //	t1 := rdtsc
 //	v  := load target           ; the attacked load, PC = attackLoadPC
@@ -64,7 +65,6 @@ type kernelParams struct {
 	value    uint64 // initial data word at target (0 leaves it unset)
 	setValue bool
 	iters    int
-	flush    bool   // evict target each iteration (else flush a dummy)
 	depBase  uint64 // dependent-load region (probeBase for encodes, dummy otherwise)
 	flushDep bool   // re-evict the touched dependent line each iteration
 	results  uint64 // per-iteration timing array base
@@ -78,16 +78,12 @@ func buildKernel(p kernelParams) (*isa.Program, error) {
 		b.Word(p.target, p.value)
 	}
 	b.PadTo(p.skew)
-	flushAddr := int64(dummyTarget)
-	if p.flush {
-		flushAddr = int64(p.target)
-	}
 	depFlushBase := p.depBase
 	if !p.flushDep {
 		depFlushBase = dummyAddr
 	}
 	b.MovI(isa.R1, int64(p.target))
-	b.MovI(isa.R8, flushAddr)
+	b.MovI(isa.R8, int64(p.target)) // the flush address
 	b.MovI(isa.R9, int64(p.depBase))
 	b.MovI(isa.R10, int64(p.results))
 	b.MovI(isa.R13, int64(depFlushBase))
@@ -167,11 +163,11 @@ func compiled(p kernelParams) (*isa.Image, error) {
 
 // runKernel runs one kernel step — the uniform kernel, or the eviction
 // family when p.prog says so — in a process at physBase, and returns
-// the per-iteration timings plus the run result.
-func (e *env) runKernel(pid uint64, p kernelParams, physBase uint64) ([]uint64, cpu.RunResult, error) {
+// the per-iteration timings plus the run's cycles.
+func (e *env) runKernel(pid uint64, p kernelParams, physBase uint64) ([]uint64, uint64, error) {
 	res, err := e.run(pid, p, physBase)
 	if err != nil {
-		return nil, cpu.RunResult{}, err
+		return nil, 0, err
 	}
 	// The returned slice aliases the env's reusable buffer: it stays
 	// valid until the env's next runKernel call, and every caller reads
@@ -183,7 +179,7 @@ func (e *env) runKernel(pid uint64, p kernelParams, physBase uint64) ([]uint64, 
 	for i := range times {
 		times[i] = e.m.Hier.Mem.Peek(physBase + p.results + uint64(8*i))
 	}
-	return times, res, nil
+	return times, res.Cycles, nil
 }
 
 // writeWord writes a data word into a process's physical memory; the
@@ -222,11 +218,11 @@ func buildProbe(addr uint64) (*isa.Program, error) {
 	return b.Build()
 }
 
-// probeLatency runs a minimal reload probe in a process at physBase:
+// probeLatency runs the receiver's minimal reload probe at physBase:
 // it times a single load of probe line `line` and returns the latency
 // (the decode step of the persistent channel, Fig. 4 lines 18-24).
-func (e *env) probeLatency(pid uint64, physBase uint64, line uint64) (uint64, error) {
-	res, err := e.run(pid, kernelParams{
+func (e *env) probeLatency(physBase uint64, line uint64) (uint64, error) {
+	res, err := e.run(partyPID(core.Receiver), kernelParams{
 		prog: reloadProbe, target: probeBase + (line&valueMask)<<probeShift,
 	}, physBase)
 	if err != nil {
@@ -252,13 +248,9 @@ func buildVolatileKernel(p kernelParams) (*isa.Program, error) {
 		b.Word(p.target, p.value)
 	}
 	b.PadTo(p.skew)
-	flushAddr := int64(dummyTarget)
-	if p.flush {
-		flushAddr = int64(p.target)
-	}
 	b.MovI(isa.R1, int64(p.target))
-	b.MovI(isa.R8, flushAddr)
-	b.MovI(isa.R9, int64(p.depBase)) // unused; preserves the shape
+	b.MovI(isa.R8, int64(p.target))
+	b.MovI(isa.R9, 0) // unused; preserves the shape
 	b.MovI(isa.R10, int64(p.results))
 	b.MovI(isa.R13, dummyAddr)
 	b.MovI(isa.R3, 0)
@@ -303,13 +295,12 @@ func buildVolatileKernel(p kernelParams) (*isa.Program, error) {
 // burst after the real value returns (~cycle 170+).
 const volatileWindow = 100
 
-// runVolatileTrigger runs the volatile trigger kernel and returns the
-// windowed contention observation.
-func (e *env) runVolatileTrigger(pid uint64, p kernelParams, physBase uint64) (float64, cpu.RunResult, error) {
-	p.prog = volatileKernel
+// portContention runs the volatile trigger kernel and returns the
+// windowed contention observation plus the run's cycles.
+func (e *env) portContention(pid uint64, p kernelParams, physBase uint64) (float64, uint64, error) {
 	res, err := e.run(pid, p, physBase)
 	if err != nil {
-		return 0, cpu.RunResult{}, err
+		return 0, 0, err
 	}
 	var sum float64
 	for c, n := range res.ConflictSeries {
@@ -318,5 +309,5 @@ func (e *env) runVolatileTrigger(pid uint64, p kernelParams, physBase uint64) (f
 		}
 		sum += float64(n)
 	}
-	return sum, res, nil
+	return sum, res.Cycles, nil
 }

@@ -53,47 +53,95 @@ func (r CaseResult) Effective() bool { return r.P < stats.SignificanceLevel }
 // executing opt.Runs independent trials of the mapped and unmapped
 // cases on fresh machines. Trials run opt.Jobs at a time (see
 // Options.Jobs); the result is byte-identical at any worker count.
-func Run(cat core.Category, opt Options) (CaseResult, error) {
-	return RunContext(context.Background(), cat, opt)
+// ctx aborts in-flight trials and surfaces ctx.Err().
+func Run(ctx context.Context, cat core.Category, opt Options) (CaseResult, error) {
+	t := headline(cat, opt.Channel)
+	if t == nil {
+		return CaseResult{}, fmt.Errorf("attacks: %v has no %v variant", cat, opt.Channel)
+	}
+	return evaluate(ctx, t, opt)
 }
 
-// RunContext is Run with cancellation: ctx aborts in-flight trials and
-// surfaces ctx.Err().
-func RunContext(ctx context.Context, cat core.Category, opt Options) (CaseResult, error) {
+// RunVariant evaluates Table II row v (see row) over the
+// timing-window channel, like Run.
+func RunVariant(ctx context.Context, v core.Variant, opt Options) (CaseResult, error) {
+	t, ok := row(v)
+	if !ok {
+		return CaseResult{}, fmt.Errorf("attacks: no trial for category %v", v.Category)
+	}
+	return evaluate(ctx, &t, opt)
+}
+
+// FindVariant returns the Table II variant whose pattern renders as
+// patternString (e.g. "R^KI, S^SI', R^KI").
+func FindVariant(patternString string) (core.Variant, error) {
+	for _, v := range core.Reduce() {
+		if v.Pattern.String() == patternString {
+			return v, nil
+		}
+	}
+	return core.Variant{}, fmt.Errorf("attacks: no Table II pattern %q", patternString)
+}
+
+// RunVolatileSMT evaluates cat's volatile channel with the honest
+// receiver — a co-runner timing its own windows on the sibling SMT
+// thread — like Run. Test+Hit, Train+Test and Fill Up have this form.
+func RunVolatileSMT(ctx context.Context, cat core.Category, opt Options) (CaseResult, error) {
+	t := find(cat, sampler, false)
+	if t == nil {
+		return CaseResult{}, fmt.Errorf("attacks: %v has no SMT volatile variant", cat)
+	}
+	return evaluate(ctx, t, opt)
+}
+
+// RunTrainTestEviction evaluates Train+Test on the timing-window
+// channel with every miss forced by an eviction set instead of FLUSH,
+// like Run. The result carries the category "Train + Test (eviction)"
+// and reports no cycles.
+func RunTrainTestEviction(ctx context.Context, opt Options) (CaseResult, error) {
+	return evaluate(ctx, find(core.TrainTest, latency, true), opt)
+}
+
+// evaluate is every entry point's evaluator: it runs opt.Runs trial
+// pairs of entry t and finishes the case with the Welch test, the
+// success rate, and whatever else t does not omit.
+func evaluate(ctx context.Context, t *entry, opt Options) (CaseResult, error) {
 	if err := opt.Validate(); err != nil {
 		return CaseResult{}, err
 	}
 	opt.setDefaults()
-	if !supportsChannel(cat, opt.Channel) {
-		return CaseResult{}, fmt.Errorf("attacks: %v has no %v variant", cat, opt.Channel)
+	opt.Channel = t.obs.channel()
+	res := CaseResult{Category: t.cat, Channel: opt.Channel, Opt: opt}
+	if t.evict {
+		res.Category += " (eviction)"
 	}
-	res := CaseResult{Category: cat, Channel: opt.Channel, Opt: opt}
-	totalCycles, err := runCaseTrials(ctx, &opt, &res, true,
-		func(e *env, mapped bool) (float64, uint64, error) {
-			return e.trial(cat, mapped, opt.Channel)
-		})
+	totalCycles, err := runCaseTrials(ctx, &opt, &res, t)
 	if err != nil {
 		return res, err
 	}
-	t, err := stats.WelchTTest(res.Mapped, res.Unmapped)
-	if err != nil {
+	if res.T, err = stats.WelchTTest(res.Mapped, res.Unmapped); err != nil {
 		return res, err
 	}
-	res.T = t
-	res.P = t.P
-	mw, err := stats.MannWhitneyU(res.Mapped, res.Unmapped)
-	if err != nil {
-		return res, err
+	res.P = res.T.P
+	if t.omit&mwTest == 0 {
+		mw, err := stats.MannWhitneyU(res.Mapped, res.Unmapped)
+		if err != nil {
+			return res, err
+		}
+		res.MWp = mw.P
 	}
-	res.MWp = mw.P
-	res.MeanCyc = totalCycles / float64(2*opt.Runs)
-	den := res.MeanCyc
-	if !opt.NoSyncCost {
-		den += opt.SyncEpoch
+	if t.omit&rate == 0 {
+		res.MeanCyc = totalCycles / float64(2*opt.Runs)
+		den := res.MeanCyc
+		if !opt.NoSyncCost {
+			den += opt.SyncEpoch
+		}
+		res.RateBps = opt.ClockHz / den
 	}
-	res.RateBps = opt.ClockHz / den
 	res.SuccessRate = successRate(res.Mapped, res.Unmapped)
-	res.publishCase(opt.Metrics)
+	if t.omit&caseGauges == 0 {
+		res.publishCase(opt.Metrics)
+	}
 	return res, nil
 }
 
@@ -167,7 +215,7 @@ type TableIIIRow struct {
 // TableIII reproduces Table III for the given predictor kind: for each
 // of the six attack categories, p-values with no VP and with the
 // predictor enabled, plus transmission rates. ctx cancels the whole
-// table (see RunContext).
+// table (see Run).
 func TableIII(ctx context.Context, kind PredictorKind, base Options) ([]TableIIIRow, error) {
 	var rows []TableIIIRow
 	for _, cat := range core.Categories() {
@@ -180,7 +228,7 @@ func TableIII(ctx context.Context, kind PredictorKind, base Options) ([]TableIII
 				opt := base
 				opt.Predictor = pk
 				opt.Channel = ch
-				r, err := RunContext(ctx, cat, opt)
+				r, err := Run(ctx, cat, opt)
 				if err != nil {
 					return nil, err
 				}
@@ -213,7 +261,7 @@ type ConfPoint struct {
 // (the paper's footnote 3 parameter). The attacks adapt — the train
 // step always makes a confidence number of accesses — so effectiveness
 // is expected at every threshold, while the transmission rate falls as
-// training gets longer. ctx cancels the whole sweep (see RunContext).
+// training gets longer. ctx cancels the whole sweep (see Run).
 func ConfidenceSweep(ctx context.Context, cat core.Category, confs []int, base Options) ([]ConfPoint, error) {
 	var out []ConfPoint
 	for _, c := range confs {
@@ -222,7 +270,7 @@ func ConfidenceSweep(ctx context.Context, cat core.Category, confs []int, base O
 		}
 		opt := base
 		opt.Confidence = c
-		r, err := RunContext(ctx, cat, opt)
+		r, err := Run(ctx, cat, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -242,13 +290,13 @@ type NoisePoint struct {
 // the robustness curve real systems decide an attack's practicality
 // by. The timing-window separations here are ~170 cycles, so the
 // attacks survive jitter well past the DRAM latency itself. ctx
-// cancels the whole sweep (see RunContext).
+// cancels the whole sweep (see Run).
 func NoiseSweep(ctx context.Context, cat core.Category, jitters []uint64, base Options) ([]NoisePoint, error) {
 	var out []NoisePoint
 	for _, j := range jitters {
 		opt := base
 		opt.Noise = cpuNoise(j)
-		r, err := RunContext(ctx, cat, opt)
+		r, err := Run(ctx, cat, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -8,11 +8,6 @@ import (
 	"vpsec/internal/runner"
 )
 
-// trialFunc executes one trial on a fresh env and returns the
-// receiver's observation plus the trial's simulated-cycle total (0
-// when the caller does not track cycles).
-type trialFunc func(e *env, mapped bool) (obs float64, cyc uint64, err error)
-
 // trialOut is one trial's contribution to a CaseResult.
 type trialOut struct {
 	obs float64
@@ -25,12 +20,13 @@ type trialOut struct {
 // item 2*i is trial i's mapped case and 2*i+1 its unmapped case; each
 // item re-derives the legacy loop's seed from its index alone
 // (opt.Seed + 4*i + 1, +2 when mapped), so a fresh env built from it
-// is independent of worker count and scheduling. record selects
-// whether each trial publishes recordTrial metrics and each pair
-// extends the t trajectory (RunVariant does neither, matching its
-// legacy loop). The returned total is the sum of per-trial cycle
-// counts in trial order.
-func runCaseTrials(ctx context.Context, opt *Options, res *CaseResult, record bool, fn trialFunc) (totalCycles float64, err error) {
+// is independent of worker count and scheduling. Each item executes
+// one trial of entry t. Unless t omits trialMetrics, each trial
+// publishes recordTrial metrics and each pair extends the t
+// trajectory; unless it omits rate, the trials' cycles count. The
+// returned total is the sum of per-trial cycle counts in trial order.
+func runCaseTrials(ctx context.Context, opt *Options, res *CaseResult, t *entry) (totalCycles float64, err error) {
+	record := t.omit&trialMetrics == 0
 	outs, err := runner.Map(ctx, runner.Config{Jobs: opt.Jobs, Metrics: opt.Metrics, Trace: opt.Trace}, 2*opt.Runs,
 		func(ctx context.Context, k int, reg *metrics.Registry) (trialOut, error) {
 			i := k / 2
@@ -40,8 +36,8 @@ func runCaseTrials(ctx context.Context, opt *Options, res *CaseResult, record bo
 				seed += 2
 			}
 			// Each item's env writes the registry the runner handed us:
-			// the shared one on the sequential path, a private scratch
-			// registry merged at the barrier otherwise.
+			// the shared one on the sequential path, its worker's private
+			// registry, merged at the barrier, otherwise.
 			o := *opt
 			o.Metrics = reg
 			// The runner put this item's trial span in the context; the
@@ -57,9 +53,12 @@ func runCaseTrials(ctx context.Context, opt *Options, res *CaseResult, record bo
 				return trialOut{}, err
 			}
 			e.span = span
-			ob, cyc, err := fn(e, mapped)
+			ob, cyc, err := e.exec(t, mapped)
 			if err != nil {
 				return trialOut{}, err
+			}
+			if t.omit&rate != 0 {
+				cyc = 0
 			}
 			if record {
 				e.recordTrial(mapped, ob, cyc)

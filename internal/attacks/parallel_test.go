@@ -36,7 +36,7 @@ func TestRunJobsDeterminism(t *testing.T) {
 		reg := metrics.NewRegistry()
 		opt := Options{Predictor: LVP, Channel: core.TimingWindow,
 			Runs: 10, Seed: 42, Jobs: jobs, Metrics: reg}
-		r, err := Run(core.TrainTest, opt)
+		r, err := Run(context.Background(), core.TrainTest, opt)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}

@@ -15,7 +15,7 @@ import (
 // transient parity burst stretches its windows when (and only when)
 // the predictor supplies an odd secret.
 func TestSMTVolatileChannel(t *testing.T) {
-	vp, err := RunTestHitVolatileSMT(context.Background(), Options{Predictor: LVP, Runs: 30, Seed: 77})
+	vp, err := RunVolatileSMT(context.Background(), core.TestHit, Options{Predictor: LVP, Runs: 30, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSMTVolatileChannel(t *testing.T) {
 	// null, so take the median p over three seed ranges.
 	var ps []float64
 	for _, seed := range []int64{77, 1_000_077, 2_000_077} {
-		novp, err := RunTestHitVolatileSMT(context.Background(), Options{Predictor: NoVP, Runs: 30, Seed: seed})
+		novp, err := RunVolatileSMT(context.Background(), core.TestHit, Options{Predictor: NoVP, Runs: 30, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

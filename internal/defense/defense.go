@@ -34,7 +34,7 @@ func medianCase(ctx context.Context, cat core.Category, opt attacks.Options) (p,
 	for i := int64(0); i < 3; i++ {
 		o := opt
 		o.Seed = opt.Seed + i*1_000_003
-		r, err := attacks.RunContext(ctx, cat, o)
+		r, err := attacks.Run(ctx, cat, o)
 		if err != nil {
 			return 0, 0, 0, err
 		}

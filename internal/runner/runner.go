@@ -36,12 +36,6 @@ import (
 	"vpsec/internal/obs"
 )
 
-// DefaultRetries is the number of times a failed work item is retried
-// (on a fresh attempt registry) before the whole Map is abandoned.
-// The simulator is deterministic, so retries exist for fn
-// implementations with external failure modes, not for flaky trials.
-const DefaultRetries = 1
-
 // Config parameterizes one Map call.
 type Config struct {
 	// Jobs bounds the number of work items executed concurrently.
@@ -50,26 +44,21 @@ type Config struct {
 	// first error aborts immediately — exactly the pre-runner loop.
 	Jobs int
 
-	// Retries is the per-item retry budget after the first failure.
-	// 0 means DefaultRetries; negative disables retry. The sequential
-	// path (Jobs == 1) never retries, matching the legacy loops.
-	Retries int
-
-	// Metrics, when non-nil, receives every successful item's metrics.
-	// With Jobs == 1 items write it directly; otherwise each attempt
-	// records into a private registry, successful attempts fold into a
-	// per-worker registry, and the barrier merges the workers back here
-	// (failed attempts never pollute it). Nil disables all metrics
-	// plumbing — fn is handed a nil registry.
+	// Metrics, when non-nil, receives every item's metrics. With
+	// Jobs == 1 items write it directly; otherwise each worker's items
+	// record into that worker's private registry, and the barrier merges
+	// the workers back here. A failed Map may leave the metrics of the
+	// items it ran, on either path. Nil disables all metrics plumbing —
+	// fn is handed a nil registry.
 	Metrics *metrics.Registry
 
 	// Trace, when non-nil, records execution spans into the tracer (see
 	// internal/obs): one "map" span per call, one "worker" span per pool
 	// worker on its own timeline lane, and per-item "trial" spans with
-	// queue-wait attributes, "run"/"merge" child phases, and
-	// retry/skip/cancel instant events. Each item's context carries its
-	// trial span (obs.FromContext), so fn implementations can nest their
-	// own phase spans under it. Tracing is wall-clock observability on
+	// queue-wait attributes, a "run" child phase, and skip/cancel
+	// instant events. Each item's context carries its trial span
+	// (obs.FromContext), so fn implementations can nest their own phase
+	// spans under it. Tracing is wall-clock observability on
 	// the side: results and the deterministic content of Metrics are
 	// unaffected — the only registry write it adds is the
 	// runtime.trial.seconds histogram, which lives in the sanctioned
@@ -121,14 +110,6 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 	}
 	if jobs <= 1 {
 		return mapSequential(ctx, cfg, n, fn)
-	}
-
-	retries := cfg.Retries
-	switch {
-	case retries == 0:
-		retries = DefaultRetries
-	case retries < 0:
-		retries = 0
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -186,7 +167,14 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 						obs.Float("queue_us", float64(time.Since(queuedAt[i]).Nanoseconds())/1e3))
 					ictx = obs.NewContext(ctx, tspan)
 				}
-				v, err := runItem(ictx, i, wreg, retries, tspan, fn)
+				var rspan obs.Span
+				var t0 time.Time
+				if tspan.Traced() {
+					rspan = tspan.Child("run")
+					t0 = time.Now()
+				}
+				v, err := fn(ictx, i, wreg)
+				rspan.End()
 				if err != nil {
 					if tspan.Traced() {
 						tspan.End(obs.Str("error", err.Error()))
@@ -194,6 +182,9 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 					errs[i] = err
 					cancel()
 					continue
+				}
+				if tspan.Traced() {
+					observeTrialSeconds(wreg, time.Since(t0).Seconds())
 				}
 				out[i] = v
 				tspan.End()
@@ -256,8 +247,8 @@ feed:
 }
 
 // mapSequential is the Jobs == 1 legacy path: inline, in index order,
-// writing cfg.Metrics directly, failing fast, never retrying — the
-// exact behavior of the pre-runner trial loops.
+// writing cfg.Metrics directly, failing fast — the exact behavior of
+// the pre-runner trial loops.
 func mapSequential[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Context, index int, reg *metrics.Registry) (T, error)) ([]T, error) {
 	var mspan obs.Span
 	if cfg.Trace.Enabled() {
@@ -296,61 +287,6 @@ func mapSequential[T any](ctx context.Context, cfg Config, n int, fn func(ctx co
 		out[i] = v
 	}
 	return out, nil
-}
-
-// runItem executes one work item with bounded retry. Every attempt
-// records into a fresh scratch registry; only a successful attempt's
-// scratch is folded into the worker registry, so a failed-then-retried
-// item contributes exactly one trial's worth of metrics.
-func runItem[T any](ctx context.Context, i int, wreg *metrics.Registry, retries int, span obs.Span, fn func(ctx context.Context, index int, reg *metrics.Registry) (T, error)) (T, error) {
-	var zero T
-	var err error
-	done := ctx.Done()
-	for attempt := 0; attempt <= retries; attempt++ {
-		if cancelled(done) {
-			if span.Traced() {
-				span.Event("cancel", obs.Int("attempt", attempt))
-			}
-			if err == nil {
-				err = ctx.Err()
-			}
-			return zero, err
-		}
-		var scratch *metrics.Registry
-		if wreg != nil {
-			scratch = metrics.NewRegistry()
-		}
-		var rspan obs.Span
-		var t0 time.Time
-		if span.Traced() {
-			if attempt > 0 {
-				span.Event("retry", obs.Int("attempt", attempt))
-			}
-			rspan = span.Child("run", obs.Int("attempt", attempt))
-			t0 = time.Now()
-		}
-		var v T
-		v, err = fn(ctx, i, scratch)
-		if rspan.Traced() {
-			rspan.End()
-		}
-		if err == nil {
-			if wreg != nil {
-				if span.Traced() {
-					msp := span.Child("merge")
-					wreg.Merge(scratch)
-					msp.End()
-				} else {
-					wreg.Merge(scratch)
-				}
-			}
-			if span.Traced() {
-				observeTrialSeconds(wreg, time.Since(t0).Seconds())
-			}
-			return v, nil
-		}
-	}
-	return zero, err
 }
 
 // cancelled reports whether done, a context's Done channel, is closed.

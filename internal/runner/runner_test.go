@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"vpsec/internal/metrics"
@@ -74,7 +73,7 @@ func TestMapError(t *testing.T) {
 		return i, nil
 	}
 	for _, jobs := range []int{1, 4} {
-		out, err := Map(context.Background(), Config{Jobs: jobs, Retries: -1}, 32, fail)
+		out, err := Map(context.Background(), Config{Jobs: jobs}, 32, fail)
 		if out != nil {
 			t.Errorf("jobs=%d: non-nil results on error", jobs)
 		}
@@ -84,33 +83,6 @@ func TestMapError(t *testing.T) {
 		if !strings.Contains(err.Error(), "item 5") {
 			t.Errorf("jobs=%d: err %q does not name item 5", jobs, err)
 		}
-	}
-}
-
-// TestMapRetry: a transiently failing item is retried on a fresh
-// scratch registry, and the failed attempt's metrics never reach the
-// shared registry.
-func TestMapRetry(t *testing.T) {
-	var failed atomic.Bool
-	flaky := func(_ context.Context, i int, reg *metrics.Registry) (int, error) {
-		reg.Counter("test.attempts", "attempts").Inc()
-		if i == 3 && failed.CompareAndSwap(false, true) {
-			return 0, errors.New("transient")
-		}
-		return i, nil
-	}
-	reg := metrics.NewRegistry()
-	out, err := Map(context.Background(), Config{Jobs: 2, Metrics: reg}, 8, flaky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 8 || out[3] != 3 {
-		t.Fatalf("unexpected results %v", out)
-	}
-	// 8 successful attempts recorded; the failed attempt's increment
-	// stayed in its discarded scratch registry.
-	if got := reg.Counter("test.attempts", "").Value(); got != 8 {
-		t.Errorf("attempts counter = %d, want 8 (failed attempt must not leak)", got)
 	}
 }
 
@@ -126,7 +98,7 @@ func TestMapCancel(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Map(ctx, Config{Jobs: 4, Retries: -1}, 64, block)
+		_, err := Map(ctx, Config{Jobs: 4}, 64, block)
 		done <- err
 	}()
 	<-started

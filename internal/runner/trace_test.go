@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -40,9 +39,8 @@ func (s *captureSink) count(name string, ph byte) int {
 }
 
 // TestMapTraceSpans: a traced parallel Map emits one map span, one
-// worker span per pool worker on its own lane, and balanced
-// trial/run/merge spans for every item — and unwinds to zero open
-// spans.
+// worker span per pool worker on its own lane, and balanced trial/run
+// spans for every item — and unwinds to zero open spans.
 func TestMapTraceSpans(t *testing.T) {
 	sink := &captureSink{}
 	tr := obs.New(sink)
@@ -64,7 +62,7 @@ func TestMapTraceSpans(t *testing.T) {
 	if got := sink.count("worker", obs.PhaseBegin); got != 4 {
 		t.Errorf("%d worker spans, want 4", got)
 	}
-	for _, name := range []string{"trial", "run", "merge"} {
+	for _, name := range []string{"trial", "run"} {
 		if b, e := sink.count(name, obs.PhaseBegin), sink.count(name, obs.PhaseEnd); b != n || e != n {
 			t.Errorf("%s spans: %d begins / %d ends, want %d/%d", name, b, e, n, n)
 		}
@@ -188,7 +186,7 @@ func TestMapTraceCancellation(t *testing.T) {
 		<-ctx.Done()
 		return i, nil
 	}
-	_, err := Map(context.Background(), Config{Jobs: 4, Retries: -1, Trace: tr}, 200, fail)
+	_, err := Map(context.Background(), Config{Jobs: 4, Trace: tr}, 200, fail)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -219,38 +217,6 @@ func TestMapTraceCancellation(t *testing.T) {
 	}
 	if !found {
 		t.Error("no trial end event carries the item error")
-	}
-}
-
-// TestMapTraceRetry: a flaky item emits a retry event and one run
-// span per attempt, and its metrics still count exactly one trial.
-func TestMapTraceRetry(t *testing.T) {
-	sink := &captureSink{}
-	tr := obs.New(sink)
-	reg := metrics.NewRegistry()
-	var failed sync.Map
-	flaky := func(ctx context.Context, i int, r *metrics.Registry) (int, error) {
-		if i == 3 {
-			if _, loaded := failed.LoadOrStore(i, true); !loaded {
-				return 0, fmt.Errorf("transient")
-			}
-		}
-		return item(ctx, i, r)
-	}
-	if _, err := Map(context.Background(), Config{Jobs: 2, Metrics: reg, Trace: tr}, 8, flaky); err != nil {
-		t.Fatal(err)
-	}
-	if got := sink.count("retry", obs.PhaseInstant); got != 1 {
-		t.Errorf("%d retry events, want 1", got)
-	}
-	if got := sink.count("run", obs.PhaseBegin); got != 9 {
-		t.Errorf("%d run spans, want 9 (8 items + 1 retry)", got)
-	}
-	if got := reg.Counter("test.items", "").Value(); got != 8 {
-		t.Errorf("test.items = %d, want 8 (retried item counts once)", got)
-	}
-	if open := tr.OpenSpans(); open != 0 {
-		t.Fatalf("%d spans still open", open)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,6 +89,55 @@ func TestCacheMatrixFullDigest(t *testing.T) {
 		if m := res.CacheBench; m.Total != 976 || m.Vulnerable != wantVulnerable {
 			t.Errorf("jobs=%d: %d/%d vulnerable, want %d/976", jobs, m.Vulnerable, m.Total, wantVulnerable)
 		}
+	}
+}
+
+// TestRegistrySweepDigest pins the attack side of the registry byte for
+// byte: every spec that is not a cachebench entry, executed in registry
+// order at its own seed and Jobs 4, must hash (SHA-256 over the
+// concatenated CanonicalJSON) to the registry-sweep digest pinned in
+// tools/bench/pinned.json. The test reads the pin; it never rewrites
+// it.
+func TestRegistrySweepDigest(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "tools", "bench", "pinned.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]struct {
+		Seed0 struct {
+			Digest string `json:"digest"`
+		} `json:"seed0"`
+	}
+	if err := json.Unmarshal(raw, &pins); err != nil {
+		t.Fatal(err)
+	}
+	want := pins["registry-sweep"].Seed0.Digest
+	if len(want) != 64 {
+		t.Fatalf("registry-sweep seed0 digest %q in pinned.json", want)
+	}
+	d := sha256.New()
+	n := 0
+	for _, s := range All() {
+		if s.Kind == KindCacheBench || s.Kind == KindCacheMatrix {
+			continue
+		}
+		n++
+		s.Jobs = 4
+		res, err := Execute(context.Background(), s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		data, err := res.CanonicalJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		d.Write(data)
+	}
+	if n != 68 {
+		t.Errorf("%d attack-side specs, want 68", n)
+	}
+	if got := hex.EncodeToString(d.Sum(nil)); got != want {
+		t.Errorf("registry sweep digest %s, want %s", got, want)
 	}
 }
 

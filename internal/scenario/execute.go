@@ -117,7 +117,7 @@ func ExecuteRecorded(ctx context.Context, s Spec, rec *trace.Recorder) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		c, err := attacks.RunContext(ctx, cat, opt)
+		c, err := attacks.Run(ctx, cat, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +135,6 @@ func ExecuteRecorded(ctx context.Context, s Spec, rec *trace.Recorder) (*Result,
 		res.Cases = []attacks.CaseResult{c}
 
 	case KindEviction:
-		opt.Channel = core.TimingWindow
 		c, err := attacks.RunTrainTestEviction(ctx, opt)
 		if err != nil {
 			return nil, err
@@ -172,7 +171,7 @@ func ExecuteRecorded(ctx context.Context, s Spec, rec *trace.Recorder) (*Result,
 				o := opt
 				o.Predictor = pk
 				o.Channel = ch
-				c, err := attacks.RunContext(ctx, cat, o)
+				c, err := attacks.Run(ctx, cat, o)
 				if err != nil {
 					return nil, err
 				}

@@ -52,7 +52,7 @@ func TestExecuteCaseMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.Run(core.TestHit, attacks.Options{
+	want, err := attacks.Run(context.Background(), core.TestHit, attacks.Options{
 		Predictor: attacks.VTAGE, Confidence: 4, Channel: core.Persistent,
 		Runs: small, Seed: 7,
 	})
@@ -70,7 +70,7 @@ func TestExecuteSeedZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.Run(core.TrainTest, attacks.Options{Runs: small, Seed: 0})
+	want, err := attacks.Run(context.Background(), core.TrainTest, attacks.Options{Runs: small, Seed: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestExecuteDefenseMatchesStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := attacks.Run(core.TestHit, attacks.Options{Runs: small, Seed: 9, Defense: st.Stack})
+	want, err := attacks.Run(context.Background(), core.TestHit, attacks.Options{Runs: small, Seed: 9, Defense: st.Stack})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestExecuteFigurePanels(t *testing.T) {
 	i := 0
 	for _, ch := range []core.Channel{core.TimingWindow, core.Persistent} {
 		for _, pk := range []attacks.PredictorKind{attacks.NoVP, attacks.LVP} {
-			want, err := attacks.Run(core.TrainTest, attacks.Options{
+			want, err := attacks.Run(context.Background(), core.TrainTest, attacks.Options{
 				Predictor: pk, Channel: ch, Runs: small, Seed: 1,
 			})
 			if err != nil {
