@@ -214,12 +214,15 @@ type TableIIIRow struct {
 
 // TableIII reproduces Table III for the given predictor kind: for each
 // of the six attack categories, p-values with no VP and with the
-// predictor enabled, plus transmission rates. ctx cancels the whole
-// table (see Run).
+// predictor enabled, plus transmission rates. Its cases run through
+// RunCases; ctx cancels the whole table (see Run).
 func TableIII(ctx context.Context, kind PredictorKind, base Options) ([]TableIIIRow, error) {
-	var rows []TableIIIRow
-	for _, cat := range core.Categories() {
-		row := TableIIIRow{Category: cat}
+	rows := make([]TableIIIRow, len(core.Categories()))
+	var cases []Case
+	var slots []*CaseResult // slots[i] receives cases[i]'s result
+	for i, cat := range core.Categories() {
+		row := &rows[i]
+		row.Category = cat
 		for _, ch := range []core.Channel{core.TimingWindow, core.Persistent} {
 			if !supportsChannel(cat, ch) {
 				continue
@@ -228,24 +231,27 @@ func TableIII(ctx context.Context, kind PredictorKind, base Options) ([]TableIII
 				opt := base
 				opt.Predictor = pk
 				opt.Channel = ch
-				r, err := Run(ctx, cat, opt)
-				if err != nil {
-					return nil, err
-				}
+				cases = append(cases, Case{Category: cat, Opt: opt})
 				switch {
 				case ch == core.TimingWindow && pk == NoVP:
-					row.TWNoVP = r
+					slots = append(slots, &row.TWNoVP)
 				case ch == core.TimingWindow:
-					row.TWVP = r
+					slots = append(slots, &row.TWVP)
 				case pk == NoVP:
 					row.HasPersistent = true
-					row.PersNoVP = r
+					slots = append(slots, &row.PersNoVP)
 				default:
-					row.PersVP = r
+					slots = append(slots, &row.PersVP)
 				}
 			}
 		}
-		rows = append(rows, row)
+	}
+	rs, err := RunCases(ctx, cases)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rs {
+		*slots[i] = r
 	}
 	return rows, nil
 }
@@ -261,20 +267,24 @@ type ConfPoint struct {
 // (the paper's footnote 3 parameter). The attacks adapt — the train
 // step always makes a confidence number of accesses — so effectiveness
 // is expected at every threshold, while the transmission rate falls as
-// training gets longer. ctx cancels the whole sweep (see Run).
+// training gets longer. Its cases run through RunCases; ctx cancels
+// the whole sweep (see Run).
 func ConfidenceSweep(ctx context.Context, cat core.Category, confs []int, base Options) ([]ConfPoint, error) {
-	var out []ConfPoint
-	for _, c := range confs {
+	cases := make([]Case, len(confs))
+	for i, c := range confs {
 		if c < 1 {
 			return nil, fmt.Errorf("attacks: confidence %d < 1", c)
 		}
-		opt := base
-		opt.Confidence = c
-		r, err := Run(ctx, cat, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ConfPoint{Confidence: c, P: r.P, RateBps: r.RateBps})
+		cases[i] = Case{Category: cat, Opt: base}
+		cases[i].Opt.Confidence = c
+	}
+	rs, err := RunCases(ctx, cases)
+	if err != nil {
+		return nil, err
+	}
+	var out []ConfPoint
+	for i, r := range rs {
+		out = append(out, ConfPoint{Confidence: confs[i], P: r.P, RateBps: r.RateBps})
 	}
 	return out, nil
 }
@@ -289,18 +299,21 @@ type NoisePoint struct {
 // NoiseSweep evaluates an attack under growing memory-latency jitter —
 // the robustness curve real systems decide an attack's practicality
 // by. The timing-window separations here are ~170 cycles, so the
-// attacks survive jitter well past the DRAM latency itself. ctx
-// cancels the whole sweep (see Run).
+// attacks survive jitter well past the DRAM latency itself. Its cases
+// run through RunCases; ctx cancels the whole sweep (see Run).
 func NoiseSweep(ctx context.Context, cat core.Category, jitters []uint64, base Options) ([]NoisePoint, error) {
+	cases := make([]Case, len(jitters))
+	for i, j := range jitters {
+		cases[i] = Case{Category: cat, Opt: base}
+		cases[i].Opt.Noise = cpuNoise(j)
+	}
+	rs, err := RunCases(ctx, cases)
+	if err != nil {
+		return nil, err
+	}
 	var out []NoisePoint
-	for _, j := range jitters {
-		opt := base
-		opt.Noise = cpuNoise(j)
-		r, err := Run(ctx, cat, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, NoisePoint{MemJitter: j, P: r.P, Success: r.SuccessRate})
+	for i, r := range rs {
+		out = append(out, NoisePoint{MemJitter: jitters[i], P: r.P, Success: r.SuccessRate})
 	}
 	return out, nil
 }

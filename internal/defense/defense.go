@@ -22,27 +22,32 @@ import (
 	"vpsec/internal/stats"
 )
 
-// medianCase evaluates one case over three disjoint seed ranges and
-// returns the median p-value, success rate and mean trial cycles. A
-// single Welch test has a 5% false-positive rate under the null
-// hypothesis by construction (p is uniform when the defense works), so
-// sweeping many secure cells would regularly mislabel one; the median
-// of three keeps real attacks (p ≈ 0) detected while dropping the null
-// false-positive rate below 1%.
-func medianCase(ctx context.Context, cat core.Category, opt attacks.Options) (p, success, cyc float64, err error) {
+// seedRanges lists the three cases medianCase reduces: cat under opt
+// over three disjoint seed ranges.
+func seedRanges(cat core.Category, opt attacks.Options) []attacks.Case {
+	cases := make([]attacks.Case, 3)
+	for i := range cases {
+		cases[i] = attacks.Case{Category: cat, Opt: opt}
+		cases[i].Opt.Seed = opt.Seed + int64(i)*1_000_003
+	}
+	return cases
+}
+
+// medianCase reduces one case's three seed-range results (seedRanges)
+// to the median p-value, success rate and mean trial cycles. A single
+// Welch test has a 5% false-positive rate under the null hypothesis by
+// construction (p is uniform when the defense works), so sweeping many
+// secure cells would regularly mislabel one; the median of three keeps
+// real attacks (p ≈ 0) detected while dropping the null false-positive
+// rate below 1%.
+func medianCase(rs []attacks.CaseResult) (p, success, cyc float64) {
 	var ps, ss, cs []float64
-	for i := int64(0); i < 3; i++ {
-		o := opt
-		o.Seed = opt.Seed + i*1_000_003
-		r, err := attacks.Run(ctx, cat, o)
-		if err != nil {
-			return 0, 0, 0, err
-		}
+	for _, r := range rs {
 		ps = append(ps, r.P)
 		ss = append(ss, r.SuccessRate)
 		cs = append(cs, r.MeanCyc)
 	}
-	return medianOf(ps), medianOf(ss), medianOf(cs), nil
+	return medianOf(ps), medianOf(ss), medianOf(cs)
 }
 
 // medianOf returns the median of xs (the mean of the middle pair for
@@ -77,14 +82,19 @@ func SweepRWindow(ctx context.Context, cat core.Category, maxWindow int, base at
 	if maxWindow < 1 {
 		return nil, fmt.Errorf("defense: maxWindow %d < 1", maxWindow)
 	}
-	var out []SweepPoint
+	var cases []attacks.Case
 	for w := 1; w <= maxWindow; w++ {
 		opt := base
 		opt.Defense = base.Defense.WithRandomWindow(w)
-		p, s, _, err := medianCase(ctx, cat, opt)
-		if err != nil {
-			return nil, err
-		}
+		cases = append(cases, seedRanges(cat, opt)...)
+	}
+	rs, err := attacks.RunCases(ctx, cases)
+	if err != nil {
+		return nil, err
+	}
+	var out []SweepPoint
+	for w := 1; w <= maxWindow; w++ {
+		p, s, _ := medianCase(rs[3*(w-1) : 3*w])
 		out = append(out, SweepPoint{Window: w, P: p, SuccessRate: s})
 	}
 	return out, nil
@@ -136,43 +146,44 @@ func Matrix(ctx context.Context, base attacks.Options, strategies []Strategy) ([
 		strategies = Strategies()
 	}
 	var out []MatrixCell
+	var cases []attacks.Case
 	for _, cat := range core.Categories() {
 		for _, ch := range []core.Channel{core.TimingWindow, core.Persistent} {
-			supported := false
-			for _, c := range core.ChannelsFor(cat) {
-				if c == ch {
-					supported = true
-				}
-			}
-			if !supported {
+			if !slices.Contains(core.ChannelsFor(cat), ch) {
 				continue
 			}
-			baseCyc := 0.0
-			group := len(out)
 			for _, s := range strategies {
 				opt := base
 				opt.Channel = ch
 				opt.Defense = s.Stack
-				p, _, cyc, err := medianCase(ctx, cat, opt)
-				if err != nil {
-					return nil, err
-				}
-				if s.Name == "none" {
-					baseCyc = cyc
-				}
-				out = append(out, MatrixCell{
-					Category: cat,
-					Channel:  ch,
-					Strategy: s.Name,
-					P:        p,
-					Defended: p >= stats.SignificanceLevel,
-					MeanCyc:  cyc,
-				})
+				out = append(out, MatrixCell{Category: cat, Channel: ch, Strategy: s.Name})
+				cases = append(cases, seedRanges(cat, opt)...)
 			}
-			if baseCyc > 0 {
-				for i := group; i < len(out); i++ {
-					out[i].Slowdown = out[i].MeanCyc / baseCyc
-				}
+		}
+	}
+	rs, err := attacks.RunCases(ctx, cases)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		p, _, cyc := medianCase(rs[3*i : 3*i+3])
+		out[i].P = p
+		out[i].Defended = p >= stats.SignificanceLevel
+		out[i].MeanCyc = cyc
+	}
+	// Each (category, channel) group holds one cell per strategy, in
+	// strategy order.
+	for g := 0; g < len(out); g += len(strategies) {
+		group := out[g : g+len(strategies)]
+		baseCyc := 0.0
+		for i, s := range strategies {
+			if s.Name == "none" {
+				baseCyc = group[i].MeanCyc
+			}
+		}
+		if baseCyc > 0 {
+			for i := range group {
+				group[i].Slowdown = group[i].MeanCyc / baseCyc
 			}
 		}
 	}

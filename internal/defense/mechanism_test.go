@@ -97,10 +97,11 @@ func TestNewMechanismsDefend(t *testing.T) {
 		o := opt
 		o.Channel = ch
 		o.Defense = s.Stack
-		p, _, _, err := medianCase(context.Background(), core.TrainTest, o)
+		rs, err := attacks.RunCases(context.Background(), seedRanges(core.TrainTest, o))
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, _, _ := medianCase(rs)
 		if got := !(p < 0.05); got != wantDefended {
 			t.Errorf("%s on Train+Test/%v: defended=%v (p=%.4f), want %v", name, ch, got, p, wantDefended)
 		}
@@ -135,10 +136,11 @@ func TestRecomputeCheaperThanDelay(t *testing.T) {
 		}
 		o := opt
 		o.Defense = s.Stack
-		_, _, c, err := medianCase(context.Background(), core.TrainTest, o)
+		rs, err := attacks.RunCases(context.Background(), seedRanges(core.TrainTest, o))
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, _, c := medianCase(rs)
 		return c
 	}
 

@@ -4,7 +4,7 @@
 // pillar next to internal/metrics — metrics record *what* a run
 // computed (deterministic, byte-identical across equal-seed runs),
 // obs records *how* the run executed (wall-clock spans, worker
-// scheduling, retries), and the two never mix: nothing obs emits
+// scheduling, cancellations), and the two never mix: nothing obs emits
 // reaches a deterministic export (see metrics.RuntimeScope for the
 // one metrics scope obs-enabled runs populate, which the exporters
 // strip).
@@ -246,7 +246,7 @@ func (s Span) Event(name string, attrs ...Attr) {
 }
 
 // End closes the span. Attrs are attached to the end record (the
-// place for outcomes: retry counts, error markers). End on the zero
+// place for outcomes such as error markers). End on the zero
 // Span is a no-op; ending a span twice is a bug the open-span count
 // makes visible.
 func (s Span) End(attrs ...Attr) {

@@ -25,7 +25,6 @@ type Progress struct {
 	mapTotal   int              // items of the current map (0 between maps)
 	mapDone    int              // items finished in the current map
 	done       int              // items finished overall
-	retries    int              // retry events observed
 	cancels    int              // cancellation events observed
 	busy       time.Duration    // summed trial-span durations
 	openTrials map[uint64]Event // trial begin events by span id
@@ -76,8 +75,6 @@ func (p *Progress) Emit(e Event) {
 		}
 		p.done++
 		p.mapDone++
-	case e.Name == "retry" && e.Ph == PhaseInstant:
-		p.retries++
 	case (e.Name == "cancel" || e.Name == "skip") && e.Ph == PhaseInstant:
 		p.cancels++
 	}
@@ -143,9 +140,6 @@ func (p *Progress) line() string {
 			}
 			s += fmt.Sprintf(" · workers %3.0f%%", util*100)
 		}
-	}
-	if p.retries > 0 {
-		s += fmt.Sprintf(" · %d retries", p.retries)
 	}
 	if p.cancels > 0 {
 		s += fmt.Sprintf(" · %d cancelled", p.cancels)

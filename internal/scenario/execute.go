@@ -117,11 +117,10 @@ func ExecuteRecorded(ctx context.Context, s Spec, rec *trace.Recorder) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		c, err := attacks.Run(ctx, cat, opt)
+		res.Cases, err = attacks.RunCases(ctx, []attacks.Case{{Category: cat, Opt: opt}})
 		if err != nil {
 			return nil, err
 		}
-		res.Cases = []attacks.CaseResult{c}
 
 	case KindVariant:
 		v, err := attacks.FindVariant(s.Variant)
@@ -166,17 +165,17 @@ func ExecuteRecorded(ctx context.Context, s Spec, rec *trace.Recorder) (*Result,
 		}
 		// The paper's panel order: {timing-window, persistent} x
 		// {no VP, predictor}.
+		var panels []attacks.Case
 		for _, ch := range []core.Channel{core.TimingWindow, core.Persistent} {
 			for _, pk := range []attacks.PredictorKind{attacks.NoVP, res.Opt.Predictor} {
 				o := opt
 				o.Predictor = pk
 				o.Channel = ch
-				c, err := attacks.Run(ctx, cat, o)
-				if err != nil {
-					return nil, err
-				}
-				res.Cases = append(res.Cases, c)
+				panels = append(panels, attacks.Case{Category: cat, Opt: o})
 			}
+		}
+		if res.Cases, err = attacks.RunCases(ctx, panels); err != nil {
+			return nil, err
 		}
 
 	case KindNoiseSweep:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"vpsec/internal/attacks"
 	"vpsec/internal/obs"
 	"vpsec/internal/scenario"
 )
@@ -59,6 +60,10 @@ type Job struct {
 	// spec is the canonicalized spec a queued job executes; the worker
 	// drops it once it starts, and hits never set it.
 	spec *scenario.Spec
+	// memo is the case memo of the batch that queued the job, nil for
+	// a single submission. The worker drops it with spec: jobs outlive
+	// their batch, and the memo must not.
+	memo *attacks.Memo
 	// client is the admission-control key the job counts against.
 	client string
 	// progress accumulates trial counts from the job's tracer.
@@ -85,8 +90,9 @@ func jobID(n int) string {
 	return fmt.Sprintf("j-%06d", n)
 }
 
-// newJob builds queued job number n.
-func newJob(n int, name, client string, spec scenario.Spec, hash string) *Job {
+// newJob builds queued job number n, sharing cases through memo when
+// it is not nil.
+func newJob(n int, name, client string, spec scenario.Spec, hash string, memo *attacks.Memo) *Job {
 	return &Job{
 		ID:       jobID(n),
 		Scenario: name,
@@ -94,6 +100,7 @@ func newJob(n int, name, client string, spec scenario.Spec, hash string) *Job {
 		Hash:     hash,
 		num:      n,
 		spec:     &spec,
+		memo:     memo,
 		client:   client,
 		done:     make(chan struct{}),
 		state:    StateQueued,
@@ -138,18 +145,24 @@ func newHitJob(n int, t *hitTemplate) *Job {
 // from the internal/obs span stream: Total accumulates the item count
 // of every runner map the job has started (a lower bound until the
 // last map begins — a Table III job runs one map per cell), Done
-// counts finished trials.
+// counts finished trials. A case another job of the batch evaluated
+// counts its trials in all three fields at once.
 type Progress struct {
 	// Done is the number of finished work items (trials).
 	Done int `json:"done"`
 	// Total is the summed size of every trial map started so far.
 	Total int `json:"total"`
+	// Shared is the part of Done the job took from its batch's case
+	// memo instead of simulating.
+	Shared int `json:"shared,omitempty"`
 }
 
 // progressSink implements obs.Sink over a job's private tracer: "map"
 // begin events carry the item total, "trial" end events mark one
-// finished work item. It is the server-side sibling of obs.Progress —
-// a queryable snapshot instead of a rendered line.
+// finished work item, and "shared" instant events (attacks.RunCases)
+// carry the items of a case served from the batch memo. It is the
+// server-side sibling of obs.Progress — a queryable snapshot instead of
+// a rendered line.
 type progressSink struct {
 	mu sync.Mutex
 	p  Progress
@@ -159,7 +172,7 @@ type progressSink struct {
 func (s *progressSink) Emit(e obs.Event) {
 	var items int
 	switch {
-	case e.Name == "map" && e.Ph == obs.PhaseBegin:
+	case e.Name == "map" && e.Ph == obs.PhaseBegin, e.Name == "shared" && e.Ph == obs.PhaseInstant:
 		for _, a := range e.Attrs {
 			if a.Key != "items" {
 				continue
@@ -179,9 +192,14 @@ func (s *progressSink) Emit(e obs.Event) {
 		return
 	}
 	s.mu.Lock()
-	if e.Name == "map" {
+	switch e.Name {
+	case "map":
 		s.p.Total += items
-	} else {
+	case "shared":
+		s.p.Total += items
+		s.p.Done += items
+		s.p.Shared += items
+	default:
 		s.p.Done++
 	}
 	s.mu.Unlock()
@@ -289,14 +307,18 @@ func (j *Job) fail(err error) {
 // runJob executes one cache-miss job on a worker: it attaches a
 // private tracer feeding the job's progress counters, executes the
 // canonical spec (per-trial fan-out inside scenario.Execute reuses
-// internal/runner, bounded by Config.TrialJobs), canonicalizes the
-// result bytes, and publishes them to the store before completing the
-// job — a later duplicate submission hits the cache even after the
-// singleflight entry is gone.
+// internal/runner, bounded by Config.TrialJobs) under its batch's case
+// memo, canonicalizes the result bytes, and publishes them to the store
+// before completing the job — a later duplicate submission hits the
+// cache even after the singleflight entry is gone.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	j.setRunning()
 	spec := *j.spec
 	j.spec = nil
+	if j.memo != nil {
+		ctx = attacks.WithMemo(ctx, j.memo)
+		j.memo = nil
+	}
 	spec.Jobs = s.cfg.TrialJobs
 	tr := obs.New(&j.progress)
 	spec.Trace = tr

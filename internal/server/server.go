@@ -24,10 +24,11 @@
 //
 // Duplicate submissions of a spec that is already queued or running
 // attach to the in-flight job (singleflight): the spec executes once
-// and every caller polls the same job. Admission control bounds the
-// queue depth and each client's in-flight jobs; Shutdown drains
-// running jobs before returning. See DESIGN.md §13 for the
-// architecture.
+// and every caller polls the same job. The jobs of one batch share an
+// attacks.Memo, so an attack case that several of them evaluate is
+// simulated once. Admission control bounds the queue depth and each
+// client's in-flight jobs; Shutdown drains running jobs before
+// returning. See DESIGN.md §13 for the architecture.
 package server
 
 import (
@@ -44,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"vpsec/internal/attacks"
 	"vpsec/internal/metrics"
 	"vpsec/internal/scenario"
 )
@@ -382,8 +384,9 @@ func (e *errSubmit) Error() string { return e.msg }
 // submit admits one canonical spec: cache hit → a terminal job built
 // from its hit template for this request alone (only its slot stays),
 // singleflight hit → the in-flight job, otherwise a fresh job is
-// queued against the admission limits. Callers hold no locks.
-func (s *Server) submit(name, client string, spec scenario.Spec) (*Job, error) {
+// queued against the admission limits, sharing cases through memo (a
+// batch's; nil for a single submission). Callers hold no locks.
+func (s *Server) submit(name, client string, spec scenario.Spec, memo *attacks.Memo) (*Job, error) {
 	hash := spec.Hash()
 
 	s.mu.Lock()
@@ -427,7 +430,7 @@ func (s *Server) submit(name, client string, spec scenario.Spec) (*Job, error) {
 
 	s.reg.Counter(metricCacheMisses, helpCacheMisses).Add(1)
 	s.slots = append(s.slots, queuedSlot)
-	j := newJob(len(s.slots), name, client, spec, hash)
+	j := newJob(len(s.slots), name, client, spec, hash, memo)
 	s.jobs[j.ID] = j
 	s.inflight[hash] = j
 	s.clients[client]++
@@ -539,7 +542,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, code, "%v", err)
 		return
 	}
-	j, err := s.submit(name, clientKey(r), spec)
+	j, err := s.submit(name, clientKey(r), spec, nil)
 	if err != nil {
 		var rej *errSubmit
 		if errors.As(err, &rej) {
@@ -614,7 +617,8 @@ type batchRequest struct {
 
 // handleBatch implements POST /v1/batch. Admission is all-or-nothing:
 // the whole list must fit the queue and the client budget, so a batch
-// never half-starts.
+// never half-starts. The jobs the batch queues share one case memo
+// (attacks.Memo), so a case several of them need is simulated once.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !decodeBody(w, r, int64(s.cfg.QueueDepth)*maxSpecBytes, &req) {
@@ -653,8 +657,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	client := clientKey(r)
 	b := &Batch{}
 	jobs := make([]*Job, 0, n)
+	memo := attacks.NewMemo()
 	for i := range specs {
-		j, err := s.submit(names[i], client, specs[i])
+		j, err := s.submit(names[i], client, specs[i], memo)
 		if err != nil {
 			// Jobs admitted before the failure keep running; the client
 			// is told nothing was recorded as a batch.

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -981,11 +983,97 @@ func TestBatchShrunkRegistry(t *testing.T) {
 	}
 }
 
+// TestBatchSharesCases: the two defense matrices of one batch share the
+// 99 cells the extended matrix repeats, 297 cases with their 3 seed
+// ranges each. Each job's result equals direct execution byte for byte,
+// and the jobs' progress counts every case's 8 trials once, the shared
+// cases' also as shared, however the two jobs split the cells.
+func TestBatchSharesCases(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, TrialJobs: 1})
+	c := ts.Client()
+
+	var specs []json.RawMessage
+	var want [][]byte
+	for _, name := range []string{"defense-matrix", "defense-matrix-extended"} {
+		s, ok := scenario.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		s.Runs = 4
+		data, err := s.MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, data)
+		res, err := scenario.Execute(context.Background(), s.Canonical())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := res.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b)
+	}
+
+	var bv BatchView
+	post(t, c, ts.URL+"/v1/batch", map[string]any{"specs": specs}, &bv)
+	deadline := time.Now().Add(120 * time.Second)
+	for bv.Done+bv.Failed < bv.Total {
+		if time.Now().After(deadline) {
+			t.Fatalf("batch stuck at %d/%d", bv.Done+bv.Failed, bv.Total)
+		}
+		time.Sleep(20 * time.Millisecond)
+		get(t, c, ts.URL+"/v1/batch/"+bv.ID, &bv)
+	}
+	if bv.Failed != 0 || len(bv.Jobs) != len(want) {
+		t.Fatalf("batch: %d of %d jobs failed", bv.Failed, len(bv.Jobs))
+	}
+	done, shared := 0, 0
+	for i, j := range bv.Jobs {
+		if got := getRaw(t, c, ts.URL+"/v1/jobs/"+j.ID+"/result", http.StatusOK); !bytes.Equal(got, want[i]) {
+			t.Errorf("%s: batch result differs from direct execution", j.ID)
+		}
+		done += j.Progress.Done
+		shared += j.Progress.Shared
+	}
+	if done != 648*8 {
+		t.Errorf("progress done sums to %d, want %d (648 cases x 8 trials)", done, 648*8)
+	}
+	if shared != 297*8 {
+		t.Errorf("progress shared sums to %d, want %d (297 cases x 8 trials)", shared, 297*8)
+	}
+}
+
+// pinnedSweepDigest reads the registry-sweep seed-0 digest from
+// tools/bench/pinned.json, as the scenario package's
+// TestRegistrySweepDigest does.
+func pinnedSweepDigest(t *testing.T) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "tools", "bench", "pinned.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]struct {
+		Seed0 struct {
+			Digest string `json:"digest"`
+		} `json:"seed0"`
+	}
+	if err := json.Unmarshal(raw, &pins); err != nil {
+		t.Fatal(err)
+	}
+	d := pins["registry-sweep"].Seed0.Digest
+	if len(d) != 64 {
+		t.Fatalf("registry-sweep seed0 digest %q in pinned.json", d)
+	}
+	return d
+}
+
 // TestBatchFullRegistry is the acceptance run: the full registry at
-// paper defaults, batched once cold and once hot. It runs only under
-// VPSERVER_FULL=1 (make server-check) — the 68 attack scenarios cost
-// roughly 15s of simulation on one core, and the 978 cachebench
-// entries a few seconds more.
+// paper defaults, batched once cold and once hot, the cold batch's
+// attack side checked against direct execution. It runs only under
+// VPSERVER_FULL=1 (make server-check), because it adds seconds of
+// simulation to the server suite.
 func TestBatchFullRegistry(t *testing.T) {
 	if os.Getenv("VPSERVER_FULL") == "" {
 		t.Skip("set VPSERVER_FULL=1 (make server-check) to run the full registry batch")
@@ -1024,6 +1112,31 @@ func TestBatchFullRegistry(t *testing.T) {
 	}
 	if !sawProgress {
 		t.Error("no per-job progress observed while the batch ran")
+	}
+
+	// The attack side, in registry order, equals direct execution: its
+	// result bytes hash to the pinned registry-sweep digest, and its
+	// progress counts all 112,960 trials, of which the batch simulated
+	// only the 60,560 of its distinct cases.
+	d := sha256.New()
+	attack, done, simulated := 0, 0, 0
+	for _, j := range bv.Jobs {
+		if j.Kind == scenario.KindCacheBench || j.Kind == scenario.KindCacheMatrix {
+			continue
+		}
+		attack++
+		d.Write(getRaw(t, c, ts.URL+"/v1/jobs/"+j.ID+"/result", http.StatusOK))
+		done += j.Progress.Done
+		simulated += j.Progress.Done - j.Progress.Shared
+	}
+	if attack != 68 {
+		t.Errorf("%d attack-side jobs, want 68", attack)
+	}
+	if got, want := hex.EncodeToString(d.Sum(nil)), pinnedSweepDigest(t); got != want {
+		t.Errorf("attack-side batch digest %s, want the registry-sweep digest %s", got, want)
+	}
+	if done != 112_960 || simulated != 60_560 {
+		t.Errorf("attack-side progress: %d trials done, %d simulated; want 112960 and 60560", done, simulated)
 	}
 
 	// The hot pass: the same batch again, every entry served from cache.

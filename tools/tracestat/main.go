@@ -1,7 +1,7 @@
 // Command tracestat analyzes an execution trace written by the
 // -trace flag of the experiment CLIs (vpattack, vpdefense, vpfigures,
 // vpreport, vpsim): per-phase latency distributions, per-worker busy
-// time and utilization, queue-wait statistics, and retry/cancel
+// time and utilization, queue-wait statistics, and cancel/skip
 // counts. Both trace formats are accepted — the JSONL event stream
 // and the Chrome trace-event JSON array — sniffed from the first
 // byte, so the same file feeds Perfetto and this tool.
@@ -48,7 +48,6 @@ type report struct {
 	workers []workerStats
 	queue   []float64 // trial queue-wait samples, µs
 	span    float64   // wall span of the trace (first B to last E), µs
-	retries int
 	cancels int
 	skips   int
 	open    int // spans begun but never ended (truncated trace)
@@ -78,7 +77,6 @@ func analyze(events []event) (*report, error) {
 		return nil, err
 	}
 	rep := &report{
-		retries: counts["retry"],
 		cancels: counts["cancel"],
 		skips:   counts["skip"],
 		open:    open,
@@ -227,7 +225,6 @@ func (r *report) text() string {
 			percentile(r.queue, 50), percentile(r.queue, 90),
 			r.queue[len(r.queue)-1], len(r.queue))
 	}
-	fmt.Fprintf(&b, "\nevents: %d retries, %d cancelled, %d skipped\n",
-		r.retries, r.cancels, r.skips)
+	fmt.Fprintf(&b, "\nevents: %d cancelled, %d skipped\n", r.cancels, r.skips)
 	return b.String()
 }

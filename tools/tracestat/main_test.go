@@ -9,8 +9,8 @@ import (
 )
 
 // emitTrace writes a representative runner-shaped trace — a map span,
-// two worker lanes with trials carrying queue waits, a retry and a
-// skip — through sink, and returns the tracer for closing.
+// two worker lanes with trials carrying queue waits, and a skip —
+// through sink, and returns the tracer for closing.
 func emitTrace(t *testing.T, sink obs.Sink) {
 	t.Helper()
 	tr := obs.New(sink)
@@ -22,9 +22,6 @@ func emitTrace(t *testing.T, sink obs.Sink) {
 		for i := 0; i < 2; i++ {
 			item := w*2 + i
 			s := ws.Child("trial", obs.Int("item", item), obs.Float("queue_us", float64(10*item)))
-			if item == 1 {
-				s.Event("retry", obs.Int("attempt", 1))
-			}
 			if item == 3 {
 				s.Event("skip", obs.Int("item", 99))
 			}
@@ -45,9 +42,8 @@ func checkReport(t *testing.T, rep *report) {
 	if rep.open != 0 {
 		t.Errorf("%d open spans, want 0", rep.open)
 	}
-	if rep.retries != 1 || rep.skips != 1 || rep.cancels != 0 {
-		t.Errorf("events = %d retries / %d skips / %d cancels, want 1/1/0",
-			rep.retries, rep.skips, rep.cancels)
+	if rep.skips != 1 || rep.cancels != 0 {
+		t.Errorf("events = %d skips / %d cancels, want 1/0", rep.skips, rep.cancels)
 	}
 	byName := map[string]phaseStats{}
 	for _, ps := range rep.phases {
@@ -166,7 +162,7 @@ func TestReportText(t *testing.T) {
 	text := rep.text()
 	for _, frag := range []string{
 		"per-phase latency", "trial", "worker lanes", "util",
-		"queue wait", "1 retries", "1 skipped",
+		"queue wait", "1 skipped",
 	} {
 		if !strings.Contains(text, frag) {
 			t.Errorf("report missing %q:\n%s", frag, text)
