@@ -64,7 +64,8 @@ cachebench:
 	$(GO) test ./internal/scenario -run 'TestCacheMatrixGolden|TestCacheMatrixFullDigest|TestCacheMatrixHashJobsInvariant' -count=1
 
 # Steady-state allocation budgets of the simulator hot loop, the
-# trial driver and the cache-suite trial (DESIGN.md §10), and of a
+# trial driver, the cache-suite trial and schedule derivation
+# (DESIGN.md §10), and of a
 # vpserver cache hit (DESIGN.md §13): TestHitAllocBudget bounds what a
 # hit allocates per request, TestHitRetention what it keeps on the
 # heap for the server's lifetime. Runs without -race: the race
@@ -73,7 +74,7 @@ cachebench:
 alloc-budget:
 	$(GO) test ./internal/cpu -run TestMachineRunSteadyStateAllocs -count=1
 	$(GO) test ./internal/attacks -run TestTrialDisabledPathAllocs -count=1
-	$(GO) test ./internal/cachebench -run TestTrialAllocs -count=1
+	$(GO) test ./internal/cachebench -run 'TestTrialAllocs|TestScheduleAllocs' -count=1
 	$(GO) test ./internal/server -run 'TestHitAllocBudget|TestHitRetention' -count=1
 
 # Bitmap-scheduler ordering gate: within a cycle, issue must stay
@@ -112,13 +113,14 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$
 
 # Documentation gate: vet, formatting, and doc coverage of the
-# experiment surface (every exported symbol in the runner, attacks,
-# report, oracle, progen, scenario, obs, server, cachebench, defense,
-# isa, locality, predictor, rsa, stats and xrand packages and the
-# scencli command front-end must carry a doc comment — godoc is the
+# experiment surface and the simulator under it (every exported symbol
+# in the runner, attacks, report, oracle, progen, scenario, obs,
+# server, cachebench, defense, isa, locality, predictor, rsa, stats,
+# xrand, mem, cpu, asm, core, metrics, trace and workload packages and
+# the scencli command front-end must carry a doc comment — godoc is the
 # reference documentation the experiments guide links into). -api keeps
 # docs/SERVER.md aligned with the routes internal/server actually
 # registers.
 docs: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
-	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/predictor ./internal/rsa ./internal/stats ./internal/xrand ./cmd/internal/scencli
+	$(GO) run ./tools/doccheck -api docs/SERVER.md:internal/server ./internal/runner ./internal/attacks ./internal/report ./internal/oracle ./internal/progen ./internal/scenario ./internal/obs ./internal/server ./internal/cachebench ./internal/defense ./internal/isa ./internal/locality ./internal/predictor ./internal/rsa ./internal/stats ./internal/xrand ./internal/mem ./internal/cpu ./internal/asm ./internal/core ./internal/metrics ./internal/trace ./internal/workload ./cmd/internal/scencli

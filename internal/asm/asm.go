@@ -35,6 +35,7 @@ type Error struct {
 	Msg  string
 }
 
+// Error formats the failure with its source line.
 func (e *Error) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
 
 type line struct {

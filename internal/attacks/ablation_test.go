@@ -69,7 +69,7 @@ func TestPhysAddrIndexingNeedsSharedMemory(t *testing.T) {
 	}
 
 	train := kernelParams{
-		name: "pa-train", target: knownAddr, value: 7, setValue: true,
+		role: train, target: knownAddr, value: 7, setValue: true,
 		iters: 4, depBase: dummyAddr, results: resultsA,
 	}
 	prog, err := buildKernel(train)
@@ -87,7 +87,7 @@ func TestPhysAddrIndexingNeedsSharedMemory(t *testing.T) {
 	// Receiver at a different physical base: same virtual layout, no
 	// predictor collision.
 	trigger := kernelParams{
-		name: "pa-trigger", target: knownAddr, value: 7, setValue: true,
+		role: trigger, target: knownAddr, value: 7, setValue: true,
 		iters: 1, depBase: dummyAddr, results: resultsB,
 	}
 	tprog, err := buildKernel(trigger)

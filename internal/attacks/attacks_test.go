@@ -218,12 +218,12 @@ func TestTableIIIFull(t *testing.T) {
 // kernel variant places the attacked load at the same PC, and the
 // skewed variant displaces it by exactly pcSkew.
 func TestKernelAlignment(t *testing.T) {
-	base, err := buildKernel(kernelParams{name: "a", target: knownAddr, iters: 1, results: resultsB})
+	base, err := buildKernel(kernelParams{role: trigger, target: knownAddr, iters: 1, results: resultsB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	other, err := buildKernel(kernelParams{
-		name: "b", target: secretAddr, value: 7, setValue: true, iters: 9,
+		role: train, target: secretAddr, value: 7, setValue: true, iters: 9,
 		depBase: probeBase, flushDep: true, results: resultsA,
 	})
 	if err != nil {
@@ -232,7 +232,7 @@ func TestKernelAlignment(t *testing.T) {
 	if len(base.Code) != len(other.Code) {
 		t.Errorf("kernel shapes differ: %d vs %d instructions", len(base.Code), len(other.Code))
 	}
-	skewed, err := buildKernel(kernelParams{name: "c", target: knownAddr, iters: 1, results: resultsB, skew: pcSkew})
+	skewed, err := buildKernel(kernelParams{role: trigger, target: knownAddr, iters: 1, results: resultsB, skew: pcSkew})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestCrossCoreScoping(t *testing.T) {
 	// receiver triggers on core B and must get nothing.
 	mA, mB, _, lvpB := newCorePair(101)
 	trainProg, err := buildKernel(kernelParams{
-		name: "cc-train", target: knownAddr, value: knownValue, setValue: true,
+		role: train, target: knownAddr, value: knownValue, setValue: true,
 		iters: 4, depBase: dummyAddr, results: resultsA,
 	})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestCrossCoreScoping(t *testing.T) {
 		t.Fatal(err)
 	}
 	trigProg, err := buildKernel(kernelParams{
-		name: "cc-trigger", target: knownAddr, value: knownValue, setValue: true,
+		role: trigger, target: knownAddr, value: knownValue, setValue: true,
 		iters: 1, depBase: dummyAddr, results: resultsB,
 	})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestCrossCoreScoping(t *testing.T) {
 	trial := func(mapped bool, seed int64) float64 {
 		m, _, _, _ := newCorePair(seed)
 		tr, err := buildKernel(kernelParams{
-			name: "cc-trh-train", target: secretAddr, value: knownValue, setValue: true,
+			role: train, target: secretAddr, value: knownValue, setValue: true,
 			iters: 4, depBase: probeBase, flushDep: true, results: resultsA,
 		})
 		if err != nil {
@@ -115,7 +115,7 @@ func TestCrossCoreScoping(t *testing.T) {
 			m.Hier.Flush(senderPhys + probeBase + v<<probeShift)
 		}
 		tg, err := buildKernel(kernelParams{
-			name: "cc-trh-trigger", target: secretAddr,
+			role: trigger, target: secretAddr,
 			iters: 1, depBase: probeBase, results: resultsA,
 		})
 		if err != nil {

@@ -265,7 +265,7 @@ func (e *env) load(pid uint64, p kernelParams, physBase uint64) (*cpu.Process, o
 		if p.prog == reloadProbe {
 			span = e.span.Child("probe", obs.Int("line", int((p.target-probeBase)>>probeShift)))
 		} else {
-			span = e.span.Child("kernel", obs.Str("kernel", p.name), obs.Int("iters", p.iters))
+			span = e.span.Child("kernel", obs.Str("kernel", p.role.String()), obs.Int("iters", p.iters))
 		}
 	}
 	proc, err := e.install(pid, p, physBase)

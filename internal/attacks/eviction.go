@@ -21,7 +21,7 @@ const evWays = 9
 // their attacked-load PC, so train/modify/trigger steps built from it
 // collide in a PC-indexed VPS exactly like the FLUSH-based family.
 func buildEvictionKernel(p kernelParams) (*isa.Program, error) {
-	b := isa.NewBuilder(p.name)
+	b := isa.NewBuilder(p.role.String())
 	if p.setValue {
 		b.Word(p.target, p.value)
 	}

@@ -57,10 +57,11 @@ const (
 )
 
 // kernelParams parameterizes one program. The probe uses only target
-// (the probed line's address) and the sampler no field at all.
+// (the probed line's address) and the sampler no field at all. Every
+// field is a scalar, so the images memo hashes no string per load.
 type kernelParams struct {
 	prog     program
-	name     string
+	role     role   // the step's role; role.String() names the program
 	target   uint64 // address of the attacked load
 	value    uint64 // initial data word at target (0 leaves it unset)
 	setValue bool
@@ -73,7 +74,7 @@ type kernelParams struct {
 
 // buildKernel emits the uniform kernel program.
 func buildKernel(p kernelParams) (*isa.Program, error) {
-	b := isa.NewBuilder(p.name)
+	b := isa.NewBuilder(p.role.String())
 	if p.setValue {
 		b.Word(p.target, p.value)
 	}
@@ -117,7 +118,7 @@ func buildKernel(p kernelParams) (*isa.Program, error) {
 	}
 	wantPC := p.skew + attackLoadPC
 	if prog.Code[wantPC].Op != isa.LOAD || prog.Code[wantPC].Dst != isa.R2 {
-		return nil, fmt.Errorf("attacks: kernel %q attacked load not at PC %d", p.name, wantPC)
+		return nil, fmt.Errorf("attacks: kernel %q attacked load not at PC %d", p.role, wantPC)
 	}
 	return prog, nil
 }
@@ -198,10 +199,10 @@ func (e *env) writeWord(physBase, vaddr, value uint64) {
 // cache state that speculative dependent loads leave during training
 // (with the A-type defense every training access predicts, so the
 // training loop transiently touches neighboring probe lines).
+// The probe lines sit 1<<probeShift bytes apart, one 64-byte cache
+// line each, so the region is one FlushRange of consecutive lines.
 func (e *env) flushProbeRegion(physBase uint64) {
-	for v := uint64(0); v <= valueMask; v++ {
-		e.m.Hier.Flush(physBase + probeBase + v<<probeShift)
-	}
+	e.m.Hier.FlushRange(physBase+probeBase, valueMask+1)
 }
 
 // buildProbe emits the single-load reload probe of one probe-line
@@ -243,7 +244,7 @@ func (e *env) probeLatency(physBase uint64, line uint64) (uint64, error) {
 // burst cannot fire until the real value returns, far outside the
 // sampling window.
 func buildVolatileKernel(p kernelParams) (*isa.Program, error) {
-	b := isa.NewBuilder(p.name)
+	b := isa.NewBuilder(p.role.String())
 	if p.setValue {
 		b.Word(p.target, p.value)
 	}
@@ -284,7 +285,7 @@ func buildVolatileKernel(p kernelParams) (*isa.Program, error) {
 	}
 	wantPC := p.skew + attackLoadPC
 	if prog.Code[wantPC].Op != isa.LOAD || prog.Code[wantPC].Dst != isa.R2 {
-		return nil, fmt.Errorf("attacks: volatile kernel %q attacked load not at PC %d", p.name, wantPC)
+		return nil, fmt.Errorf("attacks: volatile kernel %q attacked load not at PC %d", p.role, wantPC)
 	}
 	return prog, nil
 }

@@ -397,7 +397,7 @@ func (e *env) exec(t *entry, mapped bool) (obs float64, cycles uint64, err error
 // the kernel that gates a burst on the predicted parity.
 func (e *env) kernel(t *entry, s *step, mapped bool) kernelParams {
 	p := kernelParams{
-		name: s.role.String(), target: s.target, value: s.val.at(mapped), setValue: s.val.set,
+		role: s.role, target: s.target, value: s.val.at(mapped), setValue: s.val.set,
 		iters: 1, depBase: probeBase, flushDep: s.role != trigger,
 		results: partyResults(s.party),
 	}

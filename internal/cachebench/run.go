@@ -59,7 +59,7 @@ func newHierarchy() *mem.Hierarchy {
 
 // schedule is one arm's trial with the jitter taken out: base is the
 // step-3 delta the arm's program stores at ResultAddr when it runs on
-// isa.Interp against a fresh newHierarchy() with no jitter, and
+// isa.Interp against a cold newHierarchy() with no jitter, and
 // accesses lists every load and flush of that run in program order.
 //
 // Precondition: every trial of the arm makes the same accesses with the
@@ -84,12 +84,21 @@ type access struct {
 	timed bool // retired between the two rdtscs, so its jitter is measured
 }
 
+// hierPool recycles the hierarchies newSchedule runs arms on. A
+// hierarchy's line arrays take about 111 KB, and an arm makes at most
+// 17 loads and flushes on it, so building one per arm was most of what
+// a cold family pass allocated. Hierarchy.Reset makes a recycled
+// hierarchy behave bit-identically to a new one.
+var hierPool = sync.Pool{New: func() any { return newHierarchy() }}
+
 // newSchedule runs prog once, without jitter, on a cold hierarchy and
 // records its schedule. Stores write the interpreter's memory without
 // touching the caches (the benchmark's result store must not perturb
 // the state under measurement).
 func newSchedule(prog *isa.Program) (*schedule, error) {
-	h := newHierarchy()
+	h := hierPool.Get().(*mem.Hierarchy)
+	h.Reset()
+	defer hierPool.Put(h)
 	s := &schedule{}
 	var it isa.Interp
 	rdtscs := 0

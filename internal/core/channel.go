@@ -21,6 +21,7 @@ const (
 	Volatile
 )
 
+// String names the channel as the reports print it.
 func (c Channel) String() string {
 	switch c {
 	case TimingWindow:
@@ -66,6 +67,7 @@ const (
 	WrongVsNone
 )
 
+// String describes the contrast in the paper's words (Fig. 2).
 func (t TimingContrast) String() string {
 	switch t {
 	case CorrectVsWrong:

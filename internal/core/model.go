@@ -23,6 +23,7 @@ const (
 	Receiver
 )
 
+// String is the party's Table I letter: S or R.
 func (p Party) String() string {
 	if p == Sender {
 		return "S"
@@ -41,6 +42,7 @@ const (
 	Index
 )
 
+// String is the kind's Table I letter: D or I.
 func (k Kind) String() string {
 	if k == Data {
 		return "D"
@@ -60,6 +62,7 @@ const (
 	Secret2
 )
 
+// String is the secrecy's Table I mark: K, or S with one or two primes.
 func (s Secrecy) String() string {
 	switch s {
 	case Known:

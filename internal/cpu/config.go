@@ -48,6 +48,7 @@ const (
 	EffectsRecompute
 )
 
+// String names the policy as reports and manifests print it.
 func (p EffectsPolicy) String() string {
 	switch p {
 	case EffectsImmediate:

@@ -608,13 +608,19 @@ func (p *pipeline) markReady(e *entry) {
 // younger instruction issues. This is what lets the timing-window
 // channel observe prediction outcomes through FENCE + RDTSC pairs, and
 // what makes FLUSH; FENCE; LOAD a guaranteed miss.
+//
+// fences lists every in-flight FENCE oldest-first, so the head is an
+// unresolved FENCE exactly when it is fences[0] and not yet done: the
+// test reads the fence list and the done scoreboard, not the head
+// entry.
 func (p *pipeline) resolveFences() {
-	if p.rob.len() == 0 {
+	if len(p.fences) == 0 {
 		return
 	}
-	if e := p.rob.at(0); e.in.Op == isa.FENCE && e.state != stDone {
-		e.state = stDone
-		bitSet(p.doneM, e.slot)
+	head := p.rob.head
+	if f := p.fences[0]; p.rob.buf[head] == f && !bitHas(p.doneM, head) {
+		f.state = stDone
+		bitSet(p.doneM, head)
 		p.activity = true
 	}
 }
@@ -625,10 +631,12 @@ func (p *pipeline) resolveFences() {
 // next drains.
 func (p *pipeline) commit(now uint64) {
 	for n := 0; n < p.cfg.CommitWidth && p.rob.len() > 0; n++ {
-		e := p.rob.at(0)
-		if !e.fullyDone() {
+		// doneM mirrors fullyDone bit for bit (checkScoreboards), so a
+		// stalled head costs one mask read, not an entry load.
+		if !bitHas(p.doneM, p.rob.head) {
 			return
 		}
+		e := p.rob.at(0)
 		switch e.in.Op {
 		case isa.STORE:
 			p.m.Hier.Mem.Write(e.paddr, e.src2.val)
@@ -684,7 +692,7 @@ func (p *pipeline) commit(now uint64) {
 			h(c)
 		}
 		p.emit(trace.Commit, e, now, "")
-		p.clearSlot(e.slot)
+		p.retireSlot(e.slot)
 		p.rob.popFront()
 		p.retired = append(p.retired, e)
 		p.res.Retired++
@@ -1094,12 +1102,19 @@ func marked(e *entry, epoch uint64) bool {
 
 // resetForReplay returns an entry to the waiting state with operands
 // re-sourced from their original producers.
+//
+// The rule is capture's: a producer that has written back (stDone)
+// supplies its result now, even a predicted load still awaiting
+// verification. Such a load broadcast its value at writeback and will
+// not wake anyone again if the prediction verifies, so registering on
+// it would lose the wakeup; if it verifies wrong, its own replay
+// re-sources this entry again through origProd.
 func (p *pipeline) resetForReplay(e *entry) {
 	resrc := func(o *operand) {
 		if o.origProd == nil {
 			return // architectural value: still correct
 		}
-		if o.origProd.fullyDone() {
+		if o.origProd.state == stDone {
 			*o = operand{ready: true, val: o.origProd.result, origProd: o.origProd}
 		} else {
 			bitSet(p.consRow(o.origProd.slot), e.slot)

@@ -26,6 +26,7 @@ const (
 	Random               // uniformly random victim (needs a seed)
 )
 
+// String names the policy as the configuration spells it.
 func (p Policy) String() string {
 	switch p {
 	case LRU:
@@ -103,10 +104,9 @@ type cacheLine struct {
 
 // Cache is one set-associative, timing-only cache level with a
 // configurable replacement policy. All sets live in one flat line
-// array (set s occupies lines[s*Ways : (s+1)*Ways]), so building a
-// cache is a single allocation — the simulator rebuilds hierarchies
-// per experiment trial, and per-set slices used to dominate its
-// allocation profile.
+// array (set s occupies lines[s*Ways : (s+1)*Ways]), so the lines are
+// a single allocation rather than one slice per set, which used to
+// dominate the allocation profile of building a hierarchy.
 type Cache struct {
 	cfg   CacheConfig
 	lines []cacheLine
@@ -114,6 +114,12 @@ type Cache struct {
 	tick  uint64
 	rng   *rand.Rand
 	Stats CacheStats
+
+	// valid counts each set's valid lines (those stamped with the
+	// current epoch). The caches a trial sees are mostly empty — it
+	// starts cold and touches a few dozen lines — so Lookup, Contains
+	// and Flush answer an empty set without scanning its ways.
+	valid []uint32
 
 	// Sets and LineBytes are validated powers of two, so the per-access
 	// set/tag split is shift-and-mask instead of two hardware divides —
@@ -129,6 +135,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	c := &Cache{cfg: cfg, lines: make([]cacheLine, cfg.Sets*cfg.Ways), epoch: 1,
+		valid:     make([]uint32, cfg.Sets),
 		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
 		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:   uint64(cfg.Sets - 1),
@@ -156,8 +163,12 @@ func (c *Cache) set(s int) []cacheLine {
 // true; on a miss it returns false without modifying the set.
 func (c *Cache) Lookup(addr uint64) bool {
 	s, tag := c.index(addr)
-	ways := c.set(s)
 	c.tick++
+	if c.valid[s] == 0 {
+		c.Stats.Misses++
+		return false
+	}
+	ways := c.set(s)
 	for i := range ways {
 		l := &ways[i]
 		if l.epoch == c.epoch && l.tag == tag {
@@ -176,6 +187,9 @@ func (c *Cache) Lookup(addr uint64) bool {
 // tests and introspection).
 func (c *Cache) Contains(addr uint64) bool {
 	s, tag := c.index(addr)
+	if c.valid[s] == 0 {
+		return false
+	}
 	ways := c.set(s)
 	for i := range ways {
 		l := &ways[i]
@@ -203,20 +217,26 @@ func (c *Cache) insert(addr uint64, dirty bool) (evicted uint64, wasEvicted bool
 	s, tag := c.index(addr)
 	ways := c.set(s)
 	c.tick++
+	n := int(c.valid[s])
 	// Already present: refresh.
-	for i := range ways {
-		l := &ways[i]
-		if l.epoch == c.epoch && l.tag == tag {
-			l.lru = c.tick
-			l.dirty = l.dirty || dirty
-			return 0, false
+	if n > 0 {
+		for i := range ways {
+			l := &ways[i]
+			if l.epoch == c.epoch && l.tag == tag {
+				l.lru = c.tick
+				l.dirty = l.dirty || dirty
+				return 0, false
+			}
 		}
 	}
+	// A free way exists exactly when the set is not full.
 	victim := -1
-	for i := range ways {
-		if ways[i].epoch != c.epoch {
-			victim = i
-			break
+	if n < len(ways) {
+		for i := range ways {
+			if ways[i].epoch != c.epoch {
+				victim = i
+				break
+			}
 		}
 	}
 	if victim < 0 {
@@ -240,6 +260,8 @@ func (c *Cache) insert(addr uint64, dirty bool) (evicted uint64, wasEvicted bool
 		}
 		evicted = (v.tag<<c.setShift | uint64(s)) << c.lineShift
 		wasEvicted = true
+	} else {
+		c.valid[s]++
 	}
 	*v = cacheLine{epoch: c.epoch, dirty: dirty, tag: tag, lru: c.tick}
 	return evicted, wasEvicted
@@ -249,6 +271,25 @@ func (c *Cache) insert(addr uint64, dirty bool) (evicted uint64, wasEvicted bool
 // reports whether it was present.
 func (c *Cache) Flush(addr uint64) bool {
 	s, tag := c.index(addr)
+	return c.valid[s] != 0 && c.flushLine(s, tag)
+}
+
+// FlushRange flushes a run of consecutive cache lines, lines long,
+// whose first line contains base. It leaves the same lines and Stats
+// as Flush at base, base+LineBytes, base+2·LineBytes, … (lines calls),
+// and skips each empty set without touching its ways.
+func (c *Cache) FlushRange(base uint64, lines int) {
+	line := base >> c.lineShift
+	for i := 0; i < lines; i, line = i+1, line+1 {
+		if s := int(line & c.setMask); c.valid[s] != 0 {
+			c.flushLine(s, line>>c.setShift)
+		}
+	}
+}
+
+// flushLine invalidates the line tagged tag in set s, if valid, and
+// reports whether it was.
+func (c *Cache) flushLine(s int, tag uint64) bool {
 	ways := c.set(s)
 	for i := range ways {
 		l := &ways[i]
@@ -258,6 +299,7 @@ func (c *Cache) Flush(addr uint64) bool {
 			}
 			l.epoch = 0 // 0 never equals the current epoch
 			l.dirty = false
+			c.valid[s]--
 			c.Stats.Flushes++
 			return true
 		}
@@ -266,9 +308,11 @@ func (c *Cache) Flush(addr uint64) bool {
 }
 
 // InvalidateAll empties the cache (e.g. between experiment runs) by
-// advancing the validity epoch — O(1), no line-array clear. The array
-// is physically cleared only when the 32-bit epoch wraps.
+// advancing the validity epoch and zeroing the per-set valid counts —
+// no line-array clear. The array is physically cleared only when the
+// 32-bit epoch wraps.
 func (c *Cache) InvalidateAll() {
+	clear(c.valid)
 	c.epoch++
 	if c.epoch == 0 {
 		clear(c.lines)

@@ -8,7 +8,10 @@ import (
 // memPageShift sizes memory pages: one page covers 2^memPageShift
 // consecutive word addresses (the programs in this repo address words
 // at byte granularity, so pages are keyed by address, not address/8).
-const memPageShift = 10
+// A page is 1 KiB: a trial writes a few words on a few pages, and
+// Reset clears each written page whole, so a small page keeps that
+// clear near the trial's own write set.
+const memPageShift = 7
 
 // memPageSize is the number of addressable words per page.
 const memPageSize = 1 << memPageShift
@@ -211,6 +214,7 @@ const (
 	LevelMem
 )
 
+// String names the level as traces and reports print it.
 func (l Level) String() string {
 	switch l {
 	case LevelL1:
@@ -416,6 +420,25 @@ func (h *Hierarchy) Flush(addr uint64) {
 		h.L2.Flush(addr)
 	}
 	h.invalidatePeers(addr)
+}
+
+// FlushRange flushes a run of consecutive L1 lines, lines long, whose
+// first line contains base, from every level and every peer L1. It is
+// exactly Flush at base, base+L, base+2L, … (lines calls, L the L1
+// line size). Without peers, and with one line size at both levels,
+// each level flushes the run in one pass that skips empty sets.
+func (h *Hierarchy) FlushRange(base uint64, lines int) {
+	step := h.L1.cfg.LineBytes
+	if len(h.peers) > 0 || (h.L2 != nil && h.L2.cfg.LineBytes != step) {
+		for i := 0; i < lines; i++ {
+			h.Flush(base + uint64(i)*step)
+		}
+		return
+	}
+	h.L1.FlushRange(base, lines)
+	if h.L2 != nil {
+		h.L2.FlushRange(base, lines)
+	}
 }
 
 // Cached reports whether addr hits in any cache level, without

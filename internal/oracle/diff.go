@@ -25,10 +25,11 @@ type Spec struct {
 
 // Specs returns the standard differential matrix. It deliberately
 // spans the recovery mechanisms (full squash vs selective replay),
-// the D-type defense (delayed side effects), branch prediction on and
-// off, several predictor families with attack-grade (low) confidence
-// thresholds, latency jitter, and a deliberately tiny core where
-// structural stalls (ROB, MSHR, port pressure) dominate.
+// the D-type defense (delayed side effects), the A-type defense
+// (a prediction on every miss) under selective replay, branch
+// prediction on and off, several predictor families with attack-grade
+// (low) confidence thresholds, latency jitter, and a deliberately tiny
+// core where structural stalls (ROB, MSHR, port pressure) dominate.
 func Specs() []Spec {
 	lvp := func() predictor.Predictor {
 		p, err := predictor.NewLVP(predictor.LVPConfig{Confidence: 2})
@@ -51,6 +52,7 @@ func Specs() []Spec {
 		}
 		return p
 	}
+	aLVP := func() predictor.Predictor { return predictor.NewAType(lvp(), 0) }
 	addrLVP := func() predictor.Predictor {
 		p, err := predictor.NewLVP(predictor.LVPConfig{Confidence: 2, Scheme: predictor.ByDataAddr})
 		if err != nil {
@@ -68,6 +70,7 @@ func Specs() []Spec {
 		{Name: "tiny-core", Cfg: cpu.Config{FetchWidth: 1, IssueWidth: 1, CommitWidth: 1, ROBSize: 8, MemPorts: 1, MSHRs: 1}, Pred: lvp, Seed: 7},
 		{Name: "lvp-noise", Cfg: cpu.Config{SelectiveReplay: true}, Pred: lvp, Noise: cpu.Noise{MemJitter: 13, HitJitter: 2}, Seed: 8},
 		{Name: "lvp-recompute", Cfg: cpu.Config{Effects: cpu.EffectsRecompute}, Pred: lvp, Seed: 9},
+		{Name: "a-lvp-replay", Cfg: cpu.Config{SelectiveReplay: true}, Pred: aLVP, Seed: 10},
 	}
 }
 

@@ -25,6 +25,7 @@ const (
 	Verify  // the prediction was verified (Text: "correct"/"wrong")
 )
 
+// String names the event kind in lower case, as text dumps print it.
 func (k Kind) String() string {
 	switch k {
 	case Fetch:
