@@ -199,10 +199,10 @@ func (e *env) writeWord(physBase, vaddr, value uint64) {
 // cache state that speculative dependent loads leave during training
 // (with the A-type defense every training access predicts, so the
 // training loop transiently touches neighboring probe lines).
-// The probe lines sit 1<<probeShift bytes apart, one 64-byte cache
-// line each, so the region is one FlushRange of consecutive lines.
 func (e *env) flushProbeRegion(physBase uint64) {
-	e.m.Hier.FlushRange(physBase+probeBase, valueMask+1)
+	for v := uint64(0); v <= valueMask; v++ {
+		e.m.Hier.Flush(physBase + probeBase + v<<probeShift)
+	}
 }
 
 // buildProbe emits the single-load reload probe of one probe-line

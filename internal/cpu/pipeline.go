@@ -692,7 +692,7 @@ func (p *pipeline) commit(now uint64) {
 			h(c)
 		}
 		p.emit(trace.Commit, e, now, "")
-		p.retireSlot(e.slot)
+		p.clearSlot(e.slot)
 		p.rob.popFront()
 		p.retired = append(p.retired, e)
 		p.res.Retired++

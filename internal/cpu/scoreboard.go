@@ -164,25 +164,12 @@ func (p *pipeline) clearSched(slot int) {
 	bitClear(p.missM, slot)
 }
 
-// clearSlot vacates a slot entirely (squash, or a run ending with
-// entries in flight): all state bits, the op-class bit, and the
-// consumer row.
+// clearSlot vacates a slot entirely (commit or squash): all state
+// bits, the op-class bit, and the consumer row. The row is almost
+// always empty already (wake clears a row as it broadcasts), so it is
+// written only when a bit remains.
 func (p *pipeline) clearSlot(slot int) {
 	p.clearSched(slot)
-	bitClear(p.storeM, slot)
-	maskZero(p.consRow(slot))
-}
-
-// retireSlot vacates a committed slot. A committed entry is fully
-// done, so it holds no ready, executing or pending-verification bit:
-// only doneM, missM and storeM can be set. Its consumer row is almost
-// always empty already (wake clears a row as it broadcasts), so the
-// row is written only when a stale bit remains. checkScoreboards
-// asserts every vacated slot is fully scrubbed, which checks this
-// shortcut on every cycle of every oracle run.
-func (p *pipeline) retireSlot(slot int) {
-	bitClear(p.doneM, slot)
-	bitClear(p.missM, slot)
 	bitClear(p.storeM, slot)
 	if row := p.consRow(slot); maskAny(row) {
 		maskZero(row)

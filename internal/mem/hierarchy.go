@@ -422,25 +422,6 @@ func (h *Hierarchy) Flush(addr uint64) {
 	h.invalidatePeers(addr)
 }
 
-// FlushRange flushes a run of consecutive L1 lines, lines long, whose
-// first line contains base, from every level and every peer L1. It is
-// exactly Flush at base, base+L, base+2L, … (lines calls, L the L1
-// line size). Without peers, and with one line size at both levels,
-// each level flushes the run in one pass that skips empty sets.
-func (h *Hierarchy) FlushRange(base uint64, lines int) {
-	step := h.L1.cfg.LineBytes
-	if len(h.peers) > 0 || (h.L2 != nil && h.L2.cfg.LineBytes != step) {
-		for i := 0; i < lines; i++ {
-			h.Flush(base + uint64(i)*step)
-		}
-		return
-	}
-	h.L1.FlushRange(base, lines)
-	if h.L2 != nil {
-		h.L2.FlushRange(base, lines)
-	}
-}
-
 // Cached reports whether addr hits in any cache level, without
 // touching LRU or statistics.
 func (h *Hierarchy) Cached(addr uint64) bool {

@@ -3,24 +3,37 @@ package mem
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
+// validWays counts the ways of set s stamped with the current epoch.
+func validWays(c *Cache, s int) int {
+	n := 0
+	for _, l := range c.set(s) {
+		if l.epoch == c.epoch {
+			n++
+		}
+	}
+	return n
+}
+
 // recountValid checks that every set's valid count equals the number of
 // its ways stamped with the current epoch — the invariant behind the
-// empty-set early exits of Lookup, Contains, Flush and FlushRange.
+// empty-set early exits of Lookup, Contains and Flush — and that no set
+// holds a line twice.
 func recountValid(t *testing.T, c *Cache, op string) {
 	t.Helper()
 	for s := range c.valid {
-		n := 0
-		for _, l := range c.set(s) {
-			if l.epoch == c.epoch {
-				n++
-			}
-		}
-		if int(c.valid[s]) != n {
+		if n := validWays(c, s); int(c.valid[s]) != n {
 			t.Fatalf("after %s: set %d counts %d valid lines, recount %d", op, s, c.valid[s], n)
+		}
+		ways := c.set(s)
+		for i := range ways {
+			for j := i + 1; j < len(ways); j++ {
+				if ways[i].epoch == c.epoch && ways[j].epoch == c.epoch && ways[i].tag == ways[j].tag {
+					t.Fatalf("after %s: set %d holds tag %#x in ways %d and %d", op, s, ways[i].tag, i, j)
+				}
+			}
 		}
 	}
 }
@@ -36,24 +49,21 @@ func scanContains(c *Cache, addr uint64) bool {
 	return false
 }
 
-// TestCacheValidCounts drives twin caches through random operation
-// sequences under every replacement policy. Both receive the same
-// operations, except that FlushRange on one is per-line Flush calls on
-// the other. After every operation each cache's per-set valid counts
-// must match a recount of its ways, the early-exit answers must match
-// a full scan, and the twins must hold identical lines, clocks and
-// Stats. The epoch starts near its 32-bit wrap, so InvalidateAll's
-// physical clear runs too.
+// TestCacheValidCounts drives a cache through random operation
+// sequences under every replacement policy. After every operation its
+// per-set valid counts must match a recount of its ways, and the
+// answers of Lookup, Contains and Flush, and whether an insert evicts,
+// must match a full scan. The epoch starts near its 32-bit wrap, so
+// InvalidateAll's physical clear runs too.
 func TestCacheValidCounts(t *testing.T) {
 	for _, pol := range []Policy{LRU, FIFO, Random} {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := CacheConfig{Name: "t", Sets: 8, Ways: 4, LineBytes: 64, HitLatency: 3, Policy: pol, Seed: 5}
-			a, err := NewCache(cfg)
+			c, err := NewCache(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, _ := NewCache(cfg)
-			a.epoch, b.epoch = math.MaxUint32-2, math.MaxUint32-2
+			c.epoch = math.MaxUint32 - 2
 			rng := rand.New(rand.NewSource(int64(pol) + 1))
 			// 96 lines over 8 sets: up to 12 tags contend for 4 ways.
 			addr := func() uint64 { return uint64(rng.Intn(96*64)) + 0x10000 }
@@ -62,107 +72,56 @@ func TestCacheValidCounts(t *testing.T) {
 			for i := 0; i < 20000; i++ {
 				var op string
 				switch r := rng.Intn(100); {
-				case r < 30:
+				case r < 45:
+					// An insert evicts exactly when the line is absent
+					// and its set full, as a scan of the ways decides.
 					op = "Insert"
-					x := addr()
-					ea, oka := a.Insert(x)
-					eb, okb := b.Insert(x)
-					if ea != eb || oka != okb {
-						t.Fatalf("op %d: twins evicted differently", i)
+					ins := c.Insert
+					if r >= 35 {
+						op, ins = "InsertDirty", c.InsertDirty
 					}
-				case r < 40:
-					op = "InsertDirty"
 					x := addr()
-					a.InsertDirty(x)
-					b.InsertDirty(x)
-				case r < 60:
+					s, _ := c.index(x)
+					want := !scanContains(c, x) && validWays(c, s) == cfg.Ways
+					if _, ev := ins(x); ev != want {
+						t.Fatalf("op %d: %s(%#x) evicted %v, a scan says %v", i, op, x, ev, want)
+					}
+				case r < 65:
 					op = "Lookup"
 					x := addr()
-					want := scanContains(a, x)
-					if a.Lookup(x) != want || b.Lookup(x) != want {
+					want := scanContains(c, x)
+					if c.Lookup(x) != want {
 						t.Fatalf("op %d: Lookup(%#x) disagrees with a scan (%v)", i, x, want)
 					}
-				case r < 70:
+				case r < 75:
 					op = "Contains"
 					x := addr()
-					if a.Contains(x) != scanContains(a, x) {
+					if c.Contains(x) != scanContains(c, x) {
 						t.Fatalf("op %d: Contains(%#x) disagrees with a scan", i, x)
 					}
-				case r < 80:
+				case r < 97:
 					op = "Flush"
 					x := addr()
-					want := scanContains(a, x)
-					if a.Flush(x) != want || b.Flush(x) != want {
+					want := scanContains(c, x)
+					if c.Flush(x) != want {
 						t.Fatalf("op %d: Flush(%#x) disagrees with a scan (%v)", i, x, want)
-					}
-				case r < 97:
-					op = "FlushRange"
-					base, n := addr(), rng.Intn(24)
-					a.FlushRange(base, n)
-					for j := 0; j < n; j++ {
-						b.Flush(base + uint64(j)*cfg.LineBytes)
 					}
 				case r < 99:
 					op = "InvalidateAll"
-					wrapped = wrapped || a.epoch == math.MaxUint32
-					a.InvalidateAll()
-					b.InvalidateAll()
+					wrapped = wrapped || c.epoch == math.MaxUint32
+					c.InvalidateAll()
 				default:
 					op = "Reset"
-					wrapped = wrapped || a.epoch == math.MaxUint32
-					evictions += a.Stats.Evictions
-					flushes += a.Stats.Flushes
-					a.Reset()
-					b.Reset()
+					wrapped = wrapped || c.epoch == math.MaxUint32
+					evictions += c.Stats.Evictions
+					flushes += c.Stats.Flushes
+					c.Reset()
 				}
-				recountValid(t, a, op)
-				recountValid(t, b, op)
-				if !slices.Equal(a.lines, b.lines) || a.Stats != b.Stats || a.tick != b.tick || a.epoch != b.epoch {
-					t.Fatalf("op %d (%s): twins diverged: stats %+v vs %+v", i, op, a.Stats, b.Stats)
-				}
+				recountValid(t, c, op)
 			}
 			if evictions == 0 || flushes == 0 || !wrapped {
 				t.Errorf("sequence too tame: %d evictions, %d flushes, epoch wrapped %v", evictions, flushes, wrapped)
 			}
 		})
-	}
-}
-
-// TestHierarchyFlushRange checks that Hierarchy.FlushRange leaves
-// every level and every peer L1 exactly as per-line Flush calls do,
-// both on the one-pass path (no peers) and on the peer fallback.
-func TestHierarchyFlushRange(t *testing.T) {
-	fill := func(hs ...*Hierarchy) {
-		for _, h := range hs {
-			for i := uint64(0); i < 160; i += 3 {
-				h.Access(0x40000+i*64, true)
-				h.InstallDirty(0x40000 + i*64 + 8*64)
-			}
-		}
-	}
-	same := func(a, b *Hierarchy) bool {
-		return slices.Equal(a.L1.lines, b.L1.lines) && slices.Equal(a.L2.lines, b.L2.lines) &&
-			a.L1.Stats == b.L1.Stats && a.L2.Stats == b.L2.Stats && a.Invalidations == b.Invalidations
-	}
-	a, b := DefaultHierarchy(), DefaultHierarchy()
-	fill(a, b)
-	a.FlushRange(0x40000+17, 100)
-	for i := uint64(0); i < 100; i++ {
-		b.Flush(0x40000 + 17 + i*64)
-	}
-	if !same(a, b) || a.L1.Stats.Flushes == 0 || a.L2.Stats.Flushes == 0 {
-		t.Errorf("single core: FlushRange differs from per-line Flush (L1 %+v vs %+v)", a.L1.Stats, b.L1.Stats)
-	}
-
-	pa, pb := NewMulticore(2), NewMulticore(2)
-	fill(pa[0], pa[1])
-	fill(pb[0], pb[1])
-	pa[0].FlushRange(0x40000, 64)
-	for i := uint64(0); i < 64; i++ {
-		pb[0].Flush(0x40000 + i*64)
-	}
-	if !same(pa[0], pb[0]) || !same(pa[1], pb[1]) || pa[0].Invalidations == 0 {
-		t.Errorf("multicore: FlushRange differs from per-line Flush (invalidations %d vs %d)",
-			pa[0].Invalidations, pb[0].Invalidations)
 	}
 }
