@@ -1,12 +1,13 @@
 # Developer entry points. `make check` is the gate a change must pass:
 # vet, build, race-enabled tests, the allocation budgets, the scheduler
 # ordering gate, the differential oracle, the scenario, cache-benchmark
-# and defense registries, documentation coverage and the experiment
-# server suite. `make diff` runs the full differential-oracle harness
-# (1000 generated programs against the in-order reference model — see
-# DESIGN.md §9); `make fuzz` runs the coverage-guided version of the
-# same harness for a bounded time; `make bench` runs the root package's
-# per-table Go benchmarks. Performance is measured by one harness,
+# and defense registries, documentation coverage, the experiment
+# server suite and a build of the benchmark harness. `make diff` runs
+# the full differential-oracle harness (1000 generated programs
+# against the in-order reference model — see DESIGN.md §9); `make
+# fuzz` runs the coverage-guided version of the same harness for a
+# bounded time; `make bench` runs the root package's per-table Go
+# benchmarks. Performance is measured by one harness,
 # tools/bench (see tools/bench/README.md):
 #
 #	bash tools/bench/run.sh --workload registry-sweep --seed 0 --seconds 36 --trace 0
@@ -14,9 +15,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check build test vet race bench alloc-budget sched-order docs diff fuzz scenarios cachebench defense-check server-check
+.PHONY: check build test vet race bench bench-build alloc-budget sched-order docs diff fuzz scenarios cachebench defense-check server-check
 
-check: vet build race alloc-budget sched-order diff scenarios cachebench defense-check docs server-check
+check: vet build race alloc-budget sched-order diff scenarios cachebench defense-check docs server-check bench-build
 
 # Defense-architecture gate (DESIGN.md §14): the mechanism catalog is
 # exhaustive (every mechanism addressable and round-tripping through
@@ -102,6 +103,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# tools/bench is its own module, so the root `go build ./...` never
+# compiles it; vet and build it here so an API change it imports fails
+# the gate rather than the next benchmark run.
+bench-build:
+	cd tools/bench && $(GO) vet . && $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...

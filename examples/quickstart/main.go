@@ -84,9 +84,8 @@ func main() {
 		fmt.Printf("  iteration %d: %4d cycles   %s\n", i, dt, note)
 	}
 	fmt.Printf("\nrun: %d cycles, %d instructions (IPC %.2f)\n", res.Cycles, res.Retired, res.IPC())
-	s := lvp.Stats()
 	fmt.Printf("VPS: %d lookups, %d predictions (%d correct, %d wrong), %d below confidence\n",
-		s.Lookups, s.Predictions, s.Correct, s.Mispredicts, s.NoPredictions)
+		res.Predictions+res.NoPredictions, res.Predictions, res.VerifyCorrect, res.VerifyWrong, res.NoPredictions)
 	fmt.Println("\nThe confidence threshold is 4: the 5th access is the first prediction.")
 	fmt.Println("That timing cliff is exactly what the paper's attacks measure.")
 

@@ -267,15 +267,15 @@ func trainAndTriggerProgram(iters int, targetValue uint64) *isa.Program {
 	return b.MustBuild()
 }
 
-func iterationTimes(t *testing.T, m *Machine, iters int, value uint64) []uint64 {
+func iterationTimes(t *testing.T, m *Machine, iters int, value uint64) ([]uint64, RunResult) {
 	t.Helper()
 	prog := trainAndTriggerProgram(iters, value)
-	mustRun(t, m, prog)
+	res := mustRun(t, m, prog)
 	out := make([]uint64, iters)
 	for i := range out {
 		out[i] = m.Hier.Mem.Peek(uint64(resultsBase + 8*i))
 	}
-	return out
+	return out, res
 }
 
 func TestValuePredictionAcceleratesTrainedLoad(t *testing.T) {
@@ -284,7 +284,7 @@ func TestValuePredictionAcceleratesTrainedLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newTestMachine(t, lvp)
-	times := iterationTimes(t, m, 8, 0xAB)
+	times, res := iterationTimes(t, m, 8, 0xAB)
 
 	// Iterations 0..3 train (no prediction): latency is two serialized
 	// misses. Iterations 4..7 predict correctly: the dependent miss
@@ -294,14 +294,14 @@ func TestValuePredictionAcceleratesTrainedLoad(t *testing.T) {
 	if trained*3 > untrained*2 {
 		t.Errorf("trained %d cycles vs untrained %d: prediction gave no speedup", trained, untrained)
 	}
-	if got := lvp.Stats().Correct; got == 0 {
+	if res.VerifyCorrect == 0 {
 		t.Error("no correct predictions recorded")
 	}
 }
 
 func TestNoPredictorNoSpeedup(t *testing.T) {
 	m := newTestMachine(t, nil) // no-VP baseline
-	times := iterationTimes(t, m, 8, 0xAB)
+	times, _ := iterationTimes(t, m, 8, 0xAB)
 	early, late := times[1], times[6]
 	diff := int64(early) - int64(late)
 	if diff < 0 {

@@ -18,18 +18,19 @@ var robOccBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 96, 128, 160, 192}
 var confBounds = []float64{0, 1, 2, 3, 4, 5, 6, 8, 12, 16, 32}
 
 // machineMetrics tracks the machine's registry handles plus the
-// last-published predictor stats, so repeated publishes add exact
-// deltas (the predictor is shared across runs on one machine, while
-// each RunResult is already a per-run delta).
+// last-published predictor eviction count, so repeated publishes add
+// exact deltas (the predictor is shared across runs on one machine and
+// counts evictions over its lifetime, while each RunResult is already
+// a per-run delta).
 //
 // The per-cycle ROB-occupancy observation tallies into the local
 // occCounts array through a precomputed occupancy->bucket table and is
 // merged into the shared histogram at publish time, keeping the
 // per-cycle cost to an array increment.
 type machineMetrics struct {
-	reg      *metrics.Registry
-	robOcc   *metrics.Histogram
-	lastPred predictor.Stats
+	reg           *metrics.Registry
+	robOcc        *metrics.Histogram
+	lastEvictions uint64
 
 	occLUT    []uint8  // occupancy -> bucket index
 	occCounts []uint64 // local per-bucket tallies; +Inf last
@@ -124,7 +125,7 @@ func (m *Machine) AttachMetrics(reg *metrics.Registry) {
 		// Re-attach to the same registry (a pooled machine starting a new
 		// trial): reuse the resolved handles, and zero the delta trackers
 		// and local tallies so the state matches a fresh attach.
-		mm.lastPred = predictor.Stats{}
+		mm.lastEvictions = 0
 		clear(mm.occCounts)
 		mm.occSum, mm.occCount = 0, 0
 		m.metrics = mm
@@ -169,8 +170,8 @@ func (m *Machine) observeOccupancy(n int, k uint64) {
 
 // publishRun forwards one completed run's counters into the registry.
 // RunResult fields are per-run totals, so they are added directly; the
-// predictor's cumulative Stats are published as deltas since the last
-// publish on this machine.
+// predictor's lifetime eviction count is published as a delta since
+// the last publish on this machine.
 func (m *Machine) publishRun(res *RunResult) {
 	mm := m.metrics
 	if mm == nil {
@@ -201,23 +202,23 @@ func (m *Machine) publishRun(res *RunResult) {
 		h.ipc.Set(float64(h.retired.Value()) / float64(cycles))
 	}
 	m.Hier.PublishMetrics()
-	m.publishPredictor()
+	m.publishPredictor(res)
 }
 
-// publishPredictor adds the predictor's stat deltas and refreshes the
-// accuracy gauge.
-func (m *Machine) publishPredictor() {
+// publishPredictor adds the run's VPS counts under the predictor's
+// scope, the same RunResult fields cpu.vps.* adds, plus the eviction
+// delta, and refreshes the accuracy gauge.
+func (m *Machine) publishPredictor(res *RunResult) {
 	mm := m.metrics
-	st := m.Pred.Stats()
-	last := &mm.lastPred
 	ph := m.predictorHandles()
-	ph.lookups.Add(st.Lookups - last.Lookups)
-	ph.predictions.Add(st.Predictions - last.Predictions)
-	ph.noPredictions.Add(st.NoPredictions - last.NoPredictions)
-	ph.correct.Add(st.Correct - last.Correct)
-	ph.mispredicts.Add(st.Mispredicts - last.Mispredicts)
-	ph.evictions.Add(st.Evictions - last.Evictions)
-	*last = st
+	ph.lookups.Add(res.Predictions + res.NoPredictions)
+	ph.predictions.Add(res.Predictions)
+	ph.noPredictions.Add(res.NoPredictions)
+	ph.correct.Add(res.VerifyCorrect)
+	ph.mispredicts.Add(res.VerifyWrong)
+	ev := m.Pred.Evictions()
+	ph.evictions.Add(ev - mm.lastEvictions)
+	mm.lastEvictions = ev
 	correct := ph.correct.Value()
 	wrong := ph.mispredicts.Value()
 	if v := correct + wrong; v > 0 {

@@ -37,7 +37,6 @@ type AType struct {
 	Fixed uint64
 	// FixedAlways selects the fixed-value flavor.
 	FixedAlways bool
-	stats       Stats
 }
 
 // NewAType builds the history-value always-predict wrapper around
@@ -59,10 +58,8 @@ func (a *AType) Name() string { return a.inner.Name() + "+A" }
 
 // Predict implements Predictor: always hits.
 func (a *AType) Predict(ctx Context) Prediction {
-	a.stats.Lookups++
-	a.stats.Predictions++
 	if a.FixedAlways {
-		a.inner.Predict(ctx) // keep inner bookkeeping consistent
+		a.inner.Predict(ctx) // the lookup still stamps the inner row
 		return Prediction{Hit: true, Value: a.Fixed}
 	}
 	if p := a.inner.Predict(ctx); p.Hit {
@@ -78,24 +75,14 @@ func (a *AType) Predict(ctx Context) Prediction {
 
 // Update implements Predictor.
 func (a *AType) Update(ctx Context, actual uint64, pred Prediction) {
-	if pred.Hit {
-		if pred.Value == actual {
-			a.stats.Correct++
-		} else {
-			a.stats.Mispredicts++
-		}
-	}
 	a.inner.Update(ctx, actual, pred)
 }
 
-// Stats implements Predictor.
-func (a *AType) Stats() Stats { return a.stats }
+// Evictions implements Predictor.
+func (a *AType) Evictions() uint64 { return a.inner.Evictions() }
 
 // Reset implements Predictor.
-func (a *AType) Reset() {
-	a.inner.Reset()
-	a.stats = Stats{}
-}
+func (a *AType) Reset() { a.inner.Reset() }
 
 // LastValue forwards to the wrapped predictor so defense wrappers
 // compose (an R-type outside an A-type, or A outside A).
@@ -114,7 +101,6 @@ type RType struct {
 	inner  Predictor
 	Window int
 	rng    *rand.Rand
-	stats  Stats
 }
 
 // NewRType builds the random-window wrapper. rng must be non-nil so
@@ -128,14 +114,8 @@ func (r *RType) Name() string { return r.inner.Name() + "+R" }
 
 // Predict implements Predictor.
 func (r *RType) Predict(ctx Context) Prediction {
-	r.stats.Lookups++
 	p := r.inner.Predict(ctx)
-	if !p.Hit {
-		r.stats.NoPredictions++
-		return p
-	}
-	r.stats.Predictions++
-	if r.Window > 1 {
+	if p.Hit && r.Window > 1 {
 		// Offset in [-(W-1)/2, W/2]; exactly one of the W offsets is 0,
 		// so the stored (presumed-correct) value survives with
 		// probability 1/W.
@@ -147,24 +127,14 @@ func (r *RType) Predict(ctx Context) Prediction {
 
 // Update implements Predictor.
 func (r *RType) Update(ctx Context, actual uint64, pred Prediction) {
-	if pred.Hit {
-		if pred.Value == actual {
-			r.stats.Correct++
-		} else {
-			r.stats.Mispredicts++
-		}
-	}
 	r.inner.Update(ctx, actual, pred)
 }
 
-// Stats implements Predictor.
-func (r *RType) Stats() Stats { return r.stats }
+// Evictions implements Predictor.
+func (r *RType) Evictions() uint64 { return r.inner.Evictions() }
 
 // Reset implements Predictor.
-func (r *RType) Reset() {
-	r.inner.Reset()
-	r.stats = Stats{}
-}
+func (r *RType) Reset() { r.inner.Reset() }
 
 // LastValue forwards to the wrapped predictor so defense wrappers
 // compose.

@@ -42,15 +42,11 @@ func (c FCMConfig) Validate() error {
 	return nil
 }
 
-type fcmHist struct {
-	vals      []uint64
-	lastTouch uint64
-}
-
+// fcmPred is a second-level row's payload: the value that followed
+// the row's history context, and its confidence.
 type fcmPred struct {
 	value      uint64
 	confidence int
-	lastTouch  uint64
 }
 
 // FCM is a two-level finite context method value predictor [Sazeides &
@@ -59,13 +55,12 @@ type fcmPred struct {
 // the value that followed it last time. Unlike the LVP it learns
 // *patterned* sequences — e.g. the strictly alternating pointer values
 // of Fig. 6's swap — which changes the attack surface: see the RSA
-// ablation tests.
+// ablation tests. Both levels are Fig. 1 tables whose rows never earn
+// usefulness, so each evicts its least recently touched row.
 type FCM struct {
-	cfg   FCMConfig
-	vht   map[key]*fcmHist
-	vpt   map[uint64]*fcmPred
-	tick  uint64
-	stats Stats
+	cfg FCMConfig
+	vht table[[]uint64] // first level: index -> value history
+	vpt table[fcmPred]  // second level: history hash -> successor
 }
 
 // NewFCM builds an FCM predictor from cfg.
@@ -74,123 +69,75 @@ func NewFCM(cfg FCMConfig) (*FCM, error) {
 		return nil, err
 	}
 	cfg.setDefaults()
-	return &FCM{cfg: cfg, vht: make(map[key]*fcmHist), vpt: make(map[uint64]*fcmPred)}, nil
+	return &FCM{cfg: cfg, vht: newTable[[]uint64](cfg.Entries), vpt: newTable[fcmPred](cfg.VPTEntries)}, nil
 }
 
 // Name implements Predictor.
 func (p *FCM) Name() string { return "fcm" }
 
-func (p *FCM) hash(k key, vals []uint64) uint64 {
+// context returns the second-level key of index k's history vals.
+func (p *FCM) context(k key, vals []uint64) key {
 	h := k.idx*0x9e3779b97f4a7c15 ^ k.pid<<32 ^ k.tag
 	for _, v := range vals {
 		h ^= v + 0x9e3779b97f4a7c15 + h<<6 + h>>2
 	}
-	return h
+	return key{idx: h}
 }
 
 // Predict implements Predictor: a prediction requires a full history
 // whose context has repeated its successor a confidence number of
 // times.
 func (p *FCM) Predict(ctx Context) Prediction {
-	p.stats.Lookups++
 	k := makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)
-	h, ok := p.vht[k]
-	if !ok || len(h.vals) < p.cfg.HistoryLen {
-		p.stats.NoPredictions++
+	h, ok := p.vht.rows[k]
+	if !ok || len(h.e) < p.cfg.HistoryLen {
 		return Prediction{}
 	}
-	t, ok := p.vpt[p.hash(k, h.vals)]
-	if !ok || t.confidence < p.cfg.Confidence {
-		p.stats.NoPredictions++
+	t, ok := p.vpt.rows[p.context(k, h.e)]
+	if !ok || t.e.confidence < p.cfg.Confidence {
 		return Prediction{}
 	}
-	p.tick++
-	t.lastTouch = p.tick
-	h.lastTouch = p.tick
-	p.stats.Predictions++
-	return Prediction{Hit: true, Value: t.value}
+	p.vpt.touch(t)
+	p.vht.touch(h)
+	return Prediction{Hit: true, Value: t.e.value}
 }
 
-// Update implements Predictor: train the VPT entry for the context
-// *before* this value, then push the value into the history.
+// Update implements Predictor: train the second-level entry for the
+// context *before* this value, then push the value into the history.
 func (p *FCM) Update(ctx Context, actual uint64, pred Prediction) {
-	p.tick++
-	if pred.Hit {
-		if pred.Value == actual {
-			p.stats.Correct++
-		} else {
-			p.stats.Mispredicts++
-		}
-	}
 	k := makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)
-	h, ok := p.vht[k]
+	h, ok := p.vht.rows[k]
 	if !ok {
-		if len(p.vht) >= p.cfg.Entries {
-			p.evictVHT()
-		}
-		h = &fcmHist{}
-		p.vht[k] = h
+		h = p.vht.insert(k)
 	}
-	h.lastTouch = p.tick
-	if len(h.vals) == p.cfg.HistoryLen {
-		hk := p.hash(k, h.vals)
-		t, ok := p.vpt[hk]
+	p.vht.touch(h)
+	if len(h.e) == p.cfg.HistoryLen {
+		c := p.context(k, h.e)
+		t, ok := p.vpt.rows[c]
 		if !ok {
-			if len(p.vpt) >= p.cfg.VPTEntries {
-				p.evictVPT()
-			}
-			t = &fcmPred{}
-			p.vpt[hk] = t
+			t = p.vpt.insert(c)
 		}
-		t.lastTouch = p.tick
-		if t.value == actual && t.confidence > 0 {
-			if t.confidence < p.cfg.MaxConf {
-				t.confidence++
+		p.vpt.touch(t)
+		if e := &t.e; e.value == actual && e.confidence > 0 {
+			if e.confidence < p.cfg.MaxConf {
+				e.confidence++
 			}
 		} else {
-			t.value = actual
-			t.confidence = 1
+			e.value = actual
+			e.confidence = 1
 		}
 	}
-	h.vals = append(h.vals, actual)
-	if len(h.vals) > p.cfg.HistoryLen {
-		h.vals = h.vals[len(h.vals)-p.cfg.HistoryLen:]
+	h.e = append(h.e, actual)
+	if len(h.e) > p.cfg.HistoryLen {
+		h.e = h.e[len(h.e)-p.cfg.HistoryLen:]
 	}
 }
 
-func (p *FCM) evictVHT() {
-	var victim key
-	oldest := ^uint64(0)
-	for k, h := range p.vht {
-		if h.lastTouch < oldest {
-			oldest = h.lastTouch
-			victim = k
-		}
-	}
-	delete(p.vht, victim)
-	p.stats.Evictions++
-}
-
-func (p *FCM) evictVPT() {
-	var victim uint64
-	oldest := ^uint64(0)
-	for k, t := range p.vpt {
-		if t.lastTouch < oldest {
-			oldest = t.lastTouch
-			victim = k
-		}
-	}
-	delete(p.vpt, victim)
-	p.stats.Evictions++
-}
-
-// Stats implements Predictor.
-func (p *FCM) Stats() Stats { return p.stats }
+// Evictions implements Predictor: both levels' evictions.
+func (p *FCM) Evictions() uint64 { return p.vht.evictions + p.vpt.evictions }
 
 // Reset implements Predictor.
 func (p *FCM) Reset() {
-	p.vht = make(map[key]*fcmHist)
-	p.vpt = make(map[uint64]*fcmPred)
-	p.stats = Stats{}
-	p.tick = 0
+	p.vht.reset()
+	p.vpt.reset()
 }

@@ -75,12 +75,13 @@ func TestFCMEvictionAndReset(t *testing.T) {
 		p.Update(ctx, i, Prediction{})
 		p.Update(ctx, i, Prediction{})
 	}
-	if p.Stats().Evictions == 0 {
+	ev := p.Evictions()
+	if ev == 0 {
 		t.Error("expected evictions with tiny tables")
 	}
 	p.Reset()
-	if p.Stats() != (Stats{}) {
-		t.Error("reset incomplete")
+	if len(p.vht.rows)+len(p.vpt.rows) != 0 || p.Evictions() != ev {
+		t.Error("reset must empty both levels and keep the eviction count")
 	}
 	if p.Name() != "fcm" {
 		t.Error("name")
@@ -93,24 +94,5 @@ func TestFCMValidation(t *testing.T) {
 	}
 	if _, err := NewFCM(FCMConfig{Entries: -1}); err == nil {
 		t.Error("negative entries should fail")
-	}
-}
-
-func TestFCMStatsAccounting(t *testing.T) {
-	p := newFCM(t, FCMConfig{Confidence: 1, HistoryLen: 1})
-	ctx := Context{PC: 0x40}
-	p.Update(ctx, 5, p.Predict(ctx))
-	p.Update(ctx, 5, p.Predict(ctx))
-	pred := p.Predict(ctx)
-	if !pred.Hit {
-		t.Fatal("should predict after (5)->5 repeated")
-	}
-	p.Update(ctx, 6, pred) // wrong
-	s := p.Stats()
-	if s.Mispredicts != 1 {
-		t.Errorf("incorrect = %d, want 1", s.Mispredicts)
-	}
-	if s.Predictions+s.NoPredictions != s.Lookups {
-		t.Errorf("accounting inconsistent: %+v", s)
 	}
 }

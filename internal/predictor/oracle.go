@@ -8,7 +8,6 @@ package predictor
 type Oracle struct {
 	inner   Predictor
 	targets map[uint64]bool
-	stats   Stats
 }
 
 // NewOracle wraps inner, predicting and training only for loads whose
@@ -21,55 +20,33 @@ func NewOracle(inner Predictor, targetPCs ...uint64) *Oracle {
 	return &Oracle{inner: inner, targets: t}
 }
 
-// AddTarget registers another target load PC.
-func (o *Oracle) AddTarget(pc uint64) { o.targets[pc] = true }
-
 // Name implements Predictor.
 func (o *Oracle) Name() string { return "oracle-" + o.inner.Name() }
 
 // Predict implements Predictor: non-target loads never predict.
 func (o *Oracle) Predict(ctx Context) Prediction {
-	o.stats.Lookups++
 	if !o.targets[ctx.PC] {
-		o.stats.NoPredictions++
 		return Prediction{}
 	}
-	p := o.inner.Predict(ctx)
-	if p.Hit {
-		o.stats.Predictions++
-	} else {
-		o.stats.NoPredictions++
-	}
-	return p
+	return o.inner.Predict(ctx)
 }
 
 // Update implements Predictor: non-target loads do not train.
 func (o *Oracle) Update(ctx Context, actual uint64, pred Prediction) {
-	if !o.targets[ctx.PC] {
-		return
+	if o.targets[ctx.PC] {
+		o.inner.Update(ctx, actual, pred)
 	}
-	if pred.Hit {
-		if pred.Value == actual {
-			o.stats.Correct++
-		} else {
-			o.stats.Mispredicts++
-		}
-	}
-	o.inner.Update(ctx, actual, pred)
 }
 
-// Stats implements Predictor.
-func (o *Oracle) Stats() Stats { return o.stats }
+// Evictions implements Predictor.
+func (o *Oracle) Evictions() uint64 { return o.inner.Evictions() }
 
 // Reset implements Predictor.
-func (o *Oracle) Reset() {
-	o.inner.Reset()
-	o.stats = Stats{}
-}
+func (o *Oracle) Reset() { o.inner.Reset() }
 
 // None is the "no VP" baseline: it never predicts. The paper's control
 // experiments (Figs. 5 and 8, "no VP" panels) run with this predictor.
-type None struct{ stats Stats }
+type None struct{}
 
 // NewNone returns the never-predicting baseline.
 func NewNone() *None { return &None{} }
@@ -78,17 +55,14 @@ func NewNone() *None { return &None{} }
 func (n *None) Name() string { return "none" }
 
 // Predict implements Predictor: never predicts.
-func (n *None) Predict(Context) Prediction {
-	n.stats.Lookups++
-	n.stats.NoPredictions++
-	return Prediction{}
-}
+func (n *None) Predict(Context) Prediction { return Prediction{} }
 
 // Update implements Predictor: no state to train.
 func (n *None) Update(Context, uint64, Prediction) {}
 
-// Stats implements Predictor.
-func (n *None) Stats() Stats { return n.stats }
+// Evictions implements Predictor: a table that is never filled never
+// evicts.
+func (n *None) Evictions() uint64 { return 0 }
 
-// Reset implements Predictor.
-func (n *None) Reset() { n.stats = Stats{} }
+// Reset implements Predictor: no state to clear.
+func (n *None) Reset() {}

@@ -2,8 +2,8 @@
 // the paper's Fig. 1 and the defense wrappers of Sec. VI.
 //
 // A VPS entry tracks, per index: the predicted value, a confidence
-// counter, a usefulness counter, and the past value history (VHist).
-// The index is the load's program counter or its data address —
+// counter and a usefulness counter, in one table shared by every
+// predictor family (table.go). The index is the load's program counter or its data address —
 // virtual addresses, per the threat model — optionally combined with a
 // process identifier. A prediction is produced only once the same
 // value has been observed a confidence-threshold number of times, so
@@ -67,28 +67,6 @@ type Prediction struct {
 	Value uint64 // predicted value, meaningful when Hit
 }
 
-// Stats counts predictor events. Field names follow the metrics
-// registry scope convention (pred.<name>.lookups, .predictions,
-// .no_predictions, .correct, .mispredicts, .evictions) so code,
-// JSON dumps, and Prometheus exports share one vocabulary.
-type Stats struct {
-	Lookups       uint64 // Predict calls
-	Predictions   uint64 // lookups that produced a value
-	NoPredictions uint64 // lookups below the confidence threshold
-	Correct       uint64 // verified-correct predictions
-	Mispredicts   uint64 // verified-incorrect predictions (squashes)
-	Evictions     uint64 // usefulness-based evictions
-}
-
-// Accuracy returns Correct / (Correct + Mispredicts), or 0 when no
-// prediction has been verified yet.
-func (s Stats) Accuracy() float64 {
-	if v := s.Correct + s.Mispredicts; v > 0 {
-		return float64(s.Correct) / float64(v)
-	}
-	return 0
-}
-
 // ConfidenceReporter is implemented by predictors that can report the
 // current values of their per-entry confidence counters; the metrics
 // layer turns the slice into the pred.<name>.confidence histogram
@@ -105,10 +83,14 @@ type ConfidenceReporter interface {
 // when the actual loaded value is available; pred must be the
 // Prediction previously returned for this load so confidence and
 // usefulness are updated per Fig. 1.
+//
+// A predictor counts only its table evictions, over its lifetime:
+// Reset clears the table, not the count. The pipeline counts lookups
+// and verifications itself (cpu.RunResult).
 type Predictor interface {
 	Predict(ctx Context) Prediction
 	Update(ctx Context, actual uint64, pred Prediction)
-	Stats() Stats
+	Evictions() uint64
 	Reset()
 	Name() string
 }

@@ -45,7 +45,7 @@ func New(name string, cfg FactoryConfig) (Predictor, error) {
 			Confidence: cfg.Confidence, Scheme: cfg.Scheme, UsePID: cfg.UsePID,
 		})
 	case "stride-2d":
-		return NewStride2D(Stride2DConfig{
+		return NewStride2D(StrideConfig{
 			Confidence: cfg.Confidence, Scheme: cfg.Scheme, UsePID: cfg.UsePID,
 		})
 	case "vtage":

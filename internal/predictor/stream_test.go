@@ -8,12 +8,10 @@ import (
 	"testing"
 )
 
-// streamCase is one predictor under the stream digest: the predictor
-// and a reader of the evictions it made since its last Reset.
+// streamCase is one predictor under the stream digest.
 type streamCase struct {
-	name      string
-	p         Predictor
-	evictions func() uint64
+	name string
+	p    Predictor
 }
 
 func streamCases(t *testing.T) []streamCase {
@@ -29,33 +27,20 @@ func streamCases(t *testing.T) []streamCase {
 		cfg.Entries, cfg.Confidence = 8, 2
 		return must(NewLVP(cfg)).(*LVP)
 	}
-	var cases []streamCase
-	add := func(name string, p Predictor, ev func() uint64) {
-		cases = append(cases, streamCase{name, p, ev})
+	cases := []streamCase{
+		{"lvp", lvp(LVPConfig{})},
+		{"lvp", lvp(LVPConfig{UsePID: true})},
+		{"lvp", lvp(LVPConfig{FPC: 3, FPCSeed: 5})},
+		{"stride", must(NewStride(StrideConfig{Entries: 8, Confidence: 2}))},
+		{"stride-2d", must(NewStride2D(StrideConfig{Entries: 8, Confidence: 2}))},
+		{"fcm", must(NewFCM(FCMConfig{Entries: 6, VPTEntries: 10, HistoryLen: 1, Confidence: 2}))},
+		{"fcm", must(NewFCM(FCMConfig{Entries: 6, VPTEntries: 10, HistoryLen: 2, Confidence: 2}))},
+		{"vtage", must(NewVTAGE(VTAGEConfig{BaseEntries: 8, TaggedEntries: 8, Confidence: 2, FPC: 2, FPCSeed: 3}))},
+		{"A", NewAType(lvp(LVPConfig{}), 7)},
+		{"A-fixed", NewATypeFixed(lvp(LVPConfig{}), 7)},
+		{"R(5)", NewRType(lvp(LVPConfig{}), 5, rand.New(rand.NewSource(9)))},
+		{"oracle", NewOracle(lvp(LVPConfig{}), 0x40, 0x48, 0x60, 0x78, 0x90, 0xa8)},
 	}
-	for _, cfg := range []LVPConfig{{}, {UsePID: true}, {FPC: 3, FPCSeed: 5}} {
-		p := lvp(cfg)
-		add("lvp", p, func() uint64 { return p.Stats().Evictions })
-	}
-	st := must(NewStride(StrideConfig{Entries: 8, Confidence: 2}))
-	add("stride", st, func() uint64 { return st.Stats().Evictions })
-	s2 := must(NewStride2D(Stride2DConfig{Entries: 8, Confidence: 2}))
-	add("stride-2d", s2, func() uint64 { return s2.Stats().Evictions })
-	for _, h := range []int{1, 2} {
-		f := must(NewFCM(FCMConfig{Entries: 6, VPTEntries: 10, HistoryLen: h, Confidence: 2}))
-		add("fcm", f, func() uint64 { return f.Stats().Evictions })
-	}
-	vt := must(NewVTAGE(VTAGEConfig{BaseEntries: 8, TaggedEntries: 8, Confidence: 2, FPC: 2, FPCSeed: 3})).(*VTAGE)
-	add("vtage", vt, func() uint64 { return vt.base.Stats().Evictions })
-
-	in := lvp(LVPConfig{})
-	add("A", NewAType(in, 7), func() uint64 { return in.Stats().Evictions })
-	inF := lvp(LVPConfig{})
-	add("A-fixed", NewATypeFixed(inF, 7), func() uint64 { return inF.Stats().Evictions })
-	inR := lvp(LVPConfig{})
-	add("R(5)", NewRType(inR, 5, rand.New(rand.NewSource(9))), func() uint64 { return inR.Stats().Evictions })
-	inO := lvp(LVPConfig{})
-	add("oracle", NewOracle(inO, 0x40, 0x48, 0x60, 0x78, 0x90, 0xa8), func() uint64 { return inO.Stats().Evictions })
 	return cases
 }
 
@@ -64,7 +49,8 @@ func streamCases(t *testing.T) []streamCase {
 // every 1,000 steps, at capacities small enough that the stream keeps
 // evicting. The stream mixes constant, strided, alternating and noisy
 // loads over 24 PCs, six of them hot, two pids and two isolation tags; the digest also
-// covers the evictions each predictor reports between Resets.
+// covers the evictions each predictor reports between Resets, which
+// the wrappers forward from their inner LVP and VTAGE from its base.
 func TestStreamDigest(t *testing.T) {
 	want := map[string]string{
 		"lvp":       "63e7ad0634bcfe6f0b1957ae384ab233e71a2fa6fcd9da6d187f44f72d634f47",
@@ -87,11 +73,11 @@ func TestStreamDigest(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(1))
 		var seq [24]uint64
-		var hits, evicted uint64
+		var hits, last uint64
 		for step := 0; step < 20000; step++ {
 			if rng.Intn(1000) == 0 {
-				evicted += c.evictions()
-				put(c.evictions())
+				put(c.p.Evictions() - last)
+				last = c.p.Evictions()
 				c.p.Reset()
 			}
 			i := rng.Intn(len(seq))
@@ -128,10 +114,9 @@ func TestStreamDigest(t *testing.T) {
 			}
 			c.p.Update(ctx, actual, pred)
 		}
-		evicted += c.evictions()
-		put(c.evictions())
-		if hits == 0 || evicted == 0 {
-			t.Errorf("%s: %d predictions and %d evictions: the stream misses a path", c.name, hits, evicted)
+		put(c.p.Evictions() - last)
+		if hits == 0 || c.p.Evictions() == 0 {
+			t.Errorf("%s: %d predictions and %d evictions: the stream misses a path", c.name, hits, c.p.Evictions())
 		}
 		got[c.name] = d.Sum(got[c.name])
 	}

@@ -2,7 +2,7 @@ package predictor
 
 import "fmt"
 
-// StrideConfig parameterizes the stride predictor.
+// StrideConfig parameterizes the stride and 2-delta stride predictors.
 type StrideConfig struct {
 	Entries    int         // table capacity; 0 means 256
 	Confidence int         // consecutive stable strides required; 0 means 4
@@ -31,14 +31,88 @@ func (c StrideConfig) Validate() error {
 	return nil
 }
 
+// need is the stride repeats a prediction requires. The first access
+// can only establish a base value, so a stride is observed n-1 times
+// after n accesses; the threshold is therefore Confidence-1 repeats,
+// keeping the paper's convention that the confidence+1-th access
+// produces the first prediction (footnote 3).
+func (c StrideConfig) need() int { return max(c.Confidence-1, 1) }
+
+// strideEntry is a stride-family row's payload. The plain stride
+// predictor uses only stride; the 2-delta predictor also keeps the
+// most recent delta in candidate until it repeats.
 type strideEntry struct {
 	last       uint64
-	stride     uint64 // two's-complement delta
-	confidence int    // consecutive observations of the same stride
-	usefulness int
-	lastTouch  uint64
-	seen       bool // at least two observations (stride meaningful)
+	stride     uint64 // predicted delta (two's complement)
+	candidate  uint64 // 2-delta: most recently observed delta
+	confidence int    // consecutive observations of the predicted stride
+	obs        int    // observations: 1 is the base value only
 }
+
+// strideTable is the plumbing both stride families share: the table,
+// the forecast last + stride, and the allocation of a row on its first
+// observation. Each family adds its entry transition.
+type strideTable struct {
+	cfg StrideConfig
+	t   table[strideEntry]
+}
+
+func newStrideTable(cfg StrideConfig) (strideTable, error) {
+	if err := cfg.Validate(); err != nil {
+		return strideTable{}, err
+	}
+	cfg.setDefaults()
+	return strideTable{cfg: cfg, t: newTable[strideEntry](cfg.Entries)}, nil
+}
+
+// Predict implements Predictor: last + stride once the stride has
+// repeated need() times.
+func (p *strideTable) Predict(ctx Context) Prediction {
+	r, ok := p.t.rows[makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)]
+	if !ok || r.e.obs < 2 || r.e.confidence < p.cfg.need() {
+		return Prediction{}
+	}
+	p.t.touch(r)
+	return Prediction{Hit: true, Value: r.e.last + r.e.stride}
+}
+
+// observe finds or allocates ctx's row and credits a verified
+// prediction. A new row only records its base value: observe returns
+// nil, and the family has no delta to learn from yet.
+func (p *strideTable) observe(ctx Context, actual uint64, pred Prediction) *strideEntry {
+	k := makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)
+	r, ok := p.t.rows[k]
+	if !ok {
+		r = p.t.insert(k)
+		p.t.touch(r)
+		r.e.last, r.e.obs = actual, 1
+		return nil
+	}
+	p.t.touch(r)
+	if pred.Hit {
+		r.credit(pred.Value == actual)
+	}
+	return &r.e
+}
+
+// Evictions implements Predictor.
+func (p *strideTable) Evictions() uint64 { return p.t.evictions }
+
+// Reset implements Predictor.
+func (p *strideTable) Reset() { p.t.reset() }
+
+// LastValue exposes the next predicted value regardless of confidence
+// (for the A-type defense wrapper).
+func (p *strideTable) LastValue(ctx Context) (uint64, bool) {
+	r, ok := p.t.rows[makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)]
+	if !ok {
+		return 0, false
+	}
+	return r.e.last + r.e.stride, true
+}
+
+// Len returns the current number of table entries.
+func (p *strideTable) Len() int { return len(p.t.rows) }
 
 // Stride is a stride value predictor (e.g. the address-prediction
 // family of Sheikh et al. cited by the paper): it predicts
@@ -46,73 +120,29 @@ type strideEntry struct {
 // number of accesses. Constant values are the zero-stride special
 // case, so every attack that trains a constant secret works against it
 // exactly as against the LVP.
-type Stride struct {
-	cfg   StrideConfig
-	table map[key]*strideEntry
-	tick  uint64
-	stats Stats
-}
+type Stride struct{ strideTable }
 
 // NewStride builds a stride predictor from cfg.
 func NewStride(cfg StrideConfig) (*Stride, error) {
-	if err := cfg.Validate(); err != nil {
+	st, err := newStrideTable(cfg)
+	if err != nil {
 		return nil, err
 	}
-	cfg.setDefaults()
-	return &Stride{cfg: cfg, table: make(map[key]*strideEntry)}, nil
+	return &Stride{st}, nil
 }
 
 // Name implements Predictor.
 func (p *Stride) Name() string { return "stride" }
 
-// Predict implements Predictor. The first access can only establish a
-// base value, so a stride is observed n-1 times after n accesses; the
-// threshold is therefore Confidence-1 stride repeats, keeping the
-// paper's convention that the confidence+1-th access produces the
-// first prediction.
-func (p *Stride) Predict(ctx Context) Prediction {
-	p.stats.Lookups++
-	k := makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)
-	e, ok := p.table[k]
-	need := p.cfg.Confidence - 1
-	if need < 1 {
-		need = 1
-	}
-	if !ok || !e.seen || e.confidence < need {
-		p.stats.NoPredictions++
-		return Prediction{}
-	}
-	p.tick++
-	e.lastTouch = p.tick
-	p.stats.Predictions++
-	return Prediction{Hit: true, Value: e.last + e.stride}
-}
-
-// Update implements Predictor.
+// Update implements Predictor: a repeated delta gains confidence, any
+// other delta becomes the stride at confidence one.
 func (p *Stride) Update(ctx Context, actual uint64, pred Prediction) {
-	k := makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)
-	p.tick++
-	e, ok := p.table[k]
-	if !ok {
-		e = p.allocate(k)
-		e.last = actual
-		e.lastTouch = p.tick
+	e := p.observe(ctx, actual, pred)
+	if e == nil {
 		return
 	}
-	e.lastTouch = p.tick
-	if pred.Hit {
-		if pred.Value == actual {
-			p.stats.Correct++
-			e.usefulness++
-		} else {
-			p.stats.Mispredicts++
-			if e.usefulness > 0 {
-				e.usefulness--
-			}
-		}
-	}
 	stride := actual - e.last
-	if e.seen && stride == e.stride {
+	if e.obs >= 2 && stride == e.stride {
 		if e.confidence < p.cfg.MaxConf {
 			e.confidence++
 		}
@@ -120,51 +150,6 @@ func (p *Stride) Update(ctx Context, actual uint64, pred Prediction) {
 		e.stride = stride
 		e.confidence = 1
 	}
-	e.seen = true
+	e.obs++
 	e.last = actual
 }
-
-func (p *Stride) allocate(k key) *strideEntry {
-	if len(p.table) >= p.cfg.Entries {
-		var victim key
-		best := -1
-		var bestTouch uint64
-		for vk, ve := range p.table {
-			if best < 0 || ve.usefulness < best ||
-				(ve.usefulness == best && ve.lastTouch < bestTouch) {
-				best = ve.usefulness
-				bestTouch = ve.lastTouch
-				victim = vk
-			}
-		}
-		delete(p.table, victim)
-		p.stats.Evictions++
-	}
-	e := &strideEntry{}
-	p.table[k] = e
-	return e
-}
-
-// Stats implements Predictor.
-func (p *Stride) Stats() Stats { return p.stats }
-
-// Reset implements Predictor.
-func (p *Stride) Reset() {
-	p.table = make(map[key]*strideEntry)
-	p.stats = Stats{}
-	p.tick = 0
-}
-
-// LastValue exposes the next predicted value regardless of confidence
-// (for the A-type defense wrapper).
-func (p *Stride) LastValue(ctx Context) (uint64, bool) {
-	k := makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)
-	e, ok := p.table[k]
-	if !ok {
-		return 0, false
-	}
-	return e.last + e.stride, true
-}
-
-// Len returns the current number of table entries.
-func (p *Stride) Len() int { return len(p.table) }

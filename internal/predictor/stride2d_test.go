@@ -5,7 +5,7 @@ import (
 	"testing/quick"
 )
 
-func newStride2D(t *testing.T, cfg Stride2DConfig) *Stride2D {
+func newStride2D(t *testing.T, cfg StrideConfig) *Stride2D {
 	t.Helper()
 	p, err := NewStride2D(cfg)
 	if err != nil {
@@ -15,7 +15,7 @@ func newStride2D(t *testing.T, cfg Stride2DConfig) *Stride2D {
 }
 
 func TestStride2DPredictsArithmeticSequence(t *testing.T) {
-	p := newStride2D(t, Stride2DConfig{Confidence: 3})
+	p := newStride2D(t, StrideConfig{Confidence: 3})
 	ctx := Context{PC: 0x40}
 	for _, v := range []uint64{10, 17, 24, 31} {
 		p.Update(ctx, v, Prediction{})
@@ -29,7 +29,7 @@ func TestStride2DPredictsArithmeticSequence(t *testing.T) {
 func TestStride2DConstantValuesZeroStride(t *testing.T) {
 	// Constant values are the zero-stride case: 2-delta behaves like an
 	// LVP, so the paper's constant-secret attacks carry over unchanged.
-	p := newStride2D(t, Stride2DConfig{Confidence: 3})
+	p := newStride2D(t, StrideConfig{Confidence: 3})
 	ctx := Context{PC: 0x40}
 	for i := 0; i < 4; i++ {
 		p.Update(ctx, 42, Prediction{})
@@ -41,7 +41,7 @@ func TestStride2DConstantValuesZeroStride(t *testing.T) {
 }
 
 func TestStride2DNeverPredictsEarly(t *testing.T) {
-	p := newStride2D(t, Stride2DConfig{Confidence: 3})
+	p := newStride2D(t, StrideConfig{Confidence: 3})
 	ctx := Context{PC: 0x40}
 	if p.Predict(ctx).Hit {
 		t.Error("cold predictor predicted")
@@ -64,7 +64,7 @@ func TestStride2DOneOffGlitchKeepsPattern(t *testing.T) {
 	// The defining 2-delta property: one irregular delta does NOT
 	// replace the predicted stride; the established pattern survives
 	// (minus the confidence the failed prediction cost).
-	p := newStride2D(t, Stride2DConfig{Confidence: 3, MaxConf: 8})
+	p := newStride2D(t, StrideConfig{Confidence: 3, MaxConf: 8})
 	ctx := Context{PC: 0x40}
 	for _, v := range []uint64{0, 10, 20, 30, 40, 50} {
 		p.Update(ctx, v, Prediction{})
@@ -90,7 +90,7 @@ func TestStride2DOneOffGlitchKeepsPattern(t *testing.T) {
 
 func TestStride2DPromotesRepeatedNewStride(t *testing.T) {
 	// The same new delta twice in a row replaces the predicted stride.
-	p := newStride2D(t, Stride2DConfig{Confidence: 2})
+	p := newStride2D(t, StrideConfig{Confidence: 2})
 	ctx := Context{PC: 0x40}
 	for _, v := range []uint64{0, 10, 20, 30} {
 		p.Update(ctx, v, Prediction{})
@@ -109,7 +109,7 @@ func TestStride2DModifyTestAsymmetry(t *testing.T) {
 	// confidence — the predicted stride survives, so the attacker's
 	// 1-access perturbation is weaker (and the 2-access version, which
 	// promotes the conflicting stride, is needed instead).
-	p := newStride2D(t, Stride2DConfig{Confidence: 2, MaxConf: 8})
+	p := newStride2D(t, StrideConfig{Confidence: 2, MaxConf: 8})
 	ctx := Context{PC: 0x40}
 	for i := 0; i < 6; i++ {
 		p.Update(ctx, 42, Prediction{})
@@ -124,7 +124,7 @@ func TestStride2DModifyTestAsymmetry(t *testing.T) {
 	}
 	// Destroying the training takes two accesses with a repeated
 	// *non-zero* delta.
-	q := newStride2D(t, Stride2DConfig{Confidence: 3, MaxConf: 8})
+	q := newStride2D(t, StrideConfig{Confidence: 3, MaxConf: 8})
 	for i := 0; i < 6; i++ {
 		q.Update(ctx, 42, Prediction{})
 	}
@@ -136,24 +136,24 @@ func TestStride2DModifyTestAsymmetry(t *testing.T) {
 }
 
 func TestStride2DEvictionAndReset(t *testing.T) {
-	p := newStride2D(t, Stride2DConfig{Entries: 2, Confidence: 1})
+	p := newStride2D(t, StrideConfig{Entries: 2, Confidence: 1})
 	for i := uint64(0); i < 3; i++ {
 		p.Update(Context{PC: 0x40 + i*4}, i, Prediction{})
 	}
 	if p.Len() != 2 {
 		t.Errorf("len = %d, want 2", p.Len())
 	}
-	if p.Stats().Evictions != 1 {
-		t.Errorf("evictions = %d", p.Stats().Evictions)
+	if p.Evictions() != 1 {
+		t.Errorf("evictions = %d", p.Evictions())
 	}
 	p.Reset()
-	if p.Len() != 0 || p.Stats() != (Stats{}) {
-		t.Error("reset incomplete")
+	if p.Len() != 0 || p.Evictions() != 1 {
+		t.Error("reset must empty the table and keep the eviction count")
 	}
 }
 
 func TestStride2DLastValue(t *testing.T) {
-	p := newStride2D(t, Stride2DConfig{Confidence: 4})
+	p := newStride2D(t, StrideConfig{Confidence: 4})
 	ctx := Context{PC: 0x40}
 	if _, ok := p.LastValue(ctx); ok {
 		t.Error("cold LastValue should miss")
@@ -171,10 +171,10 @@ func TestStride2DLastValue(t *testing.T) {
 }
 
 func TestStride2DValidation(t *testing.T) {
-	if _, err := NewStride2D(Stride2DConfig{Confidence: -1}); err == nil {
+	if _, err := NewStride2D(StrideConfig{Confidence: -1}); err == nil {
 		t.Error("negative confidence should fail")
 	}
-	if p, err := NewStride2D(Stride2DConfig{}); err != nil || p.Config().Confidence == 0 {
+	if p, err := NewStride2D(StrideConfig{}); err != nil || p.cfg.Confidence == 0 {
 		t.Errorf("defaults not applied: %+v, %v", p, err)
 	}
 }
@@ -184,7 +184,7 @@ func TestStride2DValidation(t *testing.T) {
 func TestPropertyStride2DMatchesStrideOnRegular(t *testing.T) {
 	f := func(start, stride uint64, confSeed uint8) bool {
 		conf := int(confSeed%6) + 1
-		p2, err := NewStride2D(Stride2DConfig{Confidence: conf})
+		p2, err := NewStride2D(StrideConfig{Confidence: conf})
 		if err != nil {
 			return false
 		}
@@ -220,7 +220,7 @@ func TestPropertyStride2DGlitchImmune(t *testing.T) {
 			// (s == -s), so the glitch stride legitimately promotes.
 			return true
 		}
-		p, err := NewStride2D(Stride2DConfig{Confidence: 2, MaxConf: 16})
+		p, err := NewStride2D(StrideConfig{Confidence: 2, MaxConf: 16})
 		if err != nil {
 			return false
 		}

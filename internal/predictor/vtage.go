@@ -79,7 +79,6 @@ type VTAGE struct {
 	hists  []int  // history lengths per tagged component (geometric)
 	path   uint64 // global path history of recent load PCs
 	rng    *rand.Rand
-	stats  Stats
 }
 
 // NewVTAGE builds a VTAGE from cfg (zero fields take defaults).
@@ -155,34 +154,19 @@ func (v *VTAGE) tag(comp int, ctx Context) uint64 {
 // with a matching, confident entry provides the prediction; otherwise
 // the base last-value table is consulted.
 func (v *VTAGE) Predict(ctx Context) Prediction {
-	v.stats.Lookups++
 	for c := v.cfg.NumTagged - 1; c >= 0; c-- {
 		e := &v.tagged[c][v.index(c, ctx)]
 		if e.valid && e.tag == v.tag(c, ctx) && e.confidence >= v.cfg.Confidence {
-			v.stats.Predictions++
 			return Prediction{Hit: true, Value: e.value}
 		}
 	}
-	p := v.base.Predict(ctx)
-	if p.Hit {
-		v.stats.Predictions++
-	} else {
-		v.stats.NoPredictions++
-	}
-	return p
+	return v.base.Predict(ctx)
 }
 
 // Update implements Predictor. The providing component (or the first
 // matching one) trains; on a wrong value the entry's confidence resets
 // and, for repeated failures, a longer-history component is allocated.
 func (v *VTAGE) Update(ctx Context, actual uint64, pred Prediction) {
-	if pred.Hit {
-		if pred.Value == actual {
-			v.stats.Correct++
-		} else {
-			v.stats.Mispredicts++
-		}
-	}
 	matched := false
 	for c := v.cfg.NumTagged - 1; c >= 0; c-- {
 		e := &v.tagged[c][v.index(c, ctx)]
@@ -221,9 +205,9 @@ func (v *VTAGE) Update(ctx Context, actual uint64, pred Prediction) {
 	v.path = v.path<<1 ^ (ctx.PC >> 2 & 1) ^ (ctx.PC >> 5 & 1)
 }
 
-// Stats implements Predictor (the base component's lookups are folded
-// into the VTAGE totals already).
-func (v *VTAGE) Stats() Stats { return v.stats }
+// Evictions implements Predictor: the base table's evictions. A tagged
+// component overwrites a slot in place, which is not an eviction.
+func (v *VTAGE) Evictions() uint64 { return v.base.Evictions() }
 
 // Reset implements Predictor.
 func (v *VTAGE) Reset() {
@@ -234,7 +218,6 @@ func (v *VTAGE) Reset() {
 		}
 	}
 	v.path = 0
-	v.stats = Stats{}
 }
 
 // bumpConfidence implements the (optionally probabilistic) confidence
