@@ -11,8 +11,9 @@ import (
 // TestCountersMonotone runs one machine with a metrics registry through
 // several Runs, resetting its predictor between some of them as the
 // flush-on-switch defense does, and checks the published counters
-// after every Run: none may decrease, and each pred.<scope>.* counter
-// must equal its cpu.vps.* twin. The predictor indexes by data
+// after every Run: none may decrease, each pred.<scope>.* counter must
+// equal its cpu.vps.* twin, and pred.<scope>.evictions must equal the
+// evictions the predictor made. The predictor indexes by data
 // address with two entries, so the value change between runs evicts
 // and mispredicts; it runs bare and under the A and R wrappers.
 func TestCountersMonotone(t *testing.T) {
@@ -65,6 +66,9 @@ func TestCountersMonotone(t *testing.T) {
 				}
 				if l, want := cur[pred+"lookups"], cur["cpu.vps.predictions"]+cur["cpu.vps.no_predictions"]; l != want {
 					t.Errorf("run %d: %slookups = %d, cpu.vps predictions + no_predictions = %d", i, pred, l, want)
+				}
+				if ev, want := cur[pred+"evictions"], m.Pred.Evictions(); ev != want {
+					t.Errorf("run %d: %sevictions = %d, the predictor evicted %d", i, pred, ev, want)
 				}
 				prev = cur
 			}

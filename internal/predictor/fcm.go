@@ -59,8 +59,8 @@ type fcmPred struct {
 // usefulness, so each evicts its least recently touched row.
 type FCM struct {
 	cfg FCMConfig
-	vht table[[]uint64] // first level: index -> value history
-	vpt table[fcmPred]  // second level: history hash -> successor
+	vht table[key, []uint64]   // first level: index -> value history
+	vpt table[uint64, fcmPred] // second level: history hash -> successor
 }
 
 // NewFCM builds an FCM predictor from cfg.
@@ -69,19 +69,18 @@ func NewFCM(cfg FCMConfig) (*FCM, error) {
 		return nil, err
 	}
 	cfg.setDefaults()
-	return &FCM{cfg: cfg, vht: newTable[[]uint64](cfg.Entries), vpt: newTable[fcmPred](cfg.VPTEntries)}, nil
+	return &FCM{cfg: cfg, vht: newTable[key, []uint64](cfg.Entries), vpt: newTable[uint64, fcmPred](cfg.VPTEntries)}, nil
 }
 
 // Name implements Predictor.
 func (p *FCM) Name() string { return "fcm" }
 
-// context returns the second-level key of index k's history vals.
-func (p *FCM) context(k key, vals []uint64) key {
+func (p *FCM) hash(k key, vals []uint64) uint64 {
 	h := k.idx*0x9e3779b97f4a7c15 ^ k.pid<<32 ^ k.tag
 	for _, v := range vals {
 		h ^= v + 0x9e3779b97f4a7c15 + h<<6 + h>>2
 	}
-	return key{idx: h}
+	return h
 }
 
 // Predict implements Predictor: a prediction requires a full history
@@ -93,7 +92,7 @@ func (p *FCM) Predict(ctx Context) Prediction {
 	if !ok || len(h.e) < p.cfg.HistoryLen {
 		return Prediction{}
 	}
-	t, ok := p.vpt.rows[p.context(k, h.e)]
+	t, ok := p.vpt.rows[p.hash(k, h.e)]
 	if !ok || t.e.confidence < p.cfg.Confidence {
 		return Prediction{}
 	}
@@ -112,10 +111,10 @@ func (p *FCM) Update(ctx Context, actual uint64, pred Prediction) {
 	}
 	p.vht.touch(h)
 	if len(h.e) == p.cfg.HistoryLen {
-		c := p.context(k, h.e)
-		t, ok := p.vpt.rows[c]
+		hk := p.hash(k, h.e)
+		t, ok := p.vpt.rows[hk]
 		if !ok {
-			t = p.vpt.insert(c)
+			t = p.vpt.insert(hk)
 		}
 		p.vpt.touch(t)
 		if e := &t.e; e.value == actual && e.confidence > 0 {

@@ -53,7 +53,7 @@ type lvpEntry struct {
 // has repeated a confidence number of times.
 type LVP struct {
 	cfg LVPConfig
-	t   table[lvpEntry]
+	t   table[key, lvpEntry]
 	rng *rand.Rand
 }
 
@@ -130,7 +130,7 @@ func (p *LVP) Reconfigure(cfg LVPConfig) error {
 	}
 	cfg.setDefaults()
 	if p.t.rows == nil {
-		p.t = newTable[lvpEntry](cfg.Entries)
+		p.t = newTable[key, lvpEntry](cfg.Entries)
 	}
 	p.t.reset()
 	p.t.capacity, p.t.evictions = cfg.Entries, 0

@@ -27,7 +27,7 @@ func streamCases(t *testing.T) []streamCase {
 		cfg.Entries, cfg.Confidence = 8, 2
 		return must(NewLVP(cfg)).(*LVP)
 	}
-	cases := []streamCase{
+	return []streamCase{
 		{"lvp", lvp(LVPConfig{})},
 		{"lvp", lvp(LVPConfig{UsePID: true})},
 		{"lvp", lvp(LVPConfig{FPC: 3, FPCSeed: 5})},
@@ -37,31 +37,44 @@ func streamCases(t *testing.T) []streamCase {
 		{"fcm", must(NewFCM(FCMConfig{Entries: 6, VPTEntries: 10, HistoryLen: 2, Confidence: 2}))},
 		{"vtage", must(NewVTAGE(VTAGEConfig{BaseEntries: 8, TaggedEntries: 8, Confidence: 2, FPC: 2, FPCSeed: 3}))},
 		{"A", NewAType(lvp(LVPConfig{}), 7)},
+		{"A-stride", NewAType(must(NewStride(StrideConfig{Entries: 8, Confidence: 2})), 7)},
+		{"A-stride-2d", NewAType(must(NewStride2D(StrideConfig{Entries: 8, Confidence: 2})), 7)},
 		{"A-fixed", NewATypeFixed(lvp(LVPConfig{}), 7)},
 		{"R(5)", NewRType(lvp(LVPConfig{}), 5, rand.New(rand.NewSource(9)))},
 		{"oracle", NewOracle(lvp(LVPConfig{}), 0x40, 0x48, 0x60, 0x78, 0x90, 0xa8)},
 	}
-	return cases
+}
+
+// load is one predicted load of the stream awaiting its Update.
+type load struct {
+	ctx    Context
+	actual uint64
+	pred   Prediction
 }
 
 // TestStreamDigest pins every prediction of every predictor family and
 // wrapper on one 20,000-step Predict/Update stream, with a Reset about
 // every 1,000 steps, at capacities small enough that the stream keeps
 // evicting. The stream mixes constant, strided, alternating and noisy
-// loads over 24 PCs, six of them hot, two pids and two isolation tags; the digest also
-// covers the evictions each predictor reports between Resets, which
-// the wrappers forward from their inner LVP and VTAGE from its base.
+// loads over 24 PCs (six of them hot), two pids and two isolation
+// tags. The digest also covers the evictions each predictor reports
+// between Resets, which the wrappers forward from their inner
+// predictor and VTAGE from its base.
 func TestStreamDigest(t *testing.T) {
 	want := map[string]string{
-		"lvp":       "63e7ad0634bcfe6f0b1957ae384ab233e71a2fa6fcd9da6d187f44f72d634f47",
-		"stride":    "d7bb9a6cf486ecbf16adaad73c6b5f358d53b62ea04a7266fe7ce534cce051b9",
-		"stride-2d": "007bbe221ed0eefe16f41c994194475289938b37f49c148b289970a55dbead49",
-		"fcm":       "8b896d3310c410f4f357aca53a67a0dd5ad490c691a7f0eb5dd9f6d03ad99339",
-		"vtage":     "19460872625af74a51584dab2d5aa4b260d6cda82cdcf625f690093e9e8cb230",
-		"A":         "7e79fbbde650c73c73f117730a223b3c887e937463b669929435b18b1e22a434",
-		"A-fixed":   "e98eab8066b235f474b82371be0a4cb09136b8a9276b57811fbed1327ce73657",
-		"R(5)":      "11c29fbacb81eb2853fb59960c0fd8be3d4720bc6003ee5958be6603e0f20575",
-		"oracle":    "ef88e9372322d6b57bd5e77640d7063128e7360928c0679e18d5b969433bc13a",
+		"lvp":       "866af0e4f20fd4409fc34a72944dd286148ca44e67e04085447d60ef3d27a77f",
+		"stride":    "e75380fa15615a834f664c099f61ed30c5da4a1743c3992591f3cc5197624070",
+		"stride-2d": "239fab5ab93130bfa100cb1e980c92bdded7a478d536d56d73db80770955ff86",
+		"fcm":       "3e2ae9df618677690361977e55259fc3ff7ed1ecc09fc4888e6bb28114049501",
+		"vtage":     "5e55d31d25b237e10986ce71e382cc7d9b5a36ea85e52fd91dd2bd0de8c63834",
+		"A":         "cb0eff5f1066c5efb6bdc2658351c25549ab394d6962f656c7525847fdb2e178",
+		"A-fixed":   "6f58e299138d2b99990d4cb24be681c37bb1d538b66a858758f48c83199131f2",
+		"R(5)":      "58ec7f8d13d29283391659a9bf06e4d37843022ef64eca7d1f765b4f9e5ad869",
+		"oracle":    "020ddc314bc2469e2d56231aa9f196d95906f83804ba15d15ec7e4f51cdb8ea6",
+		// A hands a missing entry a Hit: LVP credits the entry that
+		// update allocates, the stride families do not.
+		"A-stride":    "50fd32a6e52668cd8956c0d4b56830a20c49b46869069f36b2979fdb1e6c4e82",
+		"A-stride-2d": "7b9fb9815b7b41efb0943df370c46c577c2a6d0ac06259d178dc32d98591ddab",
 	}
 	got := map[string][]byte{}
 	for _, c := range streamCases(t) {
@@ -74,8 +87,17 @@ func TestStreamDigest(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		var seq [24]uint64
 		var hits, last uint64
+		var pending []load // predicted loads awaiting verification, oldest first
+		verify := func(n int) {
+			for ; n > 0; n-- {
+				l := pending[0]
+				pending = pending[1:]
+				c.p.Update(l.ctx, l.actual, l.pred)
+			}
+		}
 		for step := 0; step < 20000; step++ {
 			if rng.Intn(1000) == 0 {
+				verify(len(pending))
 				put(c.p.Evictions() - last)
 				last = c.p.Evictions()
 				c.p.Reset()
@@ -112,8 +134,12 @@ func TestStreamDigest(t *testing.T) {
 			} else {
 				put(0)
 			}
-			c.p.Update(ctx, actual, pred)
+			// Verify out of order with the predictions, as the pipeline
+			// does: up to three loads stay in flight.
+			pending = append(pending, load{ctx, actual, pred})
+			verify(len(pending) - rng.Intn(4))
 		}
+		verify(len(pending))
 		put(c.p.Evictions() - last)
 		if hits == 0 || c.p.Evictions() == 0 {
 			t.Errorf("%s: %d predictions and %d evictions: the stream misses a path", c.name, hits, c.p.Evictions())

@@ -49,20 +49,21 @@ type strideEntry struct {
 	obs        int    // observations: 1 is the base value only
 }
 
-// strideTable is the plumbing both stride families share: the table,
-// the forecast last + stride, and the allocation of a row on its first
-// observation. Each family adds its entry transition.
+// strideTable is what both stride families share: the table, the
+// forecast last + stride, and the update around the entry transition,
+// which twoDelta selects.
 type strideTable struct {
-	cfg StrideConfig
-	t   table[strideEntry]
+	cfg      StrideConfig
+	t        table[key, strideEntry]
+	twoDelta bool
 }
 
-func newStrideTable(cfg StrideConfig) (strideTable, error) {
+func newStrideTable(cfg StrideConfig, twoDelta bool) (strideTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return strideTable{}, err
 	}
 	cfg.setDefaults()
-	return strideTable{cfg: cfg, t: newTable[strideEntry](cfg.Entries)}, nil
+	return strideTable{cfg: cfg, t: newTable[key, strideEntry](cfg.Entries), twoDelta: twoDelta}, nil
 }
 
 // Predict implements Predictor: last + stride once the stride has
@@ -76,23 +77,30 @@ func (p *strideTable) Predict(ctx Context) Prediction {
 	return Prediction{Hit: true, Value: r.e.last + r.e.stride}
 }
 
-// observe finds or allocates ctx's row and credits a verified
-// prediction. A new row only records its base value: observe returns
-// nil, and the family has no delta to learn from yet.
-func (p *strideTable) observe(ctx Context, actual uint64, pred Prediction) *strideEntry {
+// Update implements Predictor. A new row only records its base value;
+// a known one credits a verified prediction and learns the observed
+// delta through its family's transition.
+func (p *strideTable) Update(ctx Context, actual uint64, pred Prediction) {
 	k := makeKey(p.cfg.Scheme, p.cfg.UsePID, ctx)
 	r, ok := p.t.rows[k]
 	if !ok {
 		r = p.t.insert(k)
 		p.t.touch(r)
 		r.e.last, r.e.obs = actual, 1
-		return nil
+		return
 	}
 	p.t.touch(r)
 	if pred.Hit {
 		r.credit(pred.Value == actual)
 	}
-	return &r.e
+	e := &r.e
+	if p.twoDelta {
+		e.learnTwoDelta(actual-e.last, p.cfg.MaxConf)
+	} else {
+		e.learn(actual-e.last, p.cfg.MaxConf)
+	}
+	e.obs++
+	e.last = actual
 }
 
 // Evictions implements Predictor.
@@ -124,7 +132,7 @@ type Stride struct{ strideTable }
 
 // NewStride builds a stride predictor from cfg.
 func NewStride(cfg StrideConfig) (*Stride, error) {
-	st, err := newStrideTable(cfg)
+	st, err := newStrideTable(cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -134,22 +142,15 @@ func NewStride(cfg StrideConfig) (*Stride, error) {
 // Name implements Predictor.
 func (p *Stride) Name() string { return "stride" }
 
-// Update implements Predictor: a repeated delta gains confidence, any
-// other delta becomes the stride at confidence one.
-func (p *Stride) Update(ctx Context, actual uint64, pred Prediction) {
-	e := p.observe(ctx, actual, pred)
-	if e == nil {
-		return
-	}
-	stride := actual - e.last
-	if e.obs >= 2 && stride == e.stride {
-		if e.confidence < p.cfg.MaxConf {
+// learn is the stride transition on delta s: a repeated delta gains
+// confidence, any other delta becomes the stride at confidence one.
+func (e *strideEntry) learn(s uint64, maxConf int) {
+	if e.obs >= 2 && s == e.stride {
+		if e.confidence < maxConf {
 			e.confidence++
 		}
 	} else {
-		e.stride = stride
+		e.stride = s
 		e.confidence = 1
 	}
-	e.obs++
-	e.last = actual
 }

@@ -14,7 +14,7 @@ type Stride2D struct{ strideTable }
 
 // NewStride2D builds a 2-delta stride predictor from cfg.
 func NewStride2D(cfg StrideConfig) (*Stride2D, error) {
-	st, err := newStrideTable(cfg)
+	st, err := newStrideTable(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -24,15 +24,10 @@ func NewStride2D(cfg StrideConfig) (*Stride2D, error) {
 // Name implements Predictor.
 func (p *Stride2D) Name() string { return "stride-2d" }
 
-// Update implements Predictor. The observed delta always lands in
-// candidate; it is promoted to the predicted stride only when it
-// matches the previous candidate — the defining 2-delta hysteresis.
-func (p *Stride2D) Update(ctx Context, actual uint64, pred Prediction) {
-	e := p.observe(ctx, actual, pred)
-	if e == nil {
-		return
-	}
-	s := actual - e.last
+// learnTwoDelta is the 2-delta transition on delta s. The delta always
+// lands in candidate; it is promoted to the predicted stride only when
+// it matches the previous candidate — the defining 2-delta hysteresis.
+func (e *strideEntry) learnTwoDelta(s uint64, maxConf int) {
 	switch {
 	case e.obs == 1:
 		// First delta: seed both strides so a constant or regular
@@ -42,7 +37,7 @@ func (p *Stride2D) Update(ctx Context, actual uint64, pred Prediction) {
 		e.confidence = 1
 	case s == e.stride:
 		e.candidate = s
-		if e.confidence < p.cfg.MaxConf {
+		if e.confidence < maxConf {
 			e.confidence++
 		}
 	case s == e.candidate:
@@ -58,6 +53,4 @@ func (p *Stride2D) Update(ctx Context, actual uint64, pred Prediction) {
 			e.confidence--
 		}
 	}
-	e.obs++
-	e.last = actual
 }

@@ -1,7 +1,7 @@
 package predictor
 
 // table is the VPS table of the paper's Fig. 1, shared by every
-// family: a row per index holds the family's entry E plus the
+// family: a row per index K holds the family's entry E plus the
 // usefulness and last-touch stamps replacement reads. A new index
 // arriving at a full table evicts the least useful row, the least
 // recently touched among equals ("the entry with the smallest
@@ -9,8 +9,8 @@ package predictor
 // table, so they are unique and the victim never depends on map
 // order. Reset rows return to a free list, so refilling a reset table
 // allocates nothing.
-type table[E any] struct {
-	rows      map[key]*row[E]
+type table[K comparable, E any] struct {
+	rows      map[K]*row[E]
 	free      []*row[E]
 	capacity  int
 	tick      uint64
@@ -24,21 +24,21 @@ type row[E any] struct {
 	touch  uint64
 }
 
-func newTable[E any](capacity int) table[E] {
-	return table[E]{rows: make(map[key]*row[E]), capacity: capacity}
+func newTable[K comparable, E any](capacity int) table[K, E] {
+	return table[K, E]{rows: make(map[K]*row[E]), capacity: capacity}
 }
 
 // touch stamps r as the table's most recently used row.
-func (t *table[E]) touch(r *row[E]) {
+func (t *table[K, E]) touch(r *row[E]) {
 	t.tick++
 	r.touch = t.tick
 }
 
 // insert adds a zeroed, unstamped row for k, evicting first if the
 // table is full.
-func (t *table[E]) insert(k key) *row[E] {
+func (t *table[K, E]) insert(k K) *row[E] {
 	if len(t.rows) >= t.capacity {
-		var victim key
+		var victim K
 		var v *row[E]
 		for vk, r := range t.rows {
 			if v == nil || r.useful < v.useful || r.useful == v.useful && r.touch < v.touch {
@@ -63,7 +63,7 @@ func (t *table[E]) insert(k key) *row[E] {
 
 // reset empties the table and restarts its tick; the eviction count
 // carries on.
-func (t *table[E]) reset() {
+func (t *table[K, E]) reset() {
 	for _, r := range t.rows {
 		t.free = append(t.free, r)
 	}
