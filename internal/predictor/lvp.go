@@ -59,7 +59,7 @@ type LVP struct {
 
 // NewLVP builds an LVP from cfg (zero fields take defaults).
 func NewLVP(cfg LVPConfig) (*LVP, error) {
-	p := &LVP{}
+	p := &LVP{t: newTable[key, lvpEntry](0)}
 	if err := p.Reconfigure(cfg); err != nil {
 		return nil, err
 	}
@@ -129,9 +129,6 @@ func (p *LVP) Reconfigure(cfg LVPConfig) error {
 		return err
 	}
 	cfg.setDefaults()
-	if p.t.rows == nil {
-		p.t = newTable[key, lvpEntry](cfg.Entries)
-	}
 	p.t.reset()
 	p.t.capacity, p.t.evictions = cfg.Entries, 0
 	p.cfg = cfg
