@@ -60,8 +60,7 @@ func (n *None) Predict(Context) Prediction { return Prediction{} }
 // Update implements Predictor: no state to train.
 func (n *None) Update(Context, uint64, Prediction) {}
 
-// Evictions implements Predictor: a table that is never filled never
-// evicts.
+// Evictions implements Predictor: None keeps no table to evict from.
 func (n *None) Evictions() uint64 { return 0 }
 
 // Reset implements Predictor: no state to clear.
