@@ -3,15 +3,15 @@
 //
 // A VPS entry tracks, per index: the predicted value, a confidence
 // counter and a usefulness counter, in one table shared by every
-// predictor family (table.go). The index is the load's program counter or its data address —
-// virtual addresses, per the threat model — optionally combined with a
-// process identifier. A prediction is produced only once the same
-// value has been observed a confidence-threshold number of times, so
-// the predictor "will output a first prediction on the confidence+1
-// access" (Sec. II, footnote 3). A misprediction squashes the
-// dependent instructions (handled by internal/cpu) and resets the
-// entry's confidence. When the table is full, the entry with the
-// smallest usefulness is evicted.
+// predictor family (table.go). The index is the load's program
+// counter or its data address — virtual addresses, per the threat
+// model — optionally combined with a process identifier. A prediction
+// is produced only once the same value has been observed a
+// confidence-threshold number of times, so the predictor "will output
+// a first prediction on the confidence+1 access" (Sec. II, footnote
+// 3). A misprediction squashes the dependent instructions (handled by
+// internal/cpu) and resets the entry's confidence. When the table is
+// full, the entry with the smallest usefulness is evicted.
 package predictor
 
 import "fmt"

@@ -53,8 +53,9 @@ type load struct {
 }
 
 // TestStreamDigest pins every prediction of every predictor family and
-// wrapper on one 20,000-step Predict/Update stream, with a Reset about
-// every 1,000 steps, at capacities small enough that the stream keeps
+// wrapper on one 20,000-step Predict/Update stream, each load verified
+// up to three loads after its prediction, with a Reset about every
+// 1,000 steps, at capacities small enough that the stream keeps
 // evicting. The stream mixes constant, strided, alternating and noisy
 // loads over 24 PCs (six of them hot), two pids and two isolation
 // tags. The digest also covers the evictions each predictor reports
