@@ -69,9 +69,9 @@ type Env struct {
 	Manifest *metrics.Manifest
 	// Render selects the text form of every rendered spec.
 	Render scenario.RenderOptions
-	// Recorder, when a plan sets it, records its sim spec's per-
-	// instruction pipeline events (vpsim -pipeview and -kanata).
-	Recorder *trace.Recorder
+	// Events, when a plan sets it, receives its sim spec's pipeline
+	// event stream (vpsim -pipeview, -kanata and -memtrace).
+	Events func(trace.Event)
 	// After, when a plan sets it, runs once each spec has rendered,
 	// with that spec's result.
 	After func(*scenario.Result) error
@@ -214,7 +214,7 @@ func (f *flags) run(tool string, fs *flag.FlagSet, composes map[string]bool, pla
 	var results []*scenario.Result
 	for _, s := range specs {
 		s.Metrics, s.Trace = env.Metrics, env.Trace
-		res, err := scenario.ExecuteRecorded(context.Background(), s, env.Recorder)
+		res, err := scenario.ExecuteRecorded(context.Background(), s, env.Events)
 		if err != nil {
 			return err
 		}

@@ -18,7 +18,7 @@ import (
 
 	"vpsec/cmd/internal/scencli"
 	"vpsec/internal/asm"
-	"vpsec/internal/cpu"
+	"vpsec/internal/isa"
 	"vpsec/internal/scenario"
 	"vpsec/internal/trace"
 	"vpsec/internal/workload"
@@ -65,20 +65,28 @@ func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 			_, err = io.WriteString(env.Stdout, asm.Format(prog))
 			return nil, err
 		}
-		cpu.DebugTrace = *memTrace
-		if *pipeview > 0 || *kanata != "" {
-			env.Recorder = trace.NewRecorder(0)
+		var rec trace.Recorder
+		views := *pipeview > 0 || *kanata != ""
+		if views || *memTrace {
+			env.Events = func(ev trace.Event) {
+				if *memTrace && ev.Kind == trace.Access {
+					writeAccess(env.Stdout, ev)
+				}
+				if views {
+					rec.Record(ev)
+				}
+			}
 		}
 		env.After = func(res *scenario.Result) error {
 			if *pipeview > 0 {
 				fmt.Fprintln(env.Stdout)
-				fmt.Fprint(env.Stdout, env.Recorder.RenderPipeline(0, uint64(*pipeview)-1))
+				fmt.Fprint(env.Stdout, rec.RenderPipeline(0, uint64(*pipeview)-1))
 			}
 			if *kanata != "" {
-				if err := writeKanata(*kanata, env.Recorder); err != nil {
+				if err := writeKanata(*kanata, &rec); err != nil {
 					return err
 				}
-				fmt.Fprintf(env.Stderr, "vpsim: wrote %s (%d events)\n", *kanata, len(env.Recorder.Events()))
+				fmt.Fprintf(env.Stderr, "vpsim: wrote %s (%d events)\n", *kanata, len(rec.Events()))
 			}
 			if *regs {
 				for r, v := range res.Sim.Run.Regs {
@@ -97,6 +105,20 @@ func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 			Confidence: *conf,
 			Seed:       *seed,
 		}}, nil
+	}
+}
+
+// writeAccess prints a memory access as a -memtrace line: the cycle,
+// the stage and instruction, the physical address, and for a load what
+// served it and the latency before jitter.
+func writeAccess(w io.Writer, ev trace.Event) {
+	switch {
+	case ev.Stage == trace.Commit:
+		fmt.Fprintf(w, "%d: commit FLUSH pc=%d paddr=%#x\n", ev.Cycle, ev.PC, ev.PAddr)
+	case ev.Instr.Op == isa.LOAD:
+		fmt.Fprintf(w, "%d: issue LOAD pc=%d paddr=%#x served=%v lat=%d\n", ev.Cycle, ev.PC, ev.PAddr, ev.Level, ev.Latency)
+	default:
+		fmt.Fprintf(w, "%d: issue %v pc=%d paddr=%#x\n", ev.Cycle, ev.Instr.Op, ev.PC, ev.PAddr)
 	}
 }
 

@@ -119,6 +119,26 @@ func TestPipelineViews(t *testing.T) {
 	}
 }
 
+// TestMemTrace: -memtrace prints every memory access to the command's
+// stdout, in pipeline order, ahead of the run summary.
+func TestMemTrace(t *testing.T) {
+	const prog = "../../examples/progs/pointer-chase.vasm"
+	_, plain, _ := run(prog)
+	code, stdout, stderr := run("-memtrace", prog)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	accesses, ok := strings.CutSuffix(stdout, plain)
+	if !ok || strings.Count(plain, "\n") != 6 {
+		t.Fatalf("stdout does not end with the 6-line summary:\n%s", stdout)
+	}
+	lines := strings.Split(strings.TrimSuffix(accesses, "\n"), "\n")
+	if len(lines) != 73 || lines[0] != "2: issue flush pc=3 paddr=0x10000" {
+		t.Fatalf("got %d access lines starting %q, want 73 starting with the first flush's issue:\n%s",
+			len(lines), lines[0], accesses)
+	}
+}
+
 // TestUsage: a run without a program is a usage error, exit 2.
 func TestUsage(t *testing.T) {
 	code, stdout, stderr := run()

@@ -24,7 +24,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m.Tracer = trace.NewRecorder(0)
+	var rec trace.Recorder
+	m.Events = rec.Record
 
 	// Train a load on value 5, then change memory so the last
 	// iteration mispredicts and squashes its dependent.
@@ -67,8 +68,8 @@ func main() {
 	// Find the mispredicted load in the event stream and show its
 	// neighborhood.
 	var wrongSeq uint64
-	for _, ev := range m.Tracer.Events() {
-		if ev.Kind == trace.Verify && ev.Text == "wrong" {
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.Verify && !ev.Correct {
 			wrongSeq = ev.Seq
 		}
 	}
@@ -77,7 +78,7 @@ func main() {
 		lo = wrongSeq - 4
 	}
 	fmt.Println("pipeline diagram around the misprediction:")
-	fmt.Print(m.Tracer.RenderPipeline(lo, wrongSeq+6))
+	fmt.Print(rec.RenderPipeline(lo, wrongSeq+6))
 	fmt.Println()
 	fmt.Println("Reading the diagram: the predicted load writes back (W) one cycle")
 	fmt.Println("after issue — its dependent executes immediately — but the verify")

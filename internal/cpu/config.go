@@ -61,6 +61,17 @@ func (p EffectsPolicy) String() string {
 	return "?"
 }
 
+// The core's fixed timing: the multiply/divide unit's issue slots per
+// cycle, execution latencies, and the refetch delays after a squash.
+const (
+	mulPorts      = 1  // MUL/MULHU/DIVU/REMU issues per cycle
+	aluLatency    = 1  // every other ALU op
+	mulLatency    = 3  // MUL, MULHU
+	divLatency    = 12 // DIVU, REMU
+	squashPenalty = 10 // refetch delay after a value-misprediction squash
+	branchPenalty = 6  // refetch delay after a branch or JALR redirect
+)
+
 // Config parameterizes the core.
 type Config struct {
 	FetchWidth  int // instructions renamed per cycle; 0 means 4
@@ -69,15 +80,7 @@ type Config struct {
 	ROBSize     int // reorder buffer capacity; 0 means 192
 	MemPorts    int // loads/stores/flushes issued per cycle; 0 means 2
 
-	MSHRs    int // max outstanding cache misses; 0 means 8
-	MulPorts int // MUL/MULHU/DIVU/REMU issues per cycle; 0 means 1
-
-	ALULatency uint64 // 0 means 1
-	MulLatency uint64 // 0 means 3
-	DivLatency uint64 // 0 means 12
-
-	SquashPenalty uint64 // refetch delay after a value-misprediction squash; 0 means 10
-	BranchPenalty uint64 // refetch delay after a taken branch; 0 means 6
+	MSHRs int // max outstanding cache misses; 0 means 8
 
 	MaxCycles uint64 // per-run watchdog; 0 means 20,000,000
 
@@ -138,24 +141,6 @@ func (c *Config) setDefaults() {
 	if c.MSHRs == 0 {
 		c.MSHRs = 8
 	}
-	if c.MulPorts == 0 {
-		c.MulPorts = 1
-	}
-	if c.ALULatency == 0 {
-		c.ALULatency = 1
-	}
-	if c.MulLatency == 0 {
-		c.MulLatency = 3
-	}
-	if c.DivLatency == 0 {
-		c.DivLatency = 12
-	}
-	if c.SquashPenalty == 0 {
-		c.SquashPenalty = 10
-	}
-	if c.BranchPenalty == 0 {
-		c.BranchPenalty = 6
-	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 20_000_000
 	}
@@ -164,7 +149,7 @@ func (c *Config) setDefaults() {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.FetchWidth < 0 || c.IssueWidth < 0 || c.CommitWidth < 0 ||
-		c.ROBSize < 0 || c.MemPorts < 0 || c.MSHRs < 0 || c.MulPorts < 0 {
+		c.ROBSize < 0 || c.MemPorts < 0 || c.MSHRs < 0 {
 		return fmt.Errorf("cpu: negative width in config %+v", c)
 	}
 	if c.Effects < EffectsImmediate || c.Effects > EffectsRecompute {

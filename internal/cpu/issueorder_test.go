@@ -38,8 +38,8 @@ func TestIssueOrderOldestFirst(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := trace.NewRecorder(0)
-			m.Tracer = rec
+			var rec trace.Recorder
+			m.Events = rec.Record
 			proc, err := m.NewProcess(1, prog, 0)
 			if err != nil {
 				t.Fatal(err)

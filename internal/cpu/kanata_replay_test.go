@@ -63,7 +63,8 @@ func kanataRun(t *testing.T, seed int64) ([]byte, RunResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Tracer = trace.NewRecorder(0)
+	var rec trace.Recorder
+	m.Events = rec.Record
 	proc, err := m.NewProcess(1, prog, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func kanataRun(t *testing.T, seed int64) ([]byte, RunResult) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.Tracer.ExportKanata(&buf); err != nil {
+	if err := rec.ExportKanata(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), res

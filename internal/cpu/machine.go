@@ -46,15 +46,15 @@ type Machine struct {
 	// The context-isolation defense installs a non-zero mapping.
 	TagFor func(pid uint64) uint64
 
-	// Tracer, when non-nil and enabled, records per-instruction
-	// pipeline events (see internal/trace and cmd/vpsim -pipeview).
-	Tracer *trace.Recorder
-
-	// OnCommit, when non-nil, observes every architecturally retired
-	// instruction in commit order. The differential oracle
-	// (internal/oracle) uses it to capture the canonical commit log;
-	// under RunSMT both hardware threads share the hook.
-	OnCommit func(isa.Commit)
+	// Events, when non-nil, receives the core's simulated-time event
+	// stream (internal/trace): each instruction's fetch, issue,
+	// writeback, value prediction and verification, squash and commit,
+	// and each memory access, in the order the pipeline performs them.
+	// Pipeline diagrams and Kanata logs (trace.Recorder), the
+	// differential oracle's commit log and vpsim -memtrace all consume
+	// it. Under RunSMT both hardware threads report here, told apart by
+	// Event.PID. Unhooked, each event site costs one nil check.
+	Events func(trace.Event)
 
 	// metrics, when attached (AttachMetrics), streams ROB occupancy and
 	// publishes run/predictor/memory counters into a registry.
@@ -113,23 +113,17 @@ func (m *Machine) putPipeline(p *pipeline) {
 }
 
 // NewMachine assembles a machine; nil hier gets the default hierarchy,
-// nil pred gets the no-VP baseline, nil rng gets a fixed seed.
+// nil pred gets the no-VP baseline, nil rng gets a fixed seed. The
+// rest is Reset's, so a reset machine equals a fresh one by
+// construction.
 func NewMachine(cfg Config, hier *mem.Hierarchy, pred predictor.Predictor, rng *rand.Rand) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg.setDefaults()
 	if hier == nil {
 		hier = mem.DefaultHierarchy()
 	}
-	if pred == nil {
-		pred = predictor.NewNone()
+	m := &Machine{Hier: hier}
+	if err := m.Reset(cfg, pred, rng); err != nil {
+		return nil, err
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	m := &Machine{Cfg: cfg, Hier: hier, Pred: pred, Rng: rng}
-	m.ensureShadow()
 	return m, nil
 }
 
@@ -153,9 +147,9 @@ func (m *Machine) ensureShadow() {
 // configuration, predictor and RNG, keeping its entry arena and
 // pipeline pool warm. The hierarchy is left untouched — callers
 // recycling a machine across trials reset it separately
-// (mem.Hierarchy.Reset). Every observable field returns to what
-// NewMachine would have produced, so a run on a recycled machine is
-// bit-identical to one on a freshly built machine.
+// (mem.Hierarchy.Reset). NewMachine builds through Reset, so every
+// observable field returns to what NewMachine produces and a run on a
+// recycled machine is bit-identical to one on a freshly built machine.
 func (m *Machine) Reset(cfg Config, pred predictor.Predictor, rng *rand.Rand) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -172,8 +166,7 @@ func (m *Machine) Reset(cfg Config, pred predictor.Predictor, rng *rand.Rand) er
 	m.Rng = rng
 	m.Noise = Noise{}
 	m.Cycle = 0
-	m.Tracer = nil
-	m.OnCommit = nil
+	m.Events = nil
 	m.TagFor = nil
 	m.metrics = nil
 	m.ensureShadow()

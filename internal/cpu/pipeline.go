@@ -260,8 +260,8 @@ type pipeline struct {
 	// observation is required (Config.CheckInvariants). ConflictSeries
 	// sampling needs no gate: recordConflict marks the cycle active, so
 	// a conflict-bearing cycle is never skipped, and a quiet cycle by
-	// construction records nothing. RunSMT never calls step, so the
-	// shared-budget case cannot skip either (see DESIGN.md §10).
+	// construction records nothing. RunSMT drives cycle, never step, so
+	// the shared-budget case cannot skip either (see DESIGN.md §10).
 	noSkip bool
 
 	// 2-bit bimodal direction counters, used when cfg.BimodalBranch.
@@ -306,12 +306,46 @@ func (p *pipeline) reset(m *Machine, proc *Process) {
 	p.res = RunResult{}
 }
 
-// emit records a pipeline trace event when tracing is enabled.
-func (p *pipeline) emit(kind trace.Kind, e *entry, now uint64, text string) {
-	if !p.m.Tracer.Enabled() {
-		return
+// emit sends an event about e to the machine's hook, if one is set.
+// It inlines to the nil check, so an unhooked site costs only that.
+func (p *pipeline) emit(kind trace.Kind, e *entry, now uint64) {
+	if p.m.Events != nil {
+		p.send(kind, e, now, 0, 0, 0)
 	}
-	p.m.Tracer.Record(trace.Event{Cycle: now, Kind: kind, Seq: e.seq, PC: e.pc, Text: text})
+}
+
+// emitAccess sends e's memory access at stage to the machine's hook,
+// if one is set: served by level in lat cycles, for a load.
+func (p *pipeline) emitAccess(e *entry, now uint64, stage trace.Kind, level mem.Level, lat uint64) {
+	if p.m.Events != nil {
+		p.send(trace.Access, e, now, stage, level, lat)
+	}
+}
+
+// send builds an event about e and hands it to the hook. A
+// verification carries its outcome, a commit its architectural record
+// and an access its stage, physical address, level and latency.
+func (p *pipeline) send(kind trace.Kind, e *entry, now uint64, stage trace.Kind, level mem.Level, lat uint64) {
+	ev := trace.Event{Cycle: now, Kind: kind, PID: p.proc.PID, Seq: e.seq, PC: e.pc, Instr: e.in}
+	switch kind {
+	case trace.Verify:
+		ev.Correct = e.pred.Value == e.actual
+	case trace.Commit:
+		c := &ev.Commit
+		c.PC, c.Op, c.NextPC = e.pc, e.in.Op, e.nextPC
+		if e.in.Op.WritesDst() && e.in.Dst != isa.R0 {
+			c.WritesReg, c.Dst, c.Value = true, e.in.Dst, e.result
+		}
+		switch e.in.Op {
+		case isa.LOAD, isa.FLUSH:
+			c.Addr = e.addr
+		case isa.STORE:
+			c.Addr, c.StoreVal = e.addr, e.src2.val
+		}
+	case trace.Access:
+		ev.Stage, ev.PAddr, ev.Level, ev.Latency = stage, e.paddr, level, lat
+	}
+	p.m.Events(ev)
 }
 
 func (p *pipeline) ctxFor(e *entry) predictor.Context {
@@ -324,15 +358,13 @@ func (p *pipeline) ctxFor(e *entry) predictor.Context {
 	}
 }
 
-// step advances the machine by one cycle; it returns true when HALT
-// has committed. When the cycle turns out to be a pure stall (nothing
-// issued, finished, verified, committed or fetched), the clock jumps
-// straight to the next scheduled event — the earliest pending
-// writeback, verification or fetch restart — which is where most of a
-// DRAM miss goes.
-func (p *pipeline) step() (bool, error) {
-	now := p.m.Cycle
-	p.activity = false
+// cycle runs one clock cycle of the pipeline's stages at now, in the
+// order the hardware evaluates them — verify, finish, fence
+// resolution, commit, issue, fetch — and then, under
+// Config.CheckInvariants, the invariant sweep. Issue draws on budget,
+// which SMT threads share. Both step and RunSMT drive the pipeline
+// through it.
+func (p *pipeline) cycle(now uint64, budget *issueBudget) error {
 	if now >= p.nextVerify {
 		p.verify(now)
 	}
@@ -342,12 +374,30 @@ func (p *pipeline) step() (bool, error) {
 	p.resolveFences()
 	p.commit(now)
 	if maskAny(p.readyM) {
-		budget := issueBudget{ports: p.cfg.IssueWidth, mem: p.cfg.MemPorts, mul: p.cfg.MulPorts}
-		if err := p.issue(now, &budget); err != nil {
-			return false, err
+		if err := p.issue(now, budget); err != nil {
+			return err
 		}
 	}
 	p.fetch(now)
+	if p.cfg.CheckInvariants {
+		return p.checkInvariants()
+	}
+	return nil
+}
+
+// step advances the machine by one cycle; it returns true when HALT
+// has committed. When the cycle turns out to be a pure stall (nothing
+// issued, finished, verified, committed or fetched), the clock jumps
+// straight to the next scheduled event — the earliest pending
+// writeback, verification or fetch restart — which is where most of a
+// DRAM miss goes.
+func (p *pipeline) step() (bool, error) {
+	now := p.m.Cycle
+	p.activity = false
+	budget := issueBudget{ports: p.cfg.IssueWidth, mem: p.cfg.MemPorts, mul: mulPorts}
+	if err := p.cycle(now, &budget); err != nil {
+		return false, err
+	}
 	advance := uint64(1)
 	if !p.activity && !p.halted && !p.noSkip {
 		if t := p.nextEvent(now); t > now+1 {
@@ -363,11 +413,6 @@ func (p *pipeline) step() (bool, error) {
 		}
 	}
 	p.m.observeOccupancy(p.rob.len(), advance)
-	if p.cfg.CheckInvariants {
-		if err := p.checkInvariants(); err != nil {
-			return false, err
-		}
-	}
 	p.m.Cycle += advance
 	p.res.Cycles += advance
 	return p.halted, nil
@@ -431,19 +476,18 @@ func (p *pipeline) verify(now uint64) {
 				}
 				p.activity = true
 				p.m.Pred.Update(p.ctxFor(e), e.actual, e.pred)
+				p.emit(trace.Verify, e, now)
 				if e.pred.Value == e.actual {
 					p.res.VerifyCorrect++
-					p.emit(trace.Verify, e, now, "correct")
 					continue
 				}
 				p.res.VerifyWrong++
-				p.emit(trace.Verify, e, now, "wrong")
 				e.result = e.actual
 				if p.cfg.SelectiveReplay {
 					p.replayDependents(e, p.ringIndex(slot), now)
 					continue
 				}
-				p.squashAfter(p.ringIndex(slot), e.pc+1, now+p.cfg.SquashPenalty)
+				p.squashAfter(p.ringIndex(slot), e.pc+1, now+squashPenalty)
 			}
 		}
 	}
@@ -488,7 +532,7 @@ func (p *pipeline) finish(now uint64) {
 					bitSet(p.doneM, slot)
 				}
 				p.activity = true
-				p.emit(trace.Writeback, e, now, "")
+				p.emit(trace.Writeback, e, now)
 				if e.in.Op == isa.LOAD && e.vpsEngaged && !e.predicted {
 					// Training access: the miss completed without a prediction.
 					p.m.Pred.Update(p.ctxFor(e), e.actual, predictor.Prediction{})
@@ -510,7 +554,7 @@ func (p *pipeline) finish(now uint64) {
 					if actual != e.nextPC {
 						p.res.BranchSquash++
 						e.nextPC = actual
-						p.squashAfter(p.ringIndex(slot), actual, now+p.cfg.BranchPenalty)
+						p.squashAfter(p.ringIndex(slot), actual, now+branchPenalty)
 					}
 					continue
 				}
@@ -524,7 +568,7 @@ func (p *pipeline) finish(now uint64) {
 					if target != e.nextPC {
 						p.res.BranchSquash++
 						e.nextPC = target
-						p.squashAfter(p.ringIndex(slot), target, now+p.cfg.BranchPenalty)
+						p.squashAfter(p.ringIndex(slot), target, now+branchPenalty)
 					}
 					continue
 				}
@@ -646,9 +690,7 @@ func (p *pipeline) commit(now uint64) {
 			if sh := p.m.Shadow; sh != nil {
 				sh.Remove(e.paddr)
 			}
-			if DebugTrace {
-				dbg("%d: commit FLUSH pc=%d paddr=%#x", now, e.pc, e.paddr)
-			}
+			p.emitAccess(e, now, trace.Commit, 0, 0)
 		case isa.LOAD:
 			if e.needInstall {
 				p.m.Hier.Install(e.paddr)
@@ -678,20 +720,7 @@ func (p *pipeline) commit(now uint64) {
 			}
 			p.lastCommitSeq, p.committedAny = e.seq, true
 		}
-		if h := p.m.OnCommit; h != nil {
-			c := isa.Commit{PC: e.pc, Op: e.in.Op, NextPC: e.nextPC}
-			if e.in.Op.WritesDst() && e.in.Dst != isa.R0 {
-				c.WritesReg, c.Dst, c.Value = true, e.in.Dst, e.result
-			}
-			switch e.in.Op {
-			case isa.LOAD, isa.FLUSH:
-				c.Addr = e.addr
-			case isa.STORE:
-				c.Addr, c.StoreVal = e.addr, e.src2.val
-			}
-			h(c)
-		}
-		p.emit(trace.Commit, e, now, "")
+		p.emit(trace.Commit, e, now)
 		p.clearSlot(e.slot)
 		p.rob.popFront()
 		p.retired = append(p.retired, e)
@@ -817,7 +846,7 @@ func (p *pipeline) issue(now uint64, budget *issueBudget) error {
 				if p.finishAtA[slot] < p.nextFinish {
 					p.nextFinish = p.finishAtA[slot]
 				}
-				p.emit(trace.Issue, e, now, "")
+				p.emit(trace.Issue, e, now)
 				p.res.Issued++
 				p.activity = true
 				budget.ports--
@@ -830,11 +859,11 @@ func (p *pipeline) issue(now uint64, budget *issueBudget) error {
 func (p *pipeline) aluLatency(op isa.Op) uint64 {
 	switch op {
 	case isa.MUL, isa.MULHU:
-		return p.cfg.MulLatency
+		return mulLatency
 	case isa.DIVU, isa.REMU:
-		return p.cfg.DivLatency
+		return divLatency
 	}
-	return p.cfg.ALULatency
+	return aluLatency
 }
 
 func (p *pipeline) aluResult(e *entry) uint64 {
@@ -902,9 +931,7 @@ func (p *pipeline) issueMem(e *entry, idx int, now uint64) (bool, error) {
 		// Address (and data, for stores) computed; effects at commit.
 		e.state = stExecuting
 		p.finishAtA[e.slot] = now + 1
-		if DebugTrace {
-			dbg("%d: issue %v pc=%d paddr=%#x", now, e.in.Op, e.pc, e.paddr)
-		}
+		p.emitAccess(e, now, trace.Issue, 0, 0)
 		return true, nil
 	}
 
@@ -959,9 +986,7 @@ func (p *pipeline) issueMem(e *entry, idx int, now uint64) (bool, error) {
 		e.result = e.actual
 		e.state = stExecuting
 		p.finishAtA[e.slot] = now + lat
-		if DebugTrace {
-			dbg("%d: issue LOAD pc=%d paddr=%#x served=shadow lat=%d", now, e.pc, e.paddr, lat)
-		}
+		p.emitAccess(e, now, trace.Issue, mem.LevelShadow, lat)
 		return true, nil
 	}
 
@@ -973,9 +998,7 @@ func (p *pipeline) issueMem(e *entry, idx int, now uint64) (bool, error) {
 
 	install := p.cfg.Effects == EffectsImmediate
 	lat, served := p.m.Hier.Access(e.paddr, install)
-	if DebugTrace {
-		dbg("%d: issue LOAD pc=%d paddr=%#x served=%v lat=%d", now, e.pc, e.paddr, served, lat)
-	}
+	p.emitAccess(e, now, trace.Issue, served, lat)
 	if served == mem.LevelMem && p.m.Noise.MemJitter > 0 {
 		lat += uint64(p.m.Rng.Int63n(int64(p.m.Noise.MemJitter) + 1))
 	} else if served != mem.LevelMem && p.m.Noise.HitJitter > 0 {
@@ -1006,7 +1029,7 @@ func (p *pipeline) issueMem(e *entry, idx int, now uint64) (bool, error) {
 	e.vpsEngaged = true
 	pred := p.m.Pred.Predict(p.ctxFor(e))
 	if pred.Hit {
-		p.emit(trace.Predict, e, now, "")
+		p.emit(trace.Predict, e, now)
 		// Forward the speculated value next cycle; verification fires
 		// when the real data arrives.
 		e.predicted = true
@@ -1089,7 +1112,7 @@ func (p *pipeline) replayDependents(load *entry, idx int, now uint64) {
 			storeAddrHazard = true
 		}
 		if e.state != stWaiting {
-			p.emit(trace.Squash, e, now, "replay")
+			p.emit(trace.Squash, e, now)
 		}
 		p.resetForReplay(e)
 	}
@@ -1144,9 +1167,9 @@ func (p *pipeline) resetForReplay(e *entry) {
 // reference them, and those are squashed with them.
 func (p *pipeline) squashAfter(idx int, newPC int, stallUntil uint64) {
 	cutoff := p.rob.at(idx).seq
-	if p.m.Tracer.Enabled() {
+	if p.m.Events != nil {
 		for i := idx + 1; i < p.rob.len(); i++ {
-			p.emit(trace.Squash, p.rob.at(i), p.m.Cycle, "")
+			p.emit(trace.Squash, p.rob.at(i), p.m.Cycle)
 		}
 	}
 	p.res.Squashed += uint64(p.rob.len() - idx - 1)
@@ -1250,10 +1273,7 @@ func (p *pipeline) fetch(now uint64) {
 			p.fetchPC++
 		}
 		e.nextPC = p.fetchPC
-		if p.m.Tracer.Enabled() {
-			// Build the disassembly text only when someone records it.
-			p.emit(trace.Fetch, e, now, in.String())
-		}
+		p.emit(trace.Fetch, e, now)
 		p.rob.push(e)
 		p.res.Fetched++
 		p.activity = true

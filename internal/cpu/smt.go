@@ -23,7 +23,6 @@ func (m *Machine) RunSMT(a, b *Process) (RunResult, RunResult, error) {
 	// Keep trace sequence numbers disjoint between the two hardware
 	// threads.
 	pb.seqBase = 1 << 32
-	doneA, doneB := false, false
 
 	finish := func(err error) (RunResult, RunResult, error) {
 		ra, rb := pa.res, pb.res
@@ -33,41 +32,21 @@ func (m *Machine) RunSMT(a, b *Process) (RunResult, RunResult, error) {
 	}
 
 	var guard uint64
-	for !doneA || !doneB {
+	for !pa.halted || !pb.halted {
 		now := m.Cycle
-		budget := issueBudget{ports: m.Cfg.IssueWidth, mem: m.Cfg.MemPorts, mul: m.Cfg.MulPorts}
-
+		budget := issueBudget{ports: m.Cfg.IssueWidth, mem: m.Cfg.MemPorts, mul: mulPorts}
 		first, second := pa, pb
-		firstDone, secondDone := &doneA, &doneB
 		if now%2 == 1 {
 			first, second = pb, pa
-			firstDone, secondDone = &doneB, &doneA
 		}
-		for _, t := range []struct {
-			p    *pipeline
-			done *bool
-		}{{first, firstDone}, {second, secondDone}} {
-			if *t.done {
+		for _, p := range [2]*pipeline{first, second} {
+			if p.halted {
 				continue
 			}
-			if now >= t.p.nextVerify {
-				t.p.verify(now)
+			if err := p.cycle(now, &budget); err != nil {
+				return finish(err)
 			}
-			if now >= t.p.nextFinish {
-				t.p.finish(now)
-			}
-			t.p.resolveFences()
-			t.p.commit(now)
-			if maskAny(t.p.readyM) {
-				if err := t.p.issue(now, &budget); err != nil {
-					return finish(err)
-				}
-			}
-			t.p.fetch(now)
-			t.p.res.Cycles++
-			if t.p.halted {
-				*t.done = true
-			}
+			p.res.Cycles++
 		}
 		m.Cycle++
 		guard++

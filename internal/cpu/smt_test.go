@@ -196,14 +196,16 @@ func TestPortTypeFingerprinting(t *testing.T) {
 	}
 }
 
-// TestSMTTraceSeqsDisjoint: with a shared tracer, the two hardware
-// threads' instruction sequence numbers must not collide.
+// TestSMTTraceSeqsDisjoint: on the shared event hook, the two hardware
+// threads' instruction sequence numbers must not collide, and each
+// event names its own thread's process.
 func TestSMTTraceSeqsDisjoint(t *testing.T) {
 	m, err := NewMachine(Config{}, nil, nil, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Tracer = trace.NewRecorder(0)
+	var rec trace.Recorder
+	m.Events = rec.Record
 	progA := randomLoopProgram(21)
 	progB := randomLoopProgram(22)
 	pa, _ := m.NewProcess(1, progA, 0)
@@ -212,8 +214,12 @@ func TestSMTTraceSeqsDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	lowSeen, highSeen := false, false
-	for _, ev := range m.Tracer.Events() {
-		if ev.Seq < 1<<32 {
+	for _, ev := range rec.Events() {
+		low := ev.Seq < 1<<32
+		if low != (ev.PID == 1) {
+			t.Fatalf("event %+v: seq range and PID name different threads", ev)
+		}
+		if low {
 			lowSeen = true
 		} else {
 			highSeen = true

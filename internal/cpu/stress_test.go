@@ -450,7 +450,8 @@ func TestPipelineTracer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Tracer = trace.NewRecorder(0)
+	var rec trace.Recorder
+	m.Events = rec.Record
 
 	b := isa.NewBuilder("traced")
 	b.Word(0x1000, 5)
@@ -491,16 +492,16 @@ func TestPipelineTracer(t *testing.T) {
 
 	var sawPredict, sawWrong, sawCorrect, sawSquash bool
 	kinds := map[trace.Kind]int{}
-	for _, ev := range m.Tracer.Events() {
+	for _, ev := range rec.Events() {
 		kinds[ev.Kind]++
 		switch ev.Kind {
 		case trace.Predict:
 			sawPredict = true
 		case trace.Verify:
-			if ev.Text == "wrong" {
-				sawWrong = true
-			} else {
+			if ev.Correct {
 				sawCorrect = true
+			} else {
+				sawWrong = true
 			}
 		case trace.Squash:
 			sawSquash = true
@@ -517,7 +518,7 @@ func TestPipelineTracer(t *testing.T) {
 	if kinds[trace.Fetch] < kinds[trace.Commit] {
 		t.Error("fewer fetches than commits")
 	}
-	out := m.Tracer.RenderPipeline(0, 40)
+	out := rec.RenderPipeline(0, 40)
 	if out == "" {
 		t.Error("empty render")
 	}

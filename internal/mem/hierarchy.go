@@ -212,6 +212,9 @@ const (
 	LevelL1 Level = iota
 	LevelL2
 	LevelMem
+	// LevelShadow is a load the speculative Shadow buffer served; the
+	// hierarchy's Access never returns it.
+	LevelShadow
 )
 
 // String names the level as traces and reports print it.
@@ -223,6 +226,8 @@ func (l Level) String() string {
 		return "L2"
 	case LevelMem:
 		return "mem"
+	case LevelShadow:
+		return "shadow"
 	}
 	return "?"
 }

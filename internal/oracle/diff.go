@@ -9,6 +9,7 @@ import (
 	"vpsec/internal/cpu"
 	"vpsec/internal/isa"
 	"vpsec/internal/predictor"
+	"vpsec/internal/trace"
 )
 
 // Spec names one point in the machine-configuration matrix the
@@ -114,22 +115,16 @@ func Diff(p *isa.Program, spec Spec) error {
 	if err != nil {
 		return err
 	}
-	var pred predictor.Predictor
-	if spec.Pred != nil {
-		pred = spec.Pred()
-	}
-	cfg := spec.Cfg
-	cfg.CheckInvariants = true
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 2_000_000
-	}
-	m, err := cpu.NewMachine(cfg, nil, pred, rand.New(rand.NewSource(spec.Seed)))
+	m, err := spec.machine()
 	if err != nil {
 		return err
 	}
-	m.Noise = spec.Noise
 	var got []isa.Commit
-	m.OnCommit = func(c isa.Commit) { got = append(got, c) }
+	m.Events = func(ev trace.Event) {
+		if ev.Kind == trace.Commit {
+			got = append(got, ev.Commit)
+		}
+	}
 	proc, err := m.NewProcess(1, p, 0)
 	if err != nil {
 		return err
@@ -141,6 +136,33 @@ func Diff(p *isa.Program, spec Spec) error {
 		}
 		return fmt.Errorf("oracle: pipeline run failed on spec %q: %w", spec.Name, err)
 	}
+	return compare(spec, want, got, res, m.Hier.Mem.Snapshot())
+}
+
+// machine builds spec's out-of-order machine: the invariant checker
+// is forced on, and the watchdog is 2M cycles unless the spec sets one.
+func (spec Spec) machine() (*cpu.Machine, error) {
+	var pred predictor.Predictor
+	if spec.Pred != nil {
+		pred = spec.Pred()
+	}
+	cfg := spec.Cfg
+	cfg.CheckInvariants = true
+	if cfg.MaxCycles == 0 {
+		cfg.MaxCycles = 2_000_000
+	}
+	m, err := cpu.NewMachine(cfg, nil, pred, rand.New(rand.NewSource(spec.Seed)))
+	if err != nil {
+		return nil, err
+	}
+	m.Noise = spec.Noise
+	return m, nil
+}
+
+// compare checks one pipeline run against its reference: the commit
+// log got, the run's retired count, final registers and counters, and
+// gotMem, the data memory the run left in its own address space.
+func compare(spec Spec, want *Result, got []isa.Commit, res cpu.RunResult, gotMem map[uint64]uint64) error {
 	for i := range got {
 		if i >= len(want.Log) {
 			return mismatchf(spec, "commit %d: pipeline committed {%v}, reference already halted", i, got[i])
@@ -157,7 +179,6 @@ func Diff(p *isa.Program, spec Spec) error {
 			return mismatchf(spec, "final r%d = %#x, reference %#x", r, res.Regs[r], want.Regs[r])
 		}
 	}
-	gotMem := m.Hier.Mem.Snapshot()
 	for a, v := range want.Mem {
 		if gotMem[a] != v {
 			return mismatchf(spec, "final mem[%#x] = %#x, reference %#x", a, gotMem[a], v)

@@ -78,16 +78,16 @@ func Execute(ctx context.Context, s Spec) (*Result, error) {
 	return ExecuteRecorded(ctx, s, nil)
 }
 
-// ExecuteRecorded is Execute with rec, when non-nil, recording a
-// KindSim run's per-instruction pipeline events (vpsim's -pipeview and
-// -kanata). Only a sim spec runs one machine a recorder can watch, so
-// any other kind rejects one.
-func ExecuteRecorded(ctx context.Context, s Spec, rec *trace.Recorder) (*Result, error) {
+// ExecuteRecorded is Execute with events, when non-nil, receiving a
+// KindSim run's pipeline event stream (cpu.Machine.Events: vpsim's
+// -pipeview, -kanata and -memtrace). Only a sim spec runs one machine
+// a hook can watch, so any other kind rejects one.
+func ExecuteRecorded(ctx context.Context, s Spec, events func(trace.Event)) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if rec != nil && s.Kind != KindSim {
-		return nil, fmt.Errorf("scenario: a pipeline recorder needs a sim spec, not %q", s.Kind)
+	if events != nil && s.Kind != KindSim {
+		return nil, fmt.Errorf("scenario: a pipeline event hook needs a sim spec, not %q", s.Kind)
 	}
 	// One root span per scenario, carrying the content hash of the spec
 	// so a trace is attributable to the exact experiment definition.
@@ -100,7 +100,7 @@ func ExecuteRecorded(ctx context.Context, s Spec, rec *trace.Recorder) (*Result,
 		ctx = obs.NewContext(ctx, span)
 	}
 	if s.Kind == KindSim {
-		return executeSim(ctx, s, rec)
+		return executeSim(ctx, s, events)
 	}
 	if s.Kind == KindCacheBench || s.Kind == KindCacheMatrix {
 		return executeCacheBench(ctx, s)
@@ -302,11 +302,11 @@ func executeCacheBench(ctx context.Context, s Spec) (*Result, error) {
 }
 
 // executeSim assembles and runs the spec's .vasm program on one
-// machine, with rec (when non-nil) as its pipeline recorder. It is the
+// machine, with events (when non-nil) as its event hook. It is the
 // only simulation path: vpsim compiles its flags to a sim spec. The run
 // is one uninterruptible machine execution, so ctx can only cancel it
 // before it starts.
-func executeSim(ctx context.Context, s Spec, rec *trace.Recorder) (*Result, error) {
+func executeSim(ctx context.Context, s Spec, events func(trace.Event)) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -334,7 +334,7 @@ func executeSim(ctx context.Context, s Spec, rec *trace.Recorder) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	m.Tracer = rec
+	m.Events = events
 	if s.Metrics != nil {
 		m.AttachMetrics(s.Metrics)
 	}

@@ -269,8 +269,8 @@ func TestExecuteRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(0)
-	recorded, err := ExecuteRecorded(context.Background(), spec, rec)
+	var rec trace.Recorder
+	recorded, err := ExecuteRecorded(context.Background(), spec, rec.Record)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestExecuteRecorded(t *testing.T) {
 		t.Fatalf("recording changed the run:\n%+v\n%+v", plain.Sim, recorded.Sim)
 	}
 	other := Spec{Kind: KindCase, Category: string(core.TrainTest), Runs: small}
-	if _, err := ExecuteRecorded(context.Background(), other, trace.NewRecorder(0)); err == nil {
+	if _, err := ExecuteRecorded(context.Background(), other, rec.Record); err == nil {
 		t.Fatal("a case spec accepted a pipeline recorder")
 	}
 }

@@ -62,8 +62,8 @@ func (r *Recorder) ExportKanata(w io.Writer) error {
 			if !seen[ev.Seq] {
 				id = ev.Seq
 				seen[ev.Seq] = true
-				if ev.Text != "" {
-					labels[ev.Seq] = ev.Text
+				if ev.Kind == Fetch {
+					labels[ev.Seq] = ev.Instr.String()
 				}
 			} else {
 				id = nextID
@@ -93,7 +93,7 @@ func (r *Recorder) ExportKanata(w io.Writer) error {
 				return err
 			}
 		case Verify:
-			if _, err := fmt.Fprintf(w, "L\t%d\t1\tverify:%s\n", id, ev.Text); err != nil {
+			if _, err := fmt.Fprintf(w, "L\t%d\t1\tverify:%s\n", id, verdict(ev.Correct)); err != nil {
 				return err
 			}
 		case Writeback:

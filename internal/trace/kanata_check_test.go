@@ -28,7 +28,8 @@ func TestKanataRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Tracer = trace.NewRecorder(0)
+		var rec trace.Recorder
+		m.Events = rec.Record
 		proc, err := m.NewProcess(1, prog, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +40,7 @@ func TestKanataRoundTrip(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		if err := m.Tracer.ExportKanata(&buf); err != nil {
+		if err := rec.ExportKanata(&buf); err != nil {
 			t.Fatal(err)
 		}
 		stats, err := trace.CheckKanata(&buf)

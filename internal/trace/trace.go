@@ -1,14 +1,19 @@
-// Package trace records typed per-instruction pipeline events and
-// renders them as a text pipeline diagram (one row per dynamic
-// instruction, one column per cycle), the view processor architects
-// use to see exactly how a value prediction overlaps a miss or how a
-// squash unwinds the window. cmd/vpsim exposes it via -pipeview.
+// Package trace defines the core's simulated-time event stream — the
+// typed events cpu.Machine.Events receives as the pipeline runs — and
+// the Recorder that renders it as a text pipeline diagram (one row per
+// dynamic instruction, one column per cycle), the view processor
+// architects use to see exactly how a value prediction overlaps a
+// miss or how a squash unwinds the window, or as a Kanata log.
+// cmd/vpsim exposes them via -pipeview, -kanata and -memtrace.
 package trace
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"vpsec/internal/isa"
+	"vpsec/internal/mem"
 )
 
 // Kind classifies a pipeline event.
@@ -22,7 +27,8 @@ const (
 	Commit
 	Squash  // the instruction was cancelled
 	Predict // a value prediction was made for this load
-	Verify  // the prediction was verified (Text: "correct"/"wrong")
+	Verify  // the prediction was verified (see Event.Correct)
+	Access  // a memory access (see Event.Stage, PAddr, Level, Latency)
 )
 
 // String names the event kind in lower case, as text dumps print it.
@@ -42,6 +48,8 @@ func (k Kind) String() string {
 		return "predict"
 	case Verify:
 		return "verify"
+	case Access:
+		return "access"
 	}
 	return "?"
 }
@@ -52,59 +60,45 @@ var lane = map[Kind]byte{
 	Squash: 'x', Predict: 'P', Verify: 'V',
 }
 
-// Event is one recorded pipeline event.
+// Event is one event of the core's stream. Every event names the
+// instruction it concerns; the fields after Instr are set only by the
+// kinds their comments name.
 type Event struct {
 	Cycle uint64
 	Kind  Kind
+	PID   uint64 // the process the instruction belongs to
 	Seq   uint64 // dynamic instruction number
 	PC    int
-	Text  string // disassembly or annotation
+	Instr isa.Instr
+
+	Correct bool       // Verify: the predicted value matched the loaded one
+	Commit  isa.Commit // Commit: the architectural retirement record
+
+	// Access: the stage it happened in (Issue, or Commit for a flush
+	// taking effect), its physical address and, for a load, what
+	// served it and the latency before jitter.
+	Stage   Kind
+	PAddr   uint64
+	Level   mem.Level
+	Latency uint64
 }
 
-// Recorder collects events up to a capacity (0 = unlimited). The zero
-// Recorder is ready to use but disabled; call Enable first.
+// Recorder collects the events a pipeline diagram draws; attach one
+// with Machine.Events = rec.Record. The zero Recorder is ready to use.
 type Recorder struct {
-	enabled bool
-	cap     int
-	events  []Event
-	dropped int
+	events []Event
 }
 
-// NewRecorder returns an enabled recorder keeping at most cap events
-// (cap <= 0 means unlimited).
-func NewRecorder(cap int) *Recorder {
-	return &Recorder{enabled: true, cap: cap}
-}
-
-// Enable turns recording on.
-func (r *Recorder) Enable() { r.enabled = true }
-
-// Enabled reports whether events are being kept.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
-
-// Record appends an event (no-op when disabled or full).
+// Record appends an event. Memory accesses have no lane in the
+// diagram, so Access events are not kept.
 func (r *Recorder) Record(ev Event) {
-	if r == nil || !r.enabled {
-		return
+	if ev.Kind != Access {
+		r.events = append(r.events, ev)
 	}
-	if r.cap > 0 && len(r.events) >= r.cap {
-		r.dropped++
-		return
-	}
-	r.events = append(r.events, ev)
 }
 
 // Events returns the recorded events in arrival order.
 func (r *Recorder) Events() []Event { return r.events }
-
-// Dropped reports how many events exceeded the capacity.
-func (r *Recorder) Dropped() int { return r.dropped }
-
-// Reset clears the recorder.
-func (r *Recorder) Reset() {
-	r.events = r.events[:0]
-	r.dropped = 0
-}
 
 // row is the per-instruction aggregation used by the renderer.
 type row struct {
@@ -112,8 +106,6 @@ type row struct {
 	pc       int
 	text     string
 	marks    map[uint64]byte // cycle -> lane letter
-	first    uint64
-	last     uint64
 	squashed bool
 	verify   string
 }
@@ -130,25 +122,18 @@ func (r *Recorder) RenderPipeline(seqLo, seqHi uint64) string {
 		}
 		rw := rows[ev.Seq]
 		if rw == nil {
-			rw = &row{seq: ev.Seq, pc: ev.PC, text: ev.Text, marks: map[uint64]byte{}, first: ev.Cycle}
+			rw = &row{seq: ev.Seq, pc: ev.PC, marks: map[uint64]byte{}}
 			rows[ev.Seq] = rw
 		}
-		if ev.Text != "" && rw.text == "" {
-			rw.text = ev.Text
-		}
 		switch ev.Kind {
+		case Fetch:
+			rw.text = ev.Instr.String()
 		case Squash:
 			rw.squashed = true
 		case Verify:
-			rw.verify = ev.Text
+			rw.verify = verdict(ev.Correct)
 		}
 		rw.marks[ev.Cycle] = lane[ev.Kind]
-		if ev.Cycle < rw.first {
-			rw.first = ev.Cycle
-		}
-		if ev.Cycle > rw.last {
-			rw.last = ev.Cycle
-		}
 		if ev.Cycle < minCycle {
 			minCycle = ev.Cycle
 		}
@@ -202,6 +187,14 @@ func (r *Recorder) RenderPipeline(seqLo, seqHi uint64) string {
 		fmt.Fprintf(&sb, "(window truncated to %d cycles)\n", maxSpan)
 	}
 	return sb.String()
+}
+
+// verdict names a verification's outcome as the renderers print it.
+func verdict(correct bool) string {
+	if correct {
+		return "correct"
+	}
+	return "wrong"
 }
 
 func clip(s string, n int) string {

@@ -3,32 +3,35 @@ package trace
 import (
 	"strings"
 	"testing"
+
+	"vpsec/internal/isa"
+)
+
+// The two instructions the hand-built streams below fetch.
+var (
+	loadR2 = isa.Instr{Op: isa.LOAD, Dst: isa.R2, Src1: isa.R1} // load r2, [r1+0]
+	addR3  = isa.Instr{Op: isa.ADD, Dst: isa.R3, Src1: isa.R2, Src2: isa.R2}
 )
 
 func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder(3)
-	if !r.Enabled() {
-		t.Fatal("new recorder should be enabled")
-	}
+	var r Recorder // the zero value records
 	for i := uint64(0); i < 5; i++ {
 		r.Record(Event{Cycle: i, Kind: Fetch, Seq: i})
+		r.Record(Event{Cycle: i, Kind: Access, Seq: i, PAddr: 0x1000})
 	}
-	if len(r.Events()) != 3 || r.Dropped() != 2 {
-		t.Errorf("events=%d dropped=%d", len(r.Events()), r.Dropped())
+	evs := r.Events()
+	if len(evs) != 5 {
+		t.Fatalf("kept %d events, want the 5 fetches (accesses have no lane)", len(evs))
 	}
-	r.Reset()
-	if len(r.Events()) != 0 || r.Dropped() != 0 {
-		t.Error("reset incomplete")
+	for i, ev := range evs {
+		if ev.Kind != Fetch || ev.Seq != uint64(i) {
+			t.Errorf("event %d = %+v, want fetch of seq %d in arrival order", i, ev, i)
+		}
 	}
-	var nilRec *Recorder
-	if nilRec.Enabled() {
-		t.Error("nil recorder should be disabled")
-	}
-	nilRec.Record(Event{}) // must not panic
 }
 
 func TestKindNames(t *testing.T) {
-	for _, k := range []Kind{Fetch, Issue, Writeback, Commit, Squash, Predict, Verify} {
+	for _, k := range []Kind{Fetch, Issue, Writeback, Commit, Squash, Predict, Verify, Access} {
 		if k.String() == "?" {
 			t.Errorf("kind %d unnamed", k)
 		}
@@ -39,14 +42,14 @@ func TestKindNames(t *testing.T) {
 }
 
 func TestRenderPipeline(t *testing.T) {
-	r := NewRecorder(0)
+	var r Recorder
 	// Instruction 0: a predicted load; instruction 1: a squashed add.
-	r.Record(Event{Cycle: 10, Kind: Fetch, Seq: 0, PC: 5, Text: "load r2, [r1+0]"})
+	r.Record(Event{Cycle: 10, Kind: Fetch, Seq: 0, PC: 5, Instr: loadR2})
 	r.Record(Event{Cycle: 11, Kind: Issue, Seq: 0, PC: 5})
 	r.Record(Event{Cycle: 12, Kind: Predict, Seq: 0, PC: 5})
 	r.Record(Event{Cycle: 13, Kind: Writeback, Seq: 0, PC: 5})
-	r.Record(Event{Cycle: 30, Kind: Verify, Seq: 0, PC: 5, Text: "wrong"})
-	r.Record(Event{Cycle: 10, Kind: Fetch, Seq: 1, PC: 6, Text: "add r3, r2, r2"})
+	r.Record(Event{Cycle: 30, Kind: Verify, Seq: 0, PC: 5})
+	r.Record(Event{Cycle: 10, Kind: Fetch, Seq: 1, PC: 6, Instr: addR3})
 	r.Record(Event{Cycle: 30, Kind: Squash, Seq: 1, PC: 6})
 
 	out := r.RenderPipeline(0, 1)
@@ -61,8 +64,8 @@ func TestRenderPipeline(t *testing.T) {
 }
 
 func TestRenderTruncatesWideWindows(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(Event{Cycle: 0, Kind: Fetch, Seq: 0, Text: "nop"})
+	var r Recorder
+	r.Record(Event{Cycle: 0, Kind: Fetch, Seq: 0})
 	r.Record(Event{Cycle: 10_000, Kind: Commit, Seq: 0})
 	out := r.RenderPipeline(0, 0)
 	if !strings.Contains(out, "truncated") {
@@ -71,14 +74,14 @@ func TestRenderTruncatesWideWindows(t *testing.T) {
 }
 
 func TestExportKanata(t *testing.T) {
-	r := NewRecorder(0)
-	r.Record(Event{Cycle: 5, Kind: Fetch, Seq: 0, Text: "load r2, [r1+0]"})
+	var r Recorder
+	r.Record(Event{Cycle: 5, Kind: Fetch, Seq: 0, Instr: loadR2})
 	r.Record(Event{Cycle: 6, Kind: Issue, Seq: 0})
 	r.Record(Event{Cycle: 6, Kind: Predict, Seq: 0})
 	r.Record(Event{Cycle: 7, Kind: Writeback, Seq: 0})
-	r.Record(Event{Cycle: 9, Kind: Verify, Seq: 0, Text: "correct"})
+	r.Record(Event{Cycle: 9, Kind: Verify, Seq: 0, Correct: true})
 	r.Record(Event{Cycle: 10, Kind: Commit, Seq: 0})
-	r.Record(Event{Cycle: 6, Kind: Fetch, Seq: 1, Text: "add r3, r2, r2"})
+	r.Record(Event{Cycle: 6, Kind: Fetch, Seq: 1, Instr: addR3})
 	r.Record(Event{Cycle: 10, Kind: Squash, Seq: 1})
 
 	var sb strings.Builder
@@ -97,7 +100,7 @@ func TestExportKanata(t *testing.T) {
 	}
 	// Empty recorder still emits a valid header.
 	var empty strings.Builder
-	if err := NewRecorder(0).ExportKanata(&empty); err != nil {
+	if err := new(Recorder).ExportKanata(&empty); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(empty.String(), "Kanata") {
@@ -109,13 +112,13 @@ func TestExportKanataSquashThenReplay(t *testing.T) {
 	// Selective replay keeps the squashed entry's seq: after the flush
 	// record, the re-executed incarnation must re-enter under a fresh
 	// Kanata id (with its label) and still produce a retire record.
-	r := NewRecorder(0)
-	r.Record(Event{Cycle: 5, Kind: Fetch, Seq: 0, Text: "load r2, [r1+0]"})
+	var r Recorder
+	r.Record(Event{Cycle: 5, Kind: Fetch, Seq: 0, Instr: loadR2})
 	r.Record(Event{Cycle: 6, Kind: Issue, Seq: 0})
-	r.Record(Event{Cycle: 6, Kind: Fetch, Seq: 1, Text: "add r3, r2, r2"})
+	r.Record(Event{Cycle: 6, Kind: Fetch, Seq: 1, Instr: addR3})
 	r.Record(Event{Cycle: 7, Kind: Issue, Seq: 1})
-	r.Record(Event{Cycle: 9, Kind: Verify, Seq: 0, Text: "wrong"})
-	r.Record(Event{Cycle: 9, Kind: Squash, Seq: 1, Text: "replay"})
+	r.Record(Event{Cycle: 9, Kind: Verify, Seq: 0})
+	r.Record(Event{Cycle: 9, Kind: Squash, Seq: 1})
 	r.Record(Event{Cycle: 10, Kind: Commit, Seq: 0})
 	r.Record(Event{Cycle: 11, Kind: Issue, Seq: 1}) // replayed incarnation
 	r.Record(Event{Cycle: 12, Kind: Writeback, Seq: 1})
@@ -142,17 +145,9 @@ func TestExportKanataSquashThenReplay(t *testing.T) {
 	}
 }
 
-func TestEnableAndClip(t *testing.T) {
-	var r Recorder // zero value: disabled
-	r.Record(Event{Kind: Fetch})
-	if len(r.Events()) != 0 {
-		t.Error("disabled recorder kept events")
-	}
-	r.Enable()
-	r.Record(Event{Kind: Fetch, Text: "a very long disassembly string for clipping"})
-	if len(r.Events()) != 1 {
-		t.Error("enabled recorder dropped an event")
-	}
+func TestRenderClipsLongText(t *testing.T) {
+	var r Recorder
+	r.Record(Event{Kind: Fetch, Instr: isa.Instr{Op: isa.MOVI, Dst: isa.R10, Imm: -1 << 63}})
 	out := r.RenderPipeline(0, 0)
 	if !strings.Contains(out, "…") {
 		t.Errorf("long text not clipped:\n%s", out)
