@@ -2,10 +2,12 @@ package cpu
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"vpsec/internal/isa"
+	"vpsec/internal/mem"
 	"vpsec/internal/predictor"
 	"vpsec/internal/trace"
 )
@@ -521,6 +523,64 @@ func TestPipelineTracer(t *testing.T) {
 	out := rec.RenderPipeline(0, 40)
 	if out == "" {
 		t.Error("empty render")
+	}
+}
+
+// TestAccessEvents: the memory accesses on the event stream carry the
+// stage, physical address and serving level the memory-system views
+// (vpsim -memtrace) print. A flush reports its issue and its commit; a
+// reload of a line a still-speculative load fetched is served by the
+// L1 when fills are immediate and by the shadow buffer under
+// recomputation.
+func TestAccessEvents(t *testing.T) {
+	prog := isa.NewBuilder("reload").
+		Word(0x1000, 7).
+		MovI(isa.R1, 0x1000).
+		Flush(isa.R1, 0).
+		Fence().
+		Load(isa.R2, isa.R1, 0).
+		Load(isa.R3, isa.R1, 0).
+		Halt().
+		MustBuild()
+	type access struct {
+		stage trace.Kind
+		op    isa.Op
+		level mem.Level
+	}
+	for _, tc := range []struct {
+		effects EffectsPolicy
+		reload  mem.Level
+	}{{EffectsImmediate, mem.LevelL1}, {EffectsRecompute, mem.LevelShadow}} {
+		m, err := NewMachine(Config{Effects: tc.effects}, nil, nil, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []access
+		m.Events = func(ev trace.Event) {
+			if ev.Kind != trace.Access {
+				return
+			}
+			if ev.PAddr != 0x40000+0x1000 {
+				t.Errorf("%v: access %+v at paddr %#x, want the process's 0x1000", tc.effects, ev, ev.PAddr)
+			}
+			got = append(got, access{ev.Stage, ev.Instr.Op, ev.Level})
+		}
+		proc, err := m.NewProcess(1, prog, 0x40000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(proc); err != nil {
+			t.Fatal(err)
+		}
+		want := []access{
+			{trace.Issue, isa.FLUSH, 0},
+			{trace.Commit, isa.FLUSH, 0},
+			{trace.Issue, isa.LOAD, mem.LevelMem},
+			{trace.Issue, isa.LOAD, tc.reload},
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: accesses %+v, want %+v", tc.effects, got, want)
+		}
 	}
 }
 

@@ -40,9 +40,8 @@ func (r *Recorder) ExportKanata(w io.Writer) error {
 	// would be lost. ids maps each seq to its live incarnation; the
 	// first incarnation reuses the seq as its id, replays draw fresh ids
 	// above every seq in the trace.
-	ids := map[uint64]uint64{}    // seq -> live Kanata id
-	seen := map[uint64]bool{}     // seq was introduced at least once
-	labels := map[uint64]string{} // first disassembly text per seq
+	ids := map[uint64]uint64{} // seq -> live Kanata id
+	seen := map[uint64]bool{}  // seq was introduced at least once
 	var nextID uint64
 	for _, ev := range evs {
 		if ev.Seq >= nextID {
@@ -62,9 +61,6 @@ func (r *Recorder) ExportKanata(w io.Writer) error {
 			if !seen[ev.Seq] {
 				id = ev.Seq
 				seen[ev.Seq] = true
-				if ev.Kind == Fetch {
-					labels[ev.Seq] = ev.Instr.String()
-				}
 			} else {
 				id = nextID
 				nextID++
@@ -73,10 +69,8 @@ func (r *Recorder) ExportKanata(w io.Writer) error {
 			if _, err := fmt.Fprintf(w, "I\t%d\t%d\t0\n", id, ev.Seq); err != nil {
 				return err
 			}
-			if txt, ok := labels[ev.Seq]; ok {
-				if _, err := fmt.Fprintf(w, "L\t%d\t0\t%s\n", id, txt); err != nil {
-					return err
-				}
+			if _, err := fmt.Fprintf(w, "L\t%d\t0\t%s\n", id, ev.Instr); err != nil {
+				return err
 			}
 		}
 		switch ev.Kind {

@@ -122,12 +122,10 @@ func (r *Recorder) RenderPipeline(seqLo, seqHi uint64) string {
 		}
 		rw := rows[ev.Seq]
 		if rw == nil {
-			rw = &row{seq: ev.Seq, pc: ev.PC, marks: map[uint64]byte{}}
+			rw = &row{seq: ev.Seq, pc: ev.PC, text: ev.Instr.String(), marks: map[uint64]byte{}}
 			rows[ev.Seq] = rw
 		}
 		switch ev.Kind {
-		case Fetch:
-			rw.text = ev.Instr.String()
 		case Squash:
 			rw.squashed = true
 		case Verify:

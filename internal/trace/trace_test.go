@@ -7,7 +7,8 @@ import (
 	"vpsec/internal/isa"
 )
 
-// The two instructions the hand-built streams below fetch.
+// The two instructions of the hand-built streams below; like the
+// core's, every event carries the instruction it concerns.
 var (
 	loadR2 = isa.Instr{Op: isa.LOAD, Dst: isa.R2, Src1: isa.R1} // load r2, [r1+0]
 	addR3  = isa.Instr{Op: isa.ADD, Dst: isa.R3, Src1: isa.R2, Src2: isa.R2}
@@ -45,12 +46,12 @@ func TestRenderPipeline(t *testing.T) {
 	var r Recorder
 	// Instruction 0: a predicted load; instruction 1: a squashed add.
 	r.Record(Event{Cycle: 10, Kind: Fetch, Seq: 0, PC: 5, Instr: loadR2})
-	r.Record(Event{Cycle: 11, Kind: Issue, Seq: 0, PC: 5})
-	r.Record(Event{Cycle: 12, Kind: Predict, Seq: 0, PC: 5})
-	r.Record(Event{Cycle: 13, Kind: Writeback, Seq: 0, PC: 5})
-	r.Record(Event{Cycle: 30, Kind: Verify, Seq: 0, PC: 5})
+	r.Record(Event{Cycle: 11, Kind: Issue, Seq: 0, PC: 5, Instr: loadR2})
+	r.Record(Event{Cycle: 12, Kind: Predict, Seq: 0, PC: 5, Instr: loadR2})
+	r.Record(Event{Cycle: 13, Kind: Writeback, Seq: 0, PC: 5, Instr: loadR2})
+	r.Record(Event{Cycle: 30, Kind: Verify, Seq: 0, PC: 5, Instr: loadR2})
 	r.Record(Event{Cycle: 10, Kind: Fetch, Seq: 1, PC: 6, Instr: addR3})
-	r.Record(Event{Cycle: 30, Kind: Squash, Seq: 1, PC: 6})
+	r.Record(Event{Cycle: 30, Kind: Squash, Seq: 1, PC: 6, Instr: addR3})
 
 	out := r.RenderPipeline(0, 1)
 	for _, want := range []string{"load r2", "add r3", "[verify wrong]", "[squashed]", "F", "P", "x"} {
@@ -76,13 +77,13 @@ func TestRenderTruncatesWideWindows(t *testing.T) {
 func TestExportKanata(t *testing.T) {
 	var r Recorder
 	r.Record(Event{Cycle: 5, Kind: Fetch, Seq: 0, Instr: loadR2})
-	r.Record(Event{Cycle: 6, Kind: Issue, Seq: 0})
-	r.Record(Event{Cycle: 6, Kind: Predict, Seq: 0})
-	r.Record(Event{Cycle: 7, Kind: Writeback, Seq: 0})
-	r.Record(Event{Cycle: 9, Kind: Verify, Seq: 0, Correct: true})
-	r.Record(Event{Cycle: 10, Kind: Commit, Seq: 0})
+	r.Record(Event{Cycle: 6, Kind: Issue, Seq: 0, Instr: loadR2})
+	r.Record(Event{Cycle: 6, Kind: Predict, Seq: 0, Instr: loadR2})
+	r.Record(Event{Cycle: 7, Kind: Writeback, Seq: 0, Instr: loadR2})
+	r.Record(Event{Cycle: 9, Kind: Verify, Seq: 0, Correct: true, Instr: loadR2})
+	r.Record(Event{Cycle: 10, Kind: Commit, Seq: 0, Instr: loadR2})
 	r.Record(Event{Cycle: 6, Kind: Fetch, Seq: 1, Instr: addR3})
-	r.Record(Event{Cycle: 10, Kind: Squash, Seq: 1})
+	r.Record(Event{Cycle: 10, Kind: Squash, Seq: 1, Instr: addR3})
 
 	var sb strings.Builder
 	if err := r.ExportKanata(&sb); err != nil {
@@ -114,15 +115,15 @@ func TestExportKanataSquashThenReplay(t *testing.T) {
 	// Kanata id (with its label) and still produce a retire record.
 	var r Recorder
 	r.Record(Event{Cycle: 5, Kind: Fetch, Seq: 0, Instr: loadR2})
-	r.Record(Event{Cycle: 6, Kind: Issue, Seq: 0})
+	r.Record(Event{Cycle: 6, Kind: Issue, Seq: 0, Instr: loadR2})
 	r.Record(Event{Cycle: 6, Kind: Fetch, Seq: 1, Instr: addR3})
-	r.Record(Event{Cycle: 7, Kind: Issue, Seq: 1})
-	r.Record(Event{Cycle: 9, Kind: Verify, Seq: 0})
-	r.Record(Event{Cycle: 9, Kind: Squash, Seq: 1})
-	r.Record(Event{Cycle: 10, Kind: Commit, Seq: 0})
-	r.Record(Event{Cycle: 11, Kind: Issue, Seq: 1}) // replayed incarnation
-	r.Record(Event{Cycle: 12, Kind: Writeback, Seq: 1})
-	r.Record(Event{Cycle: 13, Kind: Commit, Seq: 1})
+	r.Record(Event{Cycle: 7, Kind: Issue, Seq: 1, Instr: addR3})
+	r.Record(Event{Cycle: 9, Kind: Verify, Seq: 0, Instr: loadR2})
+	r.Record(Event{Cycle: 9, Kind: Squash, Seq: 1, Instr: addR3})
+	r.Record(Event{Cycle: 10, Kind: Commit, Seq: 0, Instr: loadR2})
+	r.Record(Event{Cycle: 11, Kind: Issue, Seq: 1, Instr: addR3}) // replayed incarnation
+	r.Record(Event{Cycle: 12, Kind: Writeback, Seq: 1, Instr: addR3})
+	r.Record(Event{Cycle: 13, Kind: Commit, Seq: 1, Instr: addR3})
 
 	var sb strings.Builder
 	if err := r.ExportKanata(&sb); err != nil {
