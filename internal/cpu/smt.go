@@ -10,10 +10,12 @@ import "fmt"
 // cycle (round-robin fairness). When one thread halts, the other keeps
 // the full machine to itself.
 //
-// The loop ticks cycle by cycle — event-driven skipping is never legal
-// here, because a cycle that is quiet for one hardware thread can
-// still be consumed (observably, through the shared issue budget) by
-// its peer.
+// Each thread runs the same per-cycle stages as Run, the invariant
+// sweep of Config.CheckInvariants included. The loop ticks cycle by
+// cycle — event-driven skipping is never legal here, because a cycle
+// that is quiet for one hardware thread can still be consumed
+// (observably, through the shared issue budget) by its peer — and,
+// unlike Run, publishes no metrics.
 //
 // The per-thread RunResults count only the cycles during which that
 // thread was still running.
