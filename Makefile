@@ -6,8 +6,8 @@
 # the full differential-oracle harness (1000 generated programs
 # against the in-order reference model — see DESIGN.md §9); `make
 # fuzz` runs the coverage-guided version of the same harness for a
-# bounded time; `make bench` runs the root package's per-table Go
-# benchmarks. Performance is measured by one harness,
+# bounded time, beside a fuzzer of the scenario spec pipeline; `make
+# bench` runs the root package's per-table Go benchmarks. Performance is measured by one harness,
 # tools/bench (see tools/bench/README.md):
 #
 #	bash tools/bench/run.sh --workload registry-sweep --seed 0 --seconds 36 --trace 0
@@ -48,9 +48,10 @@ server-check:
 # stably across its own serialization, executes byte-identically at
 # every -jobs level, and its 68 attack-side specs hash to the
 # registry-sweep digest pinned in tools/bench/pinned.json (see
-# internal/scenario).
+# internal/scenario). A fresh process that builds the cache family on
+# first use (a lookup, or 8 goroutines racing) sees the same registry.
 scenarios:
-	$(GO) test ./internal/scenario -run 'TestRegistryGolden|TestRoundTrip|TestRegistryCoverage|TestRegisteredScenariosExecute|TestRegistryHashRoundTrip|TestRegistryExecuteJobsInvariance|TestRegistrySweepDigest' -count=1
+	$(GO) test ./internal/scenario -run 'TestRegistryGolden|TestRoundTrip|TestRegistryCoverage|TestRegisteredScenariosExecute|TestRegistryHashRoundTrip|TestRegistryExecuteJobsInvariance|TestRegistrySweepDigest|TestFreshRegistry' -count=1
 
 # Cache-vulnerability benchmark gate: the three-step taxonomy package
 # (enumeration, lowering, schedule-vs-interpreter equivalence,
@@ -66,14 +67,17 @@ cachebench:
 
 # Steady-state allocation budgets of the simulator hot loop, the
 # trial driver, the cache-suite trial and schedule derivation
-# (DESIGN.md §10), and of a
-# vpserver cache hit (DESIGN.md §13): TestHitAllocBudget bounds what a
+# (DESIGN.md §10), the scenario registry's start-up
+# (TestInitAllocBudget: package init, read from GODEBUG=inittrace=1,
+# and the first full listing, each counted in a fresh child process),
+# and of a vpserver cache hit (DESIGN.md §13): TestHitAllocBudget bounds what a
 # hit allocates per request, TestHitRetention what it keeps on the
 # heap for the server's lifetime. Runs without -race: the race
 # detector instruments allocations and the tests exclude themselves
 # under that build tag.
 alloc-budget:
 	$(GO) test ./internal/cpu -run TestMachineRunSteadyStateAllocs -count=1
+	$(GO) test ./internal/scenario -run TestInitAllocBudget -count=1
 	$(GO) test ./internal/attacks -run TestTrialDisabledPathAllocs -count=1
 	$(GO) test ./internal/cachebench -run 'TestTrialAllocs|TestScheduleAllocs' -count=1
 	$(GO) test ./internal/server -run 'TestHitAllocBudget|TestHitRetention' -count=1
@@ -92,11 +96,14 @@ sched-order:
 diff:
 	$(GO) test ./internal/oracle -run 'TestDiff|TestGolden' -count=1
 
-# Coverage-guided differential fuzzing over (generator seed, machine
-# spec) pairs, time-boxed. The corpus is checked in under
-# internal/oracle/testdata/fuzz.
+# Coverage-guided fuzzing, each target time-boxed: the differential
+# oracle over (generator seed, machine spec) pairs, with its corpus
+# checked in under internal/oracle/testdata/fuzz, and the scenario spec
+# pipeline (Parse, Validate, Canonical, Hash) over arbitrary JSON,
+# seeded from the registry.
 fuzz:
 	$(GO) test ./internal/oracle -run '^$$' -fuzz FuzzDiffOracle -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzSpec -fuzztime $(FUZZTIME)
 
 vet:
 	$(GO) vet ./...

@@ -75,13 +75,23 @@ func RunVariant(ctx context.Context, v core.Variant, opt Options) (CaseResult, e
 // FindVariant returns the Table II variant whose pattern renders as
 // patternString (e.g. "R^KI, S^SI', R^KI").
 func FindVariant(patternString string) (core.Variant, error) {
-	for _, v := range core.Reduce() {
-		if v.Pattern.String() == patternString {
-			return v, nil
-		}
+	if v, ok := tableII[patternString]; ok {
+		return v, nil
 	}
 	return core.Variant{}, fmt.Errorf("attacks: no Table II pattern %q", patternString)
 }
+
+// tableII maps each Table II pattern's rendering to its variant. It is
+// built once, because core.Reduce runs the reduction rules over all 576
+// candidate patterns, and every Spec.Validate of a variant spec looks
+// one up.
+var tableII = func() map[string]core.Variant {
+	m := map[string]core.Variant{}
+	for _, v := range core.Reduce() {
+		m[v.Pattern.String()] = v
+	}
+	return m
+}()
 
 // RunVolatileSMT evaluates cat's volatile channel with the honest
 // receiver — a co-runner timing its own windows on the sibling SMT

@@ -221,13 +221,13 @@ func (p Pattern) Paper() string {
 	if p.Rel == RelSet {
 		rel = "u ~ a (set-congruent)"
 	}
-	return fmt.Sprintf("%s ~> %s ~> %s (%s)", p.S1.Paper(), p.S2.Paper(), p.S3.Paper(), rel)
+	return p.S1.Paper() + " ~> " + p.S2.Paper() + " ~> " + p.S3.Paper() + " (" + rel + ")"
 }
 
 // Attack returns the conventional attack name of the pattern
 // (Flush+Reload, Prime+Probe, ...) when it has one, else "".
 func (p Pattern) Attack() string {
-	for _, k := range KnownAttacks() {
+	for _, k := range knownAttacks {
 		if k.Pattern == p {
 			return k.Name
 		}
@@ -238,22 +238,24 @@ func (p Pattern) Attack() string {
 // ParsePattern parses the String form back into a pattern. The
 // spelling must be canonical: four slugs joined by "-".
 func ParsePattern(s string) (Pattern, error) {
-	parts := strings.Split(s, "-")
-	if len(parts) != 4 {
+	if strings.Count(s, "-") != 3 {
 		return Pattern{}, fmt.Errorf("cachebench: pattern %q is not <step>-<step>-<step>-<line|set>", s)
 	}
+	s1, rest, _ := strings.Cut(s, "-")
+	s2, rest, _ := strings.Cut(rest, "-")
+	s3, rel, _ := strings.Cut(rest, "-")
 	var p Pattern
 	var err error
-	if p.S1, err = ParseStep(parts[0]); err != nil {
+	if p.S1, err = ParseStep(s1); err != nil {
 		return Pattern{}, err
 	}
-	if p.S2, err = ParseStep(parts[1]); err != nil {
+	if p.S2, err = ParseStep(s2); err != nil {
 		return Pattern{}, err
 	}
-	if p.S3, err = ParseStep(parts[2]); err != nil {
+	if p.S3, err = ParseStep(s3); err != nil {
 		return Pattern{}, err
 	}
-	if p.Rel, err = ParseRelation(parts[3]); err != nil {
+	if p.Rel, err = ParseRelation(rel); err != nil {
 		return Pattern{}, err
 	}
 	if err := p.valid(); err != nil {
@@ -265,16 +267,25 @@ func ParsePattern(s string) (Pattern, error) {
 // valid applies the enumeration rules to a parsed pattern, so ad-hoc
 // specs cannot name cases outside the family.
 func (p Pattern) valid() error {
-	if p.S3 == Star {
-		return fmt.Errorf("cachebench: pattern %s: step 3 is the timed observation and cannot be *", p)
-	}
-	if p.S1 == p.S2 || p.S2 == p.S3 {
-		return fmt.Errorf("cachebench: pattern %s: adjacent steps repeat (idempotent, excluded from the family)", p)
-	}
-	if !p.S1.UsesU() && !p.S2.UsesU() && !p.S3.UsesU() {
-		return fmt.Errorf("cachebench: pattern %s: no step touches the secret address u", p)
+	if broken := p.brokenRule(); broken != "" {
+		return fmt.Errorf("cachebench: pattern %s: %s", p, broken)
 	}
 	return nil
+}
+
+// brokenRule returns the first of Family's enumeration rules that p
+// breaks, or "" when p is in the family. Family tests it directly, so
+// enumerating formats no error for the patterns it drops.
+func (p Pattern) brokenRule() string {
+	switch {
+	case p.S3 == Star:
+		return "step 3 is the timed observation and cannot be *"
+	case p.S1 == p.S2 || p.S2 == p.S3:
+		return "adjacent steps repeat (idempotent, excluded from the family)"
+	case !p.S1.UsesU() && !p.S2.UsesU() && !p.S3.UsesU():
+		return "no step touches the secret address u"
+	}
+	return ""
 }
 
 // Family enumerates the whole benchmark family in a fixed, documented
@@ -301,7 +312,7 @@ func Family() []Pattern {
 			for _, s3 := range Steps() {
 				for rel := RelLine; rel < numRelations; rel++ {
 					p := Pattern{S1: s1, S2: s2, S3: s3, Rel: rel}
-					if p.valid() == nil {
+					if p.brokenRule() == "" {
 						out = append(out, p)
 					}
 				}
@@ -320,14 +331,17 @@ type KnownAttack struct {
 // KnownAttacks lists the canonical published attacks as cells of the
 // family, in matrix order. The matrix report annotates these rows.
 func KnownAttacks() []KnownAttack {
-	return []KnownAttack{
-		{Pattern{FAA, VU, AA, RelLine}, "Flush+Reload"},
-		{Pattern{FAA, VU, FAA, RelLine}, "Flush+Flush"},
-		{Pattern{FAA, VU, VA, RelLine}, "Cache Internal Collision"},
-		{Pattern{VU, FAA, VU, RelLine}, "Flush+Time"},
-		{Pattern{AAL, VU, AAL, RelSet}, "Prime+Probe"},
-		{Pattern{VU, AAL, VU, RelSet}, "Evict+Time"},
-	}
+	return append([]KnownAttack(nil), knownAttacks[:]...)
+}
+
+// knownAttacks is the table KnownAttacks copies out and Attack reads.
+var knownAttacks = [...]KnownAttack{
+	{Pattern{FAA, VU, AA, RelLine}, "Flush+Reload"},
+	{Pattern{FAA, VU, FAA, RelLine}, "Flush+Flush"},
+	{Pattern{FAA, VU, VA, RelLine}, "Cache Internal Collision"},
+	{Pattern{VU, FAA, VU, RelLine}, "Flush+Time"},
+	{Pattern{AAL, VU, AAL, RelSet}, "Prime+Probe"},
+	{Pattern{VU, AAL, VU, RelSet}, "Evict+Time"},
 }
 
 // ShrunkPatterns is the curated matrix the registered

@@ -11,8 +11,6 @@
 // Table II, grouped into 6 categories.
 package core
 
-import "fmt"
-
 // Party is who performs a step.
 type Party uint8
 
@@ -83,16 +81,15 @@ type Action struct {
 
 // String renders the paper's notation, e.g. S^KD, R^KI, S^SD'.
 func (a Action) String() string {
-	sup := ""
 	switch a.Secrecy {
 	case Known:
-		sup = "K" + a.Kind.String()
+		return a.Party.String() + "^K" + a.Kind.String()
 	case Secret1:
-		sup = "S" + a.Kind.String() + "'"
+		return a.Party.String() + "^S" + a.Kind.String() + "'"
 	case Secret2:
-		sup = "S" + a.Kind.String() + "''"
+		return a.Party.String() + "^S" + a.Kind.String() + "''"
 	}
-	return fmt.Sprintf("%s^%s", a.Party, sup)
+	return a.Party.String() + "^"
 }
 
 // Secret reports whether the action touches secret data or a
@@ -155,7 +152,7 @@ func (p Pattern) String() string {
 	if p.HasModify {
 		mod = p.Modify.String()
 	}
-	return fmt.Sprintf("%s, %s, %s", p.Train, mod, p.Trigger)
+	return p.Train.String() + ", " + mod + ", " + p.Trigger.String()
 }
 
 // Category names the attack class a surviving pattern belongs to

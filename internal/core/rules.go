@@ -126,13 +126,13 @@ func Rules() []Rule {
 	}
 }
 
-// steps returns the pattern's populated actions in order.
+// steps returns the pattern's populated actions in order. It inlines,
+// so the rules that range over it allocate nothing.
 func (p Pattern) steps() []Action {
-	out := []Action{p.Train}
 	if p.HasModify {
-		out = append(out, p.Modify)
+		return []Action{p.Train, p.Modify, p.Trigger}
 	}
-	return append(out, p.Trigger)
+	return []Action{p.Train, p.Trigger}
 }
 
 // Classify names the category of a surviving pattern.

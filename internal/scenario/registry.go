@@ -14,29 +14,47 @@ import (
 var (
 	registryMu sync.RWMutex
 	registry   = map[string]Spec{}
+	// familyOnce guards registerFamily, which adds the cache family's
+	// entries on the registry's first use rather than at init.
+	familyOnce sync.Once
 )
 
-// Register adds a named spec to the registry. The spec must carry its
-// registry key in Name and must validate; Register panics otherwise —
+// familyPrefix begins the name of every cache-family entry; the rest of
+// the name is the case's pattern.
+const familyPrefix = "cachebench-"
+
+// register adds a named spec to the registry. The spec must carry its
+// registry key in Name and must validate; register panics otherwise —
 // a bad built-in spec is a programming error, and external files go
-// through Parse instead.
-func Register(s Spec) {
+// through Parse instead. Only init and registerFamily call it, so the
+// family, added later, can collide only with the entries init made.
+func register(s Spec) {
 	if s.Name == "" {
-		panic("scenario: Register with empty name")
+		panic("scenario: register with empty name")
 	}
 	if err := s.Validate(); err != nil {
-		panic(fmt.Sprintf("scenario: Register(%s): %v", s.Name, err))
+		panic(fmt.Sprintf("scenario: register(%s): %v", s.Name, err))
 	}
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	if _, dup := registry[s.Name]; dup {
-		panic("scenario: duplicate Register of " + s.Name)
+		panic("scenario: duplicate register of " + s.Name)
 	}
 	registry[s.Name] = s
 }
 
-// Lookup returns the named registered spec.
+// Lookup returns the named registered spec. A miss on a "cachebench-"
+// name registers the cache family first.
 func Lookup(name string) (Spec, bool) {
+	if s, ok := lookup(name); ok || !strings.HasPrefix(name, familyPrefix) {
+		return s, ok
+	}
+	familyOnce.Do(registerFamily)
+	return lookup(name)
+}
+
+// lookup reads the registry as it stands.
+func lookup(name string) (Spec, bool) {
 	registryMu.RLock()
 	defer registryMu.RUnlock()
 	s, ok := registry[name]
@@ -45,6 +63,7 @@ func Lookup(name string) (Spec, bool) {
 
 // Names lists the registered scenario names in sorted order.
 func Names() []string {
+	familyOnce.Do(registerFamily)
 	registryMu.RLock()
 	defer registryMu.RUnlock()
 	out := make([]string, 0, len(registry))
@@ -60,7 +79,7 @@ func All() []Spec {
 	names := Names()
 	out := make([]Spec, 0, len(names))
 	for _, n := range names {
-		s, _ := Lookup(n)
+		s, _ := lookup(n)
 		out = append(out, s)
 	}
 	return out
@@ -91,7 +110,7 @@ func init() {
 
 	// Table III, both evaluated predictors.
 	for _, pred := range []string{"lvp", "vtage"} {
-		Register(Spec{
+		register(Spec{
 			Name:       "table3-" + pred,
 			Title:      fmt.Sprintf("Table III: all six categories, no-VP vs %s, timing-window and persistent channels", strings.ToUpper(pred)),
 			Kind:       KindTableIII,
@@ -112,7 +131,7 @@ func init() {
 				if pred == "none" {
 					slug = "novp"
 				}
-				Register(Spec{
+				register(Spec{
 					Name: fmt.Sprintf("%s-%s-%s", catSlug(cat), chanSlug(ch), slug),
 					Title: fmt.Sprintf("%s over the %s channel, predictor %s",
 						cat, ch, pred),
@@ -130,7 +149,7 @@ func init() {
 
 	// The twelve effective Table II patterns, in the table's order.
 	for i, v := range core.Reduce() {
-		Register(Spec{
+		register(Spec{
 			Name: fmt.Sprintf("table2-row%02d-%s", i+1, catSlug(v.Category)),
 			Title: fmt.Sprintf("Table II row %d: pattern %s (%s), timing-window channel",
 				i+1, v.Pattern, v.Category),
@@ -144,7 +163,7 @@ func init() {
 	}
 
 	// The four-panel timing-distribution figures.
-	Register(Spec{
+	register(Spec{
 		Name:      "fig5",
 		Title:     "Fig. 5: Train + Test timing distributions, {timing-window, persistent} x {no VP, LVP}",
 		Kind:      KindFigure,
@@ -153,7 +172,7 @@ func init() {
 		Runs:      d.Runs,
 		Seed:      d.Seed,
 	})
-	Register(Spec{
+	register(Spec{
 		Name:      "fig8",
 		Title:     "Fig. 8: Test + Hit timing distributions, {timing-window, persistent} x {no VP, LVP}",
 		Kind:      KindFigure,
@@ -165,7 +184,7 @@ func init() {
 
 	// Sec. VI-B: R-type window sweeps (minimal secure windows 3 and 9)
 	// and the strategy x attack defense matrix.
-	Register(Spec{
+	register(Spec{
 		Name:      "defense-window-train-test",
 		Title:     "Sec. VI-B: R-type window sweep vs Train + Test (minimal secure window 3)",
 		Kind:      KindDefenseSweep,
@@ -174,7 +193,7 @@ func init() {
 		Runs:      DefaultDefenseRuns(),
 		Seed:      d.Seed,
 	})
-	Register(Spec{
+	register(Spec{
 		Name:      "defense-window-test-hit",
 		Title:     "Sec. VI-B: R-type window sweep vs Test + Hit (minimal secure window 9)",
 		Kind:      KindDefenseSweep,
@@ -183,7 +202,7 @@ func init() {
 		Runs:      DefaultDefenseRuns(),
 		Seed:      d.Seed,
 	})
-	Register(Spec{
+	register(Spec{
 		Name:       "defense-window",
 		Title:      "Sec. VI-B: R-type window sweeps vs Train + Test and Test + Hit",
 		Kind:       KindDefenseSweep,
@@ -192,7 +211,7 @@ func init() {
 		Runs:       DefaultDefenseRuns(),
 		Seed:       d.Seed,
 	})
-	Register(Spec{
+	register(Spec{
 		Name:  "defense-matrix",
 		Title: "Sec. VI-B: every strategy vs every attack/channel cell (A+R(9)+D defends all)",
 		Kind:  KindDefenseMatrix,
@@ -210,7 +229,7 @@ func init() {
 	for _, s := range defense.ExtendedStrategies() {
 		extended = append(extended, s.Name)
 	}
-	Register(Spec{
+	register(Spec{
 		Name:       "defense-matrix-extended",
 		Title:      "Defense matrix with value recomputation and context isolation, priced by slowdown",
 		Kind:       KindDefenseMatrix,
@@ -229,7 +248,7 @@ func init() {
 		{"defense-d-train-test", "D", "D-type (delay side-effects) vs Train + Test", core.TrainTest},
 		{"defense-r9-test-hit", "R(9)", "R-type window 9 vs Test + Hit (its minimal secure window)", core.TestHit},
 	} {
-		Register(Spec{
+		register(Spec{
 			Name:       c.name,
 			Title:      "Sec. VI: " + c.title,
 			Kind:       KindCase,
@@ -250,7 +269,7 @@ func init() {
 	// seed where the matrix medians over three, and on this cell the
 	// default seed is one of the ~5% fluke draws for the whole D-class
 	// (delay and recompute produce identical timings here).
-	Register(Spec{
+	register(Spec{
 		Name:       "defense-recompute-train-test",
 		Title:      "Value recomputation (speculative-shadow loads) vs Train + Test's persistent variant",
 		Kind:       KindCase,
@@ -262,7 +281,7 @@ func init() {
 		Seed:       d.Seed + 1,
 		Defense:    &DefenseSpec{Strategy: "recompute"},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:       "defense-isolate-train-test",
 		Title:      "Context-tagged predictor isolation vs Train + Test (timing-window channel)",
 		Kind:       KindCase,
@@ -278,7 +297,7 @@ func init() {
 	// Ablations: honest SMT co-runner volatile channel, eviction-set
 	// misses, noise robustness, confidence-threshold sweep.
 	for _, cat := range []core.Category{core.TestHit, core.TrainTest, core.FillUp} {
-		Register(Spec{
+		register(Spec{
 			Name:       "smt-" + catSlug(cat),
 			Title:      fmt.Sprintf("Volatile channel via honest SMT co-runner: %s", cat),
 			Kind:       KindSMT,
@@ -290,7 +309,7 @@ func init() {
 			Seed:       d.Seed,
 		})
 	}
-	Register(Spec{
+	register(Spec{
 		Name:       "eviction-train-test",
 		Title:      "Train + Test with eviction-set misses instead of CLFLUSH",
 		Kind:       KindEviction,
@@ -299,7 +318,7 @@ func init() {
 		Runs:       d.Runs,
 		Seed:       d.Seed,
 	})
-	Register(Spec{
+	register(Spec{
 		Name:       "noise-train-test",
 		Title:      "Memory-latency jitter robustness of Train + Test",
 		Kind:       KindNoiseSweep,
@@ -310,7 +329,7 @@ func init() {
 		Seed:       d.Seed,
 		Jitters:    []uint64{0, 12, 50, 100, 200, 400, 800},
 	})
-	Register(Spec{
+	register(Spec{
 		Name:        "conf-sweep-train-test",
 		Title:       "VPS confidence-threshold sweep of Train + Test (footnote 3 parameter)",
 		Kind:        KindConfSweep,
@@ -321,27 +340,13 @@ func init() {
 		Confidences: []int{2, 3, 4, 6, 8},
 	})
 
-	// The cache-vulnerability benchmark family (internal/cachebench):
-	// one case scenario per enumerated three-step pattern, plus the two
-	// matrix scenarios. "cachebench-matrix" is the curated headline
-	// matrix (every published attack plus expected-safe controls; the
-	// golden-gated `vpreport -scenario cachebench-matrix` artifact);
+	// The cache-vulnerability benchmark's two matrix scenarios; its
+	// 976 case scenarios are registered on first use (registerFamily).
+	// "cachebench-matrix" is the curated headline matrix (every
+	// published attack plus expected-safe controls; the golden-gated
+	// `vpreport -scenario cachebench-matrix` artifact);
 	// "cachebench-matrix-full" evaluates the whole enumerated family.
-	for _, p := range cachebench.Family() {
-		title := "Cache vulnerability case " + p.Paper()
-		if a := p.Attack(); a != "" {
-			title += " — " + a
-		}
-		Register(Spec{
-			Name:    "cachebench-" + p.String(),
-			Title:   title,
-			Kind:    KindCacheBench,
-			Pattern: p.String(),
-			Runs:    d.Runs,
-			Seed:    d.Seed,
-		})
-	}
-	Register(Spec{
+	register(Spec{
 		Name:     "cachebench-matrix",
 		Title:    "Cache vulnerability matrix: published attacks + safe controls (three-step model)",
 		Kind:     KindCacheMatrix,
@@ -349,11 +354,35 @@ func init() {
 		Runs:     d.Runs,
 		Seed:     d.Seed,
 	})
-	Register(Spec{
+	register(Spec{
 		Name:  "cachebench-matrix-full",
 		Title: "Cache vulnerability matrix: the full enumerated three-step family",
 		Kind:  KindCacheMatrix,
 		Runs:  d.Runs,
 		Seed:  d.Seed,
 	})
+}
+
+// registerFamily registers the cache-vulnerability benchmark family
+// (internal/cachebench): one case scenario per enumerated three-step
+// pattern, named familyPrefix plus the pattern. It runs once, on the
+// first Names or All or on a Lookup that misses on a family name, so a
+// process that reads no family entry never builds the 976 specs.
+func registerFamily() {
+	d := Defaults()
+	for _, p := range cachebench.Family() {
+		name := familyPrefix + p.String()
+		title := "Cache vulnerability case " + p.Paper()
+		if a := p.Attack(); a != "" {
+			title += " — " + a
+		}
+		register(Spec{
+			Name:    name,
+			Title:   title,
+			Kind:    KindCacheBench,
+			Pattern: name[len(familyPrefix):],
+			Runs:    d.Runs,
+			Seed:    d.Seed,
+		})
+	}
 }

@@ -20,9 +20,31 @@ var update = flag.Bool("update", false, "rewrite the registry golden file")
 // one golden file, so a change to the registry (a renamed scenario, a
 // drifted default) shows up as a reviewable diff.
 func TestRegistryGolden(t *testing.T) {
+	got := registryJSON(t, All())
+	if *update {
+		if err := os.WriteFile(registryGolden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(registryGolden)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/scenario -update` to regenerate)", err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("registry drifted from %s (run `go test ./internal/scenario -update` and review the diff)", registryGolden)
+	}
+}
+
+// registryGolden is the file TestRegistryGolden pins the registry in.
+var registryGolden = filepath.Join("testdata", "registry.json")
+
+// registryJSON renders specs as the registry golden holds them: one
+// JSON array of their indented spec JSON.
+func registryJSON(t *testing.T, specs []Spec) []byte {
+	t.Helper()
 	var b bytes.Buffer
 	b.WriteString("[\n")
-	for i, s := range All() {
+	for i, s := range specs {
 		data, err := s.MarshalIndent()
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
@@ -33,20 +55,7 @@ func TestRegistryGolden(t *testing.T) {
 		b.Write(data)
 	}
 	b.WriteString("\n]\n")
-
-	golden := filepath.Join("testdata", "registry.json")
-	if *update {
-		if err := os.WriteFile(golden, b.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/scenario -update` to regenerate)", err)
-	}
-	if !bytes.Equal(want, b.Bytes()) {
-		t.Fatalf("registry drifted from %s (run `go test ./internal/scenario -update` and review the diff)", golden)
-	}
+	return b.Bytes()
 }
 
 // TestRoundTrip marshals every registered spec and decodes it back:
