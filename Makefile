@@ -50,8 +50,11 @@ server-check:
 # registry-sweep digest pinned in tools/bench/pinned.json (see
 # internal/scenario). A fresh process that builds the cache family on
 # first use (a lookup, or 8 goroutines racing) sees the same registry.
+# Execute runs the canonical form: for every kind, a spec with a field
+# the kind ignores set, or a default spelled out, hashes and executes
+# to the same bytes, and every spec field is kept by some kind.
 scenarios:
-	$(GO) test ./internal/scenario -run 'TestRegistryGolden|TestRoundTrip|TestRegistryCoverage|TestRegisteredScenariosExecute|TestRegistryHashRoundTrip|TestRegistryExecuteJobsInvariance|TestRegistrySweepDigest|TestFreshRegistry' -count=1
+	$(GO) test ./internal/scenario -run 'TestRegistryGolden|TestRoundTrip|TestRegistryCoverage|TestRegisteredScenariosExecute|TestRegistryHashRoundTrip|TestRegistryExecuteJobsInvariance|TestRegistrySweepDigest|TestFreshRegistry|TestExecuteRunsCanonicalForm|TestSpecFieldsRead' -count=1
 
 # Cache-vulnerability benchmark gate: the three-step taxonomy package
 # (enumeration, lowering, schedule-vs-interpreter equivalence,

@@ -207,3 +207,47 @@ func AllDefended(cells []MatrixCell, strategy string) bool {
 	}
 	return any
 }
+
+// StrategySummary is one strategy's row of the security-vs-slowdown
+// trade-off over a matrix.
+type StrategySummary struct {
+	Strategy string
+	Defended int // cells the strategy defends
+	Cells    int // cells evaluated under the strategy
+	// Slowdown is the mean MatrixCell.Slowdown over the strategy's
+	// cells that had a baseline; 0 when none had one.
+	Slowdown float64
+}
+
+// Summarize folds matrix cells into one StrategySummary per strategy,
+// in the order the strategies first appear — the security-vs-slowdown
+// summary both the defense-matrix render and the report print.
+func Summarize(cells []MatrixCell) []StrategySummary {
+	var out []StrategySummary
+	var priced []int // per summary: the cells that had a baseline
+	at := map[string]int{}
+	for _, c := range cells {
+		i, ok := at[c.Strategy]
+		if !ok {
+			i = len(out)
+			at[c.Strategy] = i
+			out = append(out, StrategySummary{Strategy: c.Strategy})
+			priced = append(priced, 0)
+		}
+		s := &out[i]
+		s.Cells++
+		if c.Defended {
+			s.Defended++
+		}
+		if c.Slowdown > 0 {
+			s.Slowdown += c.Slowdown
+			priced[i]++
+		}
+	}
+	for i, n := range priced {
+		if n > 0 {
+			out[i].Slowdown /= float64(n)
+		}
+	}
+	return out
+}

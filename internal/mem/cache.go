@@ -13,31 +13,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 )
-
-// Policy selects a cache replacement policy.
-type Policy uint8
-
-// Replacement policies.
-const (
-	LRU    Policy = iota // least recently used (default)
-	FIFO                 // insertion order; hits do not refresh
-	Random               // uniformly random victim (needs a seed)
-)
-
-// String names the policy as the configuration spells it.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case Random:
-		return "random"
-	}
-	return "?"
-}
 
 // CacheConfig describes one cache level.
 type CacheConfig struct {
@@ -46,8 +22,6 @@ type CacheConfig struct {
 	Ways       int    // associativity
 	LineBytes  uint64 // line size in bytes (power of two)
 	HitLatency uint64 // cycles for a hit at this level
-	Policy     Policy // replacement policy; zero value is LRU
-	Seed       int64  // RNG seed for the Random policy
 }
 
 // Validate checks structural sanity.
@@ -102,17 +76,16 @@ type cacheLine struct {
 	lru   uint64 // last-touch tick; larger = more recent
 }
 
-// Cache is one set-associative, timing-only cache level with a
-// configurable replacement policy. All sets live in one flat line
-// array (set s occupies lines[s*Ways : (s+1)*Ways]), so the lines are
-// a single allocation rather than one slice per set, which used to
-// dominate the allocation profile of building a hierarchy.
+// Cache is one set-associative, timing-only cache level with LRU
+// replacement. All sets live in one flat line array (set s occupies
+// lines[s*Ways : (s+1)*Ways]), so the lines are a single allocation
+// rather than one slice per set, which used to dominate the allocation
+// profile of building a hierarchy.
 type Cache struct {
 	cfg   CacheConfig
 	lines []cacheLine
 	epoch uint32 // current validity generation; never 0 (0 = always invalid)
 	tick  uint64
-	rng   *rand.Rand
 	Stats CacheStats
 
 	// valid counts each set's valid lines (those stamped with the
@@ -140,9 +113,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		lineShift: uint(bits.TrailingZeros64(cfg.LineBytes)),
 		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:   uint64(cfg.Sets - 1),
-	}
-	if cfg.Policy == Random {
-		c.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	return c, nil
 }
@@ -173,9 +143,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 	for i := range ways {
 		l := &ways[i]
 		if l.epoch == c.epoch && l.tag == tag {
-			if c.cfg.Policy == LRU {
-				l.lru = c.tick // FIFO/Random hits do not refresh
-			}
+			l.lru = c.tick
 			c.Stats.Hits++
 			return true
 		}
@@ -241,15 +209,10 @@ func (c *Cache) insert(addr uint64, dirty bool) (evicted uint64, wasEvicted bool
 		}
 	}
 	if victim < 0 {
-		switch c.cfg.Policy {
-		case Random:
-			victim = c.rng.Intn(c.cfg.Ways)
-		default: // LRU and FIFO both evict the smallest tick: last
-			// touch for LRU, insertion time for FIFO.
-			for i := range ways {
-				if victim < 0 || ways[i].lru < ways[victim].lru {
-					victim = i
-				}
+		// The least recently touched line: the smallest tick.
+		for i := range ways {
+			if victim < 0 || ways[i].lru < ways[victim].lru {
+				victim = i
 			}
 		}
 	}
@@ -306,16 +269,12 @@ func (c *Cache) InvalidateAll() {
 }
 
 // Reset restores the cache to its just-built state: all lines invalid,
-// the LRU clock and statistics at zero, and (for the Random policy) the
-// replacement RNG reseeded — so a recycled cache behaves bit-identically
-// to a new one.
+// the LRU clock and statistics at zero — so a recycled cache behaves
+// bit-identically to a new one.
 func (c *Cache) Reset() {
 	c.InvalidateAll()
 	c.tick = 0
 	c.Stats.Reset()
-	if c.cfg.Policy == Random {
-		c.rng = rand.New(rand.NewSource(c.cfg.Seed))
-	}
 }
 
 // LineBase returns the base address of the line containing addr.

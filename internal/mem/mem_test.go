@@ -381,51 +381,6 @@ func TestNextLinePrefetch(t *testing.T) {
 	}
 }
 
-func TestPolicyNames(t *testing.T) {
-	if LRU.String() != "lru" || FIFO.String() != "fifo" || Random.String() != "random" {
-		t.Error("policy names wrong")
-	}
-	if Policy(9).String() != "?" {
-		t.Error("unknown policy name")
-	}
-}
-
-func TestFIFOReplacementIgnoresTouches(t *testing.T) {
-	c, err := NewCache(CacheConfig{Name: "f", Sets: 1, Ways: 2, LineBytes: 64, HitLatency: 3, Policy: FIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Insert(0x000)
-	c.Insert(0x040)
-	// Touch the oldest line: under LRU this would protect it; under
-	// FIFO it is still evicted first.
-	if !c.Lookup(0x000) {
-		t.Fatal("expected hit")
-	}
-	if ev, was := c.Insert(0x080); !was || ev != 0x000 {
-		t.Errorf("FIFO evicted %#x, want the oldest insertion 0x0", ev)
-	}
-}
-
-func TestRandomReplacementCoversAllWays(t *testing.T) {
-	c, err := NewCache(CacheConfig{Name: "r", Sets: 1, Ways: 4, LineBytes: 64, HitLatency: 3, Policy: Random, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 4; i++ {
-		c.Insert(i * 64)
-	}
-	evicted := map[uint64]bool{}
-	for i := uint64(4); i < 200; i++ {
-		if ev, was := c.Insert(i * 64); was {
-			evicted[ev%256/64] = true // way fingerprint via original addr
-		}
-	}
-	if len(evicted) < 3 {
-		t.Errorf("random policy only ever evicted %d distinct early lines", len(evicted))
-	}
-}
-
 func TestDirtyWritebacks(t *testing.T) {
 	c := newTestCache(t, 1, 2)
 	c.InsertDirty(0x000)

@@ -478,37 +478,13 @@ func (r *Report) Markdown() string {
 
 		// Security vs slowdown: one row per strategy, cells defended
 		// against mean cost over the undefended baseline.
-		type agg struct {
-			defended, total int
-			slow            float64
-			slowN           int
-		}
-		var order []string
-		sums := map[string]*agg{}
-		for _, c := range r.DefenseMatrix {
-			a := sums[c.Strategy]
-			if a == nil {
-				a = &agg{}
-				sums[c.Strategy] = a
-				order = append(order, c.Strategy)
-			}
-			a.total++
-			if c.Defended {
-				a.defended++
-			}
-			if c.Slowdown > 0 {
-				a.slow += c.Slowdown
-				a.slowN++
-			}
-		}
 		fmt.Fprintf(&b, "\n### Security vs slowdown\n\n| strategy | defended | mean slowdown |\n|---|---|---|\n")
-		for _, name := range order {
-			a := sums[name]
+		for _, s := range defense.Summarize(r.DefenseMatrix) {
 			slow := "—"
-			if a.slowN > 0 {
-				slow = fmt.Sprintf("%.2fx", a.slow/float64(a.slowN))
+			if s.Slowdown > 0 {
+				slow = fmt.Sprintf("%.2fx", s.Slowdown)
 			}
-			fmt.Fprintf(&b, "| %s | %d/%d | %s |\n", name, a.defended, a.total, slow)
+			fmt.Fprintf(&b, "| %s | %d/%d | %s |\n", s.Strategy, s.Defended, s.Cells, slow)
 		}
 	}
 

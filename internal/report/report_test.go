@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"vpsec/internal/core"
+	"vpsec/internal/defense"
 	"vpsec/internal/metrics"
 )
 
@@ -205,5 +207,60 @@ func TestReportIncludesLocalityAudit(t *testing.T) {
 	}
 	if !hasLV || !hasCtx {
 		t.Errorf("audit families = %v, want both last-value and context", families)
+	}
+}
+
+// TestMarkdownSecurityVsSlowdown pins the report's defense-matrix
+// section on synthetic cells: the per-cell table, then one row per
+// strategy, in first-seen order, with the cells it defends and its mean
+// slowdown over the cells that had a baseline. The Fill Up group had no
+// baseline, and R(9) is priced in no group.
+func TestMarkdownSecurityVsSlowdown(t *testing.T) {
+	r := &Report{DefenseMatrix: []defense.MatrixCell{
+		{Category: core.TrainTest, Channel: core.TimingWindow, Strategy: "none", P: 0.0001, MeanCyc: 1000, Slowdown: 1},
+		{Category: core.TrainTest, Channel: core.TimingWindow, Strategy: "A", P: 0.3, Defended: true, MeanCyc: 1500, Slowdown: 1.5},
+		{Category: core.TrainTest, Channel: core.TimingWindow, Strategy: "R(9)", P: 0.02, MeanCyc: 1100},
+		{Category: core.TestHit, Channel: core.Persistent, Strategy: "none", P: 0.0003, MeanCyc: 800, Slowdown: 1},
+		{Category: core.TestHit, Channel: core.Persistent, Strategy: "A", P: 0.6, Defended: true, MeanCyc: 1040, Slowdown: 1.3},
+		{Category: core.TestHit, Channel: core.Persistent, Strategy: "R(9)", P: 0.4, Defended: true, MeanCyc: 900},
+		{Category: core.FillUp, Channel: core.TimingWindow, Strategy: "none", P: 0.01},
+		{Category: core.FillUp, Channel: core.TimingWindow, Strategy: "A", P: 0.04},
+		{Category: core.FillUp, Channel: core.TimingWindow, Strategy: "R(9)", P: 0.7, Defended: true},
+	}}
+	md := r.Markdown()
+	start := strings.Index(md, "\n## Defense matrix")
+	if start < 0 {
+		t.Fatalf("markdown has no defense-matrix section:\n%s", md)
+	}
+	section := md[start:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	const want = "\n" + `## Defense matrix
+
+Combined A+R+D defends all attacks: false
+
+| category | channel | strategy | p | defended | slowdown |
+|---|---|---|---|---|---|
+| Train + Test | timing-window | none | 0.0001 | false | 1.00x |
+| Train + Test | timing-window | A | 0.3000 | true | 1.50x |
+| Train + Test | timing-window | R(9) | 0.0200 | false | — |
+| Test + Hit | persistent | none | 0.0003 | false | 1.00x |
+| Test + Hit | persistent | A | 0.6000 | true | 1.30x |
+| Test + Hit | persistent | R(9) | 0.4000 | true | — |
+| Fill Up | timing-window | none | 0.0100 | false | — |
+| Fill Up | timing-window | A | 0.0400 | false | — |
+| Fill Up | timing-window | R(9) | 0.7000 | true | — |
+
+### Security vs slowdown
+
+| strategy | defended | mean slowdown |
+|---|---|---|
+| none | 0/3 | 1.00x |
+| A | 2/3 | 1.40x |
+| R(9) | 2/3 | — |
+`
+	if section != want {
+		t.Errorf("defense-matrix section:\n%s\nwant:\n%s", section, want)
 	}
 }

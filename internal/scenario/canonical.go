@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,166 +14,136 @@ import (
 
 // Canonical returns the spec reduced to its experiment content alone —
 // the normal form that Hash digests and that a result cache keys on.
-// Two specs that run the same experiment canonicalize (and therefore
-// hash) equal, no matter how they were spelled:
-//
-//   - Presentation and infrastructure fields are cleared: Name and
-//     Title label a spec without changing what it runs, Jobs only
-//     selects a worker count (results are byte-identical at every
-//     value, the runner's contract), and Metrics/Trace are excluded
-//     from JSON already.
-//   - Documented defaults are applied explicitly: an elided field and
-//     its spelled-out default ("runs": 100, "confidence": 4,
-//     "predictor": "lvp", the timing-window channel, the standard
-//     sweep points) are the same experiment, so they must be the same
-//     bytes.
-//   - Fields the kind provably ignores are zeroed, mirroring Execute:
-//     the eviction and variant kinds force the timing-window channel
-//     and SMT forces volatile, Table III / figure / matrix kinds
-//     iterate their own channel (and, for the matrix, defense) axes,
-//     and the sweep kinds overwrite the knob they sweep.
+// It is normal with the presentation and infrastructure fields cleared:
+// Name and Title label a spec without changing what it runs, Jobs only
+// selects a worker count (results are byte-identical at every value,
+// the runner's contract), and Metrics/Trace are excluded from JSON
+// already. Because Execute runs normal too, two specs that hash equal
+// run the same experiment and produce the same CanonicalJSON bytes.
 //
 // JSON key order never participates: Parse decodes into the struct and
 // marshaling emits fields in declaration order, so canonical JSON is a
 // function of field values only. Canonical is idempotent, and a valid
 // spec stays valid (the golden tests assert both).
 func (s Spec) Canonical() Spec {
-	c := s
+	c := s.normal()
 	c.Name, c.Title = "", ""
 	c.Jobs = 0
 	c.Metrics, c.Trace = nil, nil
+	return c
+}
 
-	if c.Kind == KindCacheBench || c.Kind == KindCacheMatrix {
-		// A benchmark spec is (pattern[s], runs, seed, mem_jitter); the
-		// predictor/attack/sim knobs are all ignored by executeCacheBench.
-		if c.Runs == 0 {
-			c.Runs = 100
+// normal returns the spec Execute runs: a fresh spec holding only the
+// fields s's kind reads, with every documented default spelled out
+// ("runs": 100, "confidence": 4, "predictor": "lvp", the timing-window
+// channel, the standard sweep points). It is the one place that decides
+// what each kind reads, so a field no kind lists here is dropped from
+// both the hash and the run, never from only one of them. Name, Title
+// and the infrastructure fields are kept for Execute; Canonical clears
+// them. Default slices are fresh, since a caller may mutate its copy.
+func (s Spec) normal() Spec {
+	d := Defaults()
+	n := Spec{Name: s.Name, Title: s.Title, Kind: s.Kind, Seed: s.Seed,
+		Jobs: s.Jobs, Metrics: s.Metrics, Trace: s.Trace}
+	switch s.Kind {
+	case KindSim:
+		// One program on one machine (executeSim).
+		n.Program = s.Program
+		n.Predictor = cmp.Or(s.Predictor, d.Predictor)
+		n.Scheme = cmp.Or(s.Scheme, "pc")
+		n.Confidence = cmp.Or(s.Confidence, d.Confidence)
+		return n
+	case KindCacheBench, KindCacheMatrix:
+		// (pattern[s], runs, seed, mem_jitter) (executeCacheBench).
+		if s.Kind == KindCacheBench {
+			n.Pattern = s.Pattern
+		} else {
+			n.Patterns = s.Patterns
 		}
-		c.Predictor, c.Channel, c.Category, c.Variant = "", "", "", ""
-		c.Categories = nil
-		c.Confidence = 0
-		c.Defense = nil
-		c.UsePID, c.Prefetch, c.Replay, c.ResetModify = false, false, false, false
-		c.FPC, c.TrainIters, c.NoSyncCost = 0, 0, false
-		c.Jitters, c.Confidences = nil, nil
-		c.MaxWindow, c.Strategies, c.Slowdown = 0, nil, false
-		c.Program, c.Scheme = "", ""
-		return c
+		n.Runs = cmp.Or(s.Runs, d.Runs)
+		n.MemJitter = s.MemJitter
+		return n
 	}
 
-	if c.Predictor == "" {
-		c.Predictor = string(attacks.LVP)
+	// The attack kinds compile to attacks.Options (options).
+	n.Predictor = cmp.Or(s.Predictor, d.Predictor)
+	n.Confidence = cmp.Or(s.Confidence, d.Confidence)
+	n.Channel = cmp.Or(s.Channel, d.Channel)
+	n.Runs = cmp.Or(s.Runs, d.Runs)
+	if s.Defense != nil && *s.Defense != (DefenseSpec{}) {
+		n.Defense = s.Defense
 	}
+	n.UsePID, n.Prefetch, n.Replay, n.ResetModify = s.UsePID, s.Prefetch, s.Replay, s.ResetModify
+	n.FPC, n.TrainIters, n.NoSyncCost = s.FPC, s.TrainIters, s.NoSyncCost
+	n.MemJitter = s.MemJitter
 
-	if c.Kind == KindSim {
-		// A sim spec is (program, predictor, scheme, confidence, seed);
-		// every attack-harness knob is ignored by executeSim.
-		if c.Scheme == "" {
-			c.Scheme = "pc"
-		}
-		if c.Confidence == 0 {
-			c.Confidence = 4
-		}
-		c.Channel, c.Category, c.Variant = "", "", ""
-		c.Categories = nil
-		c.Runs = 0
-		c.Defense = nil
-		c.UsePID, c.Prefetch, c.Replay, c.ResetModify = false, false, false, false
-		c.FPC, c.TrainIters, c.NoSyncCost = 0, 0, false
-		c.MemJitter, c.Jitters, c.Confidences = nil, nil, nil
-		c.MaxWindow, c.Strategies, c.Slowdown = 0, nil, false
-		c.Pattern, c.Patterns = "", nil
-		return c
-	}
-
-	// The attack kinds: sim-only and benchmark-only fields are ignored.
-	c.Program, c.Scheme = "", ""
-	c.Pattern, c.Patterns = "", nil
-
-	// attacks.Options documented defaults (Options.WithDefaults).
-	if c.Confidence == 0 {
-		c.Confidence = 4
-	}
-	if c.Runs == 0 {
-		c.Runs = 100
-	}
-	if c.Channel == "" {
-		c.Channel = core.TimingWindow.String()
-	}
-	if c.Defense != nil && *c.Defense == (DefenseSpec{}) {
-		c.Defense = nil
-	}
-	if c.Kind != KindDefenseMatrix {
-		// Only the matrix renders the slowdown section; every other kind
-		// ignores the knob.
-		c.Slowdown = false
-	}
-
-	switch c.Kind {
+	switch s.Kind {
+	case KindCase:
+		n.Category = s.Category
 	case KindVariant:
-		// RunVariant derives the category from the pattern and forces
-		// the timing-window channel.
-		c.Category = ""
-		c.Channel = core.TimingWindow.String()
+		// RunVariant derives the category from the pattern and runs the
+		// timing-window channel.
+		n.Variant = s.Variant
+		n.Channel = core.TimingWindow.String()
 	case KindEviction:
-		// Execute forces the timing-window channel and the kind has no
-		// category parameter.
-		c.Category = ""
-		c.Channel = core.TimingWindow.String()
+		// Train + Test over the timing-window channel, always.
+		n.Channel = core.TimingWindow.String()
 	case KindSMT:
-		// RunVolatileSMT forces the volatile channel.
-		c.Channel = core.Volatile.String()
+		// RunVolatileSMT runs the volatile channel.
+		n.Category = s.Category
+		n.Channel = core.Volatile.String()
 	case KindTableIII:
 		// TableIII iterates every (category, channel) cell itself.
-		c.Category = ""
-		c.Channel = ""
+		n.Channel = ""
 	case KindFigure:
 		// The four panels pin their own channel and predictor axes; only
 		// the category and the VP-panel predictor come from the spec.
-		c.Channel = ""
+		n.Category = s.Category
+		n.Channel = ""
 	case KindNoiseSweep:
-		// The sweep overwrites the jitter per point.
-		c.MemJitter = nil
-		if len(c.Jitters) == 0 {
-			c.Jitters = []uint64{0, 12, 50, 100, 200, 400, 800}
+		// The sweep sets the jitter per point.
+		n.Category = s.Category
+		n.MemJitter = nil
+		n.Jitters = s.Jitters
+		if len(n.Jitters) == 0 {
+			n.Jitters = defaultJitters()
 		}
 	case KindConfSweep:
-		// The sweep overwrites the confidence number per point.
-		c.Confidence = 0
-		if len(c.Confidences) == 0 {
-			c.Confidences = []int{2, 3, 4, 6, 8}
+		// The sweep sets the confidence number per point.
+		n.Category = s.Category
+		n.Confidence = 0
+		n.Confidences = s.Confidences
+		if len(n.Confidences) == 0 {
+			n.Confidences = defaultConfidences()
 		}
 	case KindDefenseSweep:
-		// The sweep covers sweepCategories and overwrites the R window
-		// per point; Categories is the canonical spelling of the list.
-		c.Categories = append([]string(nil), c.sweepCategories()...)
-		c.Category = ""
-		if c.MaxWindow == 0 {
-			c.MaxWindow = 10
-		}
-		if c.Defense != nil && c.Defense.Strategy == "" {
-			d := *c.Defense
-			d.RWindow = 0
-			if d == (DefenseSpec{}) {
-				c.Defense = nil
-			} else {
-				c.Defense = &d
+		// Categories is the canonical spelling of the swept list, and the
+		// sweep sets the R window per point.
+		n.Categories = s.sweepCategories()
+		n.MaxWindow = cmp.Or(s.MaxWindow, 10)
+		if n.Defense != nil && n.Defense.Strategy == "" && n.Defense.RWindow != 0 {
+			def := *n.Defense
+			def.RWindow = 0
+			n.Defense = nil
+			if def != (DefenseSpec{}) {
+				n.Defense = &def
 			}
 		}
 	case KindDefenseMatrix:
-		// Matrix iterates every (category, channel, strategy) cell; an
-		// empty strategy list means all of defense.Strategies, and the
-		// spec's own channel/category/defense fields are overwritten.
-		c.Category = ""
-		c.Channel = ""
-		c.Defense = nil
-		if len(c.Strategies) == 0 {
+		// Matrix iterates every (category, channel, strategy) cell and
+		// sets each cell's defense; no strategies means all of
+		// defense.Strategies.
+		n.Channel = ""
+		n.Defense = nil
+		n.Strategies = s.Strategies
+		if len(n.Strategies) == 0 {
 			for _, st := range defense.Strategies() {
-				c.Strategies = append(c.Strategies, st.Name)
+				n.Strategies = append(n.Strategies, st.Name)
 			}
 		}
+		n.Slowdown = s.Slowdown
 	}
-	return c
+	return n
 }
 
 // CanonicalJSON renders the result in its canonical byte form — the

@@ -33,8 +33,9 @@ type SimResult struct {
 }
 
 // Result is the unified outcome of Execute: exactly one of the result
-// groups is populated, per the spec's kind. Opt is the effective
-// (default-applied) attack configuration, for labeling output.
+// groups is populated, per the spec's kind. Spec is the spec as given,
+// for labeling output; Execute ran its normal form. Opt is the
+// effective (default-applied) attack configuration.
 type Result struct {
 	Spec Spec
 	Opt  attacks.Options
@@ -69,11 +70,13 @@ func (r *Result) Case() attacks.CaseResult {
 	return r.Cases[0]
 }
 
-// Execute validates the spec and dispatches it to the entry point its
-// kind selects, compiling the spec into the exact attacks.Options the
-// legacy flag paths built — same seed derivation, same trial schedule,
-// same metrics publication — so results are byte-identical to direct
-// Run* calls.
+// Execute validates the spec and runs its normal form (Canonical plus
+// Name, Title and the infrastructure fields), dispatching it to the
+// entry point its kind selects. The spec compiles into the exact
+// attacks.Options the legacy flag paths built — same seed derivation,
+// same trial schedule, same metrics publication — so results are
+// byte-identical to direct Run* calls. Result.Spec is the spec as
+// given, for labels.
 func Execute(ctx context.Context, s Spec) (*Result, error) {
 	return ExecuteRecorded(ctx, s, nil)
 }
@@ -99,21 +102,32 @@ func ExecuteRecorded(ctx context.Context, s Spec, events func(trace.Event)) (*Re
 		defer span.End()
 		ctx = obs.NewContext(ctx, span)
 	}
-	if s.Kind == KindSim {
-		return executeSim(ctx, s, events)
-	}
-	if s.Kind == KindCacheBench || s.Kind == KindCacheMatrix {
-		return executeCacheBench(ctx, s)
-	}
-	opt, err := s.options()
+	res, err := execute(ctx, s.normal(), events)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Spec: s, Opt: opt.WithDefaults()}
+	res.Spec = s
+	return res, nil
+}
 
-	switch s.Kind {
+// execute runs a normal-form spec n; every default is already spelled
+// out in it.
+func execute(ctx context.Context, n Spec, events func(trace.Event)) (*Result, error) {
+	if n.Kind == KindSim {
+		return executeSim(ctx, n, events)
+	}
+	if n.Kind == KindCacheBench || n.Kind == KindCacheMatrix {
+		return executeCacheBench(ctx, n)
+	}
+	opt, err := n.options()
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Opt: opt.WithDefaults()}
+
+	switch n.Kind {
 	case KindCase:
-		cat, err := s.category()
+		cat, err := n.category()
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +137,7 @@ func ExecuteRecorded(ctx context.Context, s Spec, events func(trace.Event)) (*Re
 		}
 
 	case KindVariant:
-		v, err := attacks.FindVariant(s.Variant)
+		v, err := attacks.FindVariant(n.Variant)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +155,7 @@ func ExecuteRecorded(ctx context.Context, s Spec, events func(trace.Event)) (*Re
 		res.Cases = []attacks.CaseResult{c}
 
 	case KindSMT:
-		cat, err := s.category()
+		cat, err := n.category()
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +173,7 @@ func ExecuteRecorded(ctx context.Context, s Spec, events func(trace.Event)) (*Re
 		res.Table3 = rows
 
 	case KindFigure:
-		cat, err := s.category()
+		cat, err := n.category()
 		if err != nil {
 			return nil, err
 		}
@@ -179,46 +193,30 @@ func ExecuteRecorded(ctx context.Context, s Spec, events func(trace.Event)) (*Re
 		}
 
 	case KindNoiseSweep:
-		cat, err := s.category()
+		cat, err := n.category()
 		if err != nil {
 			return nil, err
 		}
-		jitters := s.Jitters
-		if len(jitters) == 0 {
-			jitters = []uint64{0, 12, 50, 100, 200, 400, 800}
-		}
-		pts, err := attacks.NoiseSweep(ctx, cat, jitters, opt)
-		if err != nil {
+		if res.Noise, err = attacks.NoiseSweep(ctx, cat, n.Jitters, opt); err != nil {
 			return nil, err
 		}
-		res.Noise = pts
 
 	case KindConfSweep:
-		cat, err := s.category()
+		cat, err := n.category()
 		if err != nil {
 			return nil, err
 		}
-		confs := s.Confidences
-		if len(confs) == 0 {
-			confs = []int{2, 3, 4, 6, 8}
-		}
-		pts, err := attacks.ConfidenceSweep(ctx, cat, confs, opt)
-		if err != nil {
+		if res.Conf, err = attacks.ConfidenceSweep(ctx, cat, n.Confidences, opt); err != nil {
 			return nil, err
 		}
-		res.Conf = pts
 
 	case KindDefenseSweep:
-		maxw := s.MaxWindow
-		if maxw == 0 {
-			maxw = 10
-		}
-		for _, name := range s.sweepCategories() {
+		for _, name := range n.Categories {
 			cat, err := parseCategory(name)
 			if err != nil {
 				return nil, err
 			}
-			pts, err := defense.SweepRWindow(ctx, cat, maxw, opt)
+			pts, err := defense.SweepRWindow(ctx, cat, n.MaxWindow, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -231,7 +229,7 @@ func ExecuteRecorded(ctx context.Context, s Spec, events func(trace.Event)) (*Re
 
 	case KindDefenseMatrix:
 		var strategies []defense.Strategy
-		for _, name := range s.Strategies {
+		for _, name := range n.Strategies {
 			st, err := defense.StrategyNamed(name)
 			if err != nil {
 				return nil, err
@@ -246,7 +244,7 @@ func ExecuteRecorded(ctx context.Context, s Spec, events func(trace.Event)) (*Re
 		res.MatrixAllDefended = defense.AllDefended(cells, "A+R(9)+D")
 
 	default:
-		return nil, fmt.Errorf("scenario: kind %q has no executor", s.Kind)
+		return nil, fmt.Errorf("scenario: kind %q has no executor", n.Kind)
 	}
 	return res, nil
 }
@@ -260,12 +258,10 @@ func executeCacheBench(ctx context.Context, s Spec) (*Result, error) {
 	opt := cachebench.Options{
 		Runs:    s.Runs,
 		Seed:    s.Seed,
+		Noise:   s.noise(),
 		Jobs:    s.Jobs,
 		Metrics: s.Metrics,
 		Trace:   s.Trace,
-	}
-	if s.MemJitter != nil {
-		opt.Noise = cpu.Noise{MemJitter: *s.MemJitter, HitJitter: 2}
 	}
 	if s.Kind == KindCacheBench {
 		p, err := cachebench.ParsePattern(s.Pattern)
@@ -284,7 +280,7 @@ func executeCacheBench(ctx context.Context, s Spec) (*Result, error) {
 		if c.Vulnerable {
 			m.Vulnerable = 1
 		}
-		return &Result{Spec: s, CacheBench: m}, nil
+		return &Result{CacheBench: m}, nil
 	}
 	var pats []cachebench.Pattern
 	for _, ps := range s.Patterns {
@@ -298,7 +294,7 @@ func executeCacheBench(ctx context.Context, s Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Spec: s, CacheBench: m}, nil
+	return &Result{CacheBench: m}, nil
 }
 
 // executeSim assembles and runs the spec's .vasm program on one
@@ -318,15 +314,11 @@ func executeSim(ctx context.Context, s Spec, events func(trace.Event)) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	name := s.Predictor
-	if name == "" {
-		name = string(attacks.LVP)
-	}
 	scheme, err := predictor.ParseScheme(s.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	pred, err := predictor.New(name, predictor.FactoryConfig{Confidence: s.Confidence, Scheme: scheme})
+	pred, err := predictor.New(s.Predictor, predictor.FactoryConfig{Confidence: s.Confidence, Scheme: scheme})
 	if err != nil {
 		return nil, err
 	}
@@ -349,8 +341,5 @@ func executeSim(ctx context.Context, s Spec, events func(trace.Event)) (*Result,
 	if s.Metrics != nil {
 		m.FinalizeMetrics()
 	}
-	return &Result{
-		Spec: s,
-		Sim:  &SimResult{Program: prog.Name, Instructions: len(prog.Code), Run: run},
-	}, nil
+	return &Result{Sim: &SimResult{Program: prog.Name, Instructions: len(prog.Code), Run: run}}, nil
 }

@@ -327,7 +327,7 @@ func init() {
 		Category:   string(core.TrainTest),
 		Runs:       d.Runs,
 		Seed:       d.Seed,
-		Jitters:    []uint64{0, 12, 50, 100, 200, 400, 800},
+		Jitters:    defaultJitters(),
 	})
 	register(Spec{
 		Name:        "conf-sweep-train-test",
@@ -337,7 +337,7 @@ func init() {
 		Category:    string(core.TrainTest),
 		Runs:        d.Runs,
 		Seed:        d.Seed,
-		Confidences: []int{2, 3, 4, 6, 8},
+		Confidences: defaultConfidences(),
 	})
 
 	// The cache-vulnerability benchmark's two matrix scenarios; its

@@ -122,38 +122,14 @@ func (r *Result) Render(w io.Writer, opts RenderOptions) error {
 // per strategy, in matrix order, with the cells it defends and its
 // mean slowdown over the undefended baseline.
 func renderSlowdownCurve(w io.Writer, cells []defense.MatrixCell) {
-	type agg struct {
-		defended, total int
-		slow            float64
-		slowN           int
-	}
-	var order []string
-	sums := map[string]*agg{}
-	for _, c := range cells {
-		a := sums[c.Strategy]
-		if a == nil {
-			a = &agg{}
-			sums[c.Strategy] = a
-			order = append(order, c.Strategy)
-		}
-		a.total++
-		if c.Defended {
-			a.defended++
-		}
-		if c.Slowdown > 0 {
-			a.slow += c.Slowdown
-			a.slowN++
-		}
-	}
 	fmt.Fprintln(w, "Security vs slowdown (per strategy, over all cells):")
 	fmt.Fprintf(w, "  %-12s %9s  %8s\n", "strategy", "defended", "slowdown")
-	for _, name := range order {
-		a := sums[name]
+	for _, s := range defense.Summarize(cells) {
 		slow := "—"
-		if a.slowN > 0 {
-			slow = fmt.Sprintf("x%.2f", a.slow/float64(a.slowN))
+		if s.Slowdown > 0 {
+			slow = fmt.Sprintf("x%.2f", s.Slowdown)
 		}
-		fmt.Fprintf(w, "  %-12s %5d/%-3d  %8s\n", name, a.defended, a.total, slow)
+		fmt.Fprintf(w, "  %-12s %5d/%-3d  %8s\n", s.Strategy, s.Defended, s.Cells, slow)
 	}
 	fmt.Fprintln(w)
 }

@@ -22,6 +22,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 
@@ -277,6 +278,14 @@ func Defaults() Spec {
 // use a smaller per-case sample than the headline attacks).
 func DefaultDefenseRuns() int { return 60 }
 
+// defaultJitters returns the noise-sweep points an empty Jitters means,
+// the standard 0..800 sweep, as a fresh slice.
+func defaultJitters() []uint64 { return []uint64{0, 12, 50, 100, 200, 400, 800} }
+
+// defaultConfidences returns the conf-sweep points an empty Confidences
+// means, the paper's {2,3,4,6,8}, as a fresh slice.
+func defaultConfidences() []int { return []int{2, 3, 4, 6, 8} }
+
 // DefaultJobs is the default trial concurrency every CLI front-end
 // advertises: all cores.
 func DefaultJobs() int { return runtime.NumCPU() }
@@ -332,13 +341,21 @@ func (s *Spec) options() (attacks.Options, error) {
 		FPC:         s.FPC,
 		TrainIters:  s.TrainIters,
 		NoSyncCost:  s.NoSyncCost,
+		Noise:       s.noise(),
 		Metrics:     s.Metrics,
 		Trace:       s.Trace,
 	}
-	if s.MemJitter != nil {
-		opt.Noise = cpu.Noise{MemJitter: *s.MemJitter, HitJitter: 2}
-	}
 	return opt, nil
+}
+
+// noise compiles MemJitter into the jitter model the attack and
+// benchmark kinds share; nil leaves the zero model, which each harness
+// replaces with its default.
+func (s *Spec) noise() cpu.Noise {
+	if s.MemJitter == nil {
+		return cpu.Noise{}
+	}
+	return cpu.Noise{MemJitter: *s.MemJitter, HitJitter: 2}
 }
 
 // category resolves the spec's single category field.
@@ -371,10 +388,7 @@ func (s *Spec) Validate() error {
 		if _, err := predictor.ParseScheme(s.Scheme); err != nil {
 			return fmt.Errorf("scenario: %v", err)
 		}
-		name := s.Predictor
-		if name == "" {
-			name = string(attacks.LVP)
-		}
+		name := cmp.Or(s.Predictor, Defaults().Predictor)
 		if !predictor.Registered(name) {
 			return fmt.Errorf("scenario: sim predictor %q is not registered (registered: %v)",
 				name, predictor.Names())
