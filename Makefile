@@ -25,12 +25,15 @@ check: vet build race alloc-budget sched-order diff scenarios cachebench defense
 # its own), flush-on-switch fires on every time-sliced step (eviction
 # and SMT trials included), the legacy 11-strategy matrix/sweep
 # renders and canonical spec hashes are byte-identical to the pinned
-# goldens, and the two post-paper mechanisms (recompute, isolate) each
-# close their previously leaking cell at reduced trial counts.
+# goldens, the two post-paper mechanisms (recompute, isolate) each
+# close their previously leaking cell at reduced trial counts, and
+# vpattack's -defense stack renders like the matching spec file and
+# rejects an unknown mechanism with the catalog's list.
 defense-check:
 	$(GO) test ./internal/defense -count=1
 	$(GO) test ./internal/attacks -run 'TestParseStackErrors|TestStackDecodesWithoutDefense|TestFlushOnEveryStep' -count=1
 	$(GO) test ./internal/scenario -run 'TestDefenseMatrixGolden|TestDefenseSweepGolden|TestSpecHashesGolden' -count=1
+	$(GO) test ./cmd/vpattack -run 'TestLegacyMatchesScenario|TestUnknownDefense' -count=1
 
 # Experiment-server gate: build cmd/vpserver, then run the end-to-end
 # suite against an in-process instance — submit→poll→fetch, cache-hit

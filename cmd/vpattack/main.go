@@ -9,7 +9,7 @@
 //	vpattack -table3                       # full Table III
 //	vpattack -attack "Train + Test" -channel timing-window
 //	vpattack -attack "Test + Hit" -predictor vtage -runs 100
-//	vpattack -attack "Fill Up" -channel persistent -dtype
+//	vpattack -attack "Fill Up" -channel persistent -defense D
 //	vpattack -scenario table3-lvp          # the same Table III, by name
 //	vpattack -scenario specs/my-exp.json   # or from a spec file
 //	vpattack -list                         # enumerate registered scenarios
@@ -42,11 +42,7 @@ func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 		conf       = fs.Int("confidence", defaults.Confidence, "VPS confidence number")
 		seed       = fs.Int64("seed", defaults.Seed, "base RNG seed")
 		table3     = fs.Bool("table3", false, "reproduce Table III for the chosen predictor")
-		atype      = fs.Bool("atype", false, "enable the A-type defense (history value)")
-		afixed     = fs.Bool("afixed", false, "A-type predicts a fixed value")
-		rwindow    = fs.Int("rwindow", 0, "R-type window size (0/1 disables)")
-		dtype      = fs.Bool("dtype", false, "enable the D-type defense")
-		flushSw    = fs.Bool("flush-switch", false, "flush the VPS on every context switch (OS mitigation)")
+		stack      = fs.String("defense", "", `defense mechanism stack, e.g. "A+R(9)+D" (vpdefense -list-strategies lists the mechanisms)`)
 		usePID     = fs.Bool("pid", false, "index the predictor with the pid (Sec. V-B ablation)")
 		prefetch   = fs.Bool("prefetch", false, "enable the next-line prefetcher ablation")
 		replay     = fs.Bool("replay", false, "selective-replay recovery instead of full squash")
@@ -68,14 +64,8 @@ func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 			FPC:        *fpc,
 			TrainIters: *trainIters,
 		}
-		if *atype || *afixed || *rwindow != 0 || *dtype || *flushSw {
-			spec.Defense = &scenario.DefenseSpec{
-				AType:         *atype,
-				AFixedOnly:    *afixed,
-				RWindow:       *rwindow,
-				DType:         *dtype,
-				FlushOnSwitch: *flushSw,
-			}
+		if *stack != "" {
+			spec.Defense = &scenario.DefenseSpec{Stack: *stack}
 		}
 		switch {
 		case *table3:

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vpsec/cmd/internal/scencli"
+	"vpsec/internal/attacks"
 	"vpsec/internal/metrics"
 	"vpsec/internal/scenario"
 )
@@ -21,23 +22,54 @@ func run(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestLegacyMatchesScenario: the flag spelling of Table III and its
-// spec render byte-identically.
+// TestLegacyMatchesScenario: each flag spelling and its spec file
+// render byte-identically. A -defense stack fills the spec's stack, so
+// "A+R(5)" is the history-flavor A then R(5), not the catalog's
+// A-fixed+R(5).
 func TestLegacyMatchesScenario(t *testing.T) {
-	spec := filepath.Join(t.TempDir(), "table3.json")
-	if err := os.WriteFile(spec, []byte(`{"kind":"table3","predictor":"lvp","confidence":4,"runs":5,"seed":1}`), 0o644); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		flags []string
+		spec  string
+	}{
+		{"table3", []string{"-table3", "-runs", "5"},
+			`{"kind":"table3","predictor":"lvp","confidence":4,"runs":5,"seed":1}`},
+		{"defense D", []string{"-attack", "Test + Hit", "-runs", "5", "-defense", "D"},
+			`{"kind":"case","category":"Test + Hit","runs":5,"seed":1,"defense":{"strategy":"D"}}`},
+		{"defense A+R(5)", []string{"-attack", "Test + Hit", "-runs", "5", "-defense", "A+R(5)"},
+			`{"kind":"case","category":"Test + Hit","runs":5,"seed":1,"defense":{"stack":"A+R(5)"}}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			spec := filepath.Join(t.TempDir(), "spec.json")
+			if err := os.WriteFile(spec, []byte(c.spec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, legacy, stderr := run(append([]string{"-jobs", "2"}, c.flags...)...)
+			if code != 0 {
+				t.Fatalf("legacy: exit %d\n%s", code, stderr)
+			}
+			code, scen, stderr := run("-jobs", "2", "-scenario", spec)
+			if code != 0 {
+				t.Fatalf("scenario: exit %d\n%s", code, stderr)
+			}
+			if legacy != scen {
+				t.Fatalf("legacy and scenario renders differ:\n--- legacy\n%s--- scenario\n%s", legacy, scen)
+			}
+		})
 	}
-	code, legacy, stderr := run("-jobs", "2", "-table3", "-runs", "5")
-	if code != 0 {
-		t.Fatalf("legacy: exit %d\n%s", code, stderr)
+}
+
+// TestUnknownDefense: a -defense stack with an unknown mechanism exits
+// 1 with one error line that lists the mechanisms.
+func TestUnknownDefense(t *testing.T) {
+	code, stdout, stderr := run("-attack", "Test + Hit", "-runs", "2", "-defense", "Q(1)")
+	if code != 1 || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "vpattack: ") {
+		t.Fatalf("exit %d stdout %q stderr %q; want 1, nothing, one vpattack: line", code, stdout, stderr)
 	}
-	code, scen, stderr := run("-jobs", "2", "-scenario", spec)
-	if code != 0 {
-		t.Fatalf("scenario: exit %d\n%s", code, stderr)
-	}
-	if legacy != scen {
-		t.Fatalf("legacy and scenario renders differ:\n--- legacy\n%s--- scenario\n%s", legacy, scen)
+	for _, d := range attacks.Mechanisms() {
+		if !strings.Contains(stderr, d.Token) {
+			t.Errorf("error %q does not list mechanism %q", stderr, d.Token)
+		}
 	}
 }
 

@@ -67,9 +67,7 @@ func flags(fs *flag.FlagSet, _ *scencli.Env) scencli.Plan {
 			spec := scenario.Spec{Kind: scenario.KindDefenseMatrix}
 			if *slowdown {
 				spec.Slowdown = true
-				for _, s := range append(defense.Strategies(), defense.ExtendedStrategies()...) {
-					spec.Strategies = append(spec.Strategies, s.Name)
-				}
+				spec.Strategies = defense.CatalogNames()
 			}
 			specs = append(specs, spec)
 		}

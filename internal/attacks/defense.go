@@ -226,22 +226,20 @@ func (s DefenseStack) tagger() ContextTagger {
 	return nil
 }
 
+// WithoutRandomWindow returns a copy of the stack with any R-type
+// mechanism removed, every other mechanism in order.
+func (s DefenseStack) WithoutRandomWindow() DefenseStack {
+	return slices.DeleteFunc(slices.Clone(s), func(m Mechanism) bool {
+		_, ok := m.(rType)
+		return ok
+	})
+}
+
 // WithRandomWindow returns a copy of the stack with any R-type
 // mechanism removed and RandomWindow(w) appended — the window-sweep
-// transformation, preserving every other mechanism in order. (Only the
-// relative order of predictor wrappers is observable, and A-type
-// mechanisms always precede the R wrapper in canonical stacks, so
-// appending keeps sweep results identical to overwriting the legacy
-// RWindow field.)
+// transformation, preserving every other mechanism in order.
 func (s DefenseStack) WithRandomWindow(w int) DefenseStack {
-	out := make(DefenseStack, 0, len(s)+1)
-	for _, m := range s {
-		if _, ok := m.(rType); ok {
-			continue
-		}
-		out = append(out, m)
-	}
-	return append(out, RandomWindow(w))
+	return append(s.WithoutRandomWindow(), RandomWindow(w))
 }
 
 // MarshalJSON encodes the stack as its canonical string, the form

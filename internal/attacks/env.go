@@ -174,7 +174,7 @@ func (o *Options) setDefaults() {
 		o.SyncEpoch = 330_000
 	}
 	if o.Noise == (cpu.Noise{}) {
-		o.Noise = cpu.Noise{MemJitter: 12, HitJitter: 2}
+		o.Noise = cpu.DefaultNoise()
 	}
 }
 
@@ -219,7 +219,7 @@ type env struct {
 	opt     *Options
 	conf    int
 	train   int    // accesses per training step (>= conf; see Options.TrainIters)
-	lastPID uint64 // previously scheduled pid (FlushOnSwitch defense)
+	lastPID uint64 // previously scheduled pid (context-switch mechanisms)
 
 	// span is the trial span the runner put in the item context (zero
 	// when untraced); the kernel/probe/stats phase spans nest under it.

@@ -9,11 +9,6 @@ import (
 	"vpsec/internal/stats"
 )
 
-// cpuNoise builds the jitter model for a given DRAM jitter level.
-func cpuNoise(memJitter uint64) cpu.Noise {
-	return cpu.Noise{MemJitter: memJitter, HitJitter: 2}
-}
-
 // CaseResult is the evaluation of one (category, channel, predictor,
 // defense) cell, matching how the paper reports Figs. 5/8 and
 // Table III: timing distributions for the mapped and unmapped cases, a
@@ -315,7 +310,8 @@ func NoiseSweep(ctx context.Context, cat core.Category, jitters []uint64, base O
 	cases := make([]Case, len(jitters))
 	for i, j := range jitters {
 		cases[i] = Case{Category: cat, Opt: base}
-		cases[i].Opt.Noise = cpuNoise(j)
+		cases[i].Opt.Noise = cpu.DefaultNoise()
+		cases[i].Opt.Noise.MemJitter = j
 	}
 	rs, err := RunCases(ctx, cases)
 	if err != nil {

@@ -36,10 +36,10 @@ const (
 	FlushCachedExtra uint64 = 12
 )
 
-// DefaultNoise is the benchmark's jitter model — identical to the
-// attack harness default (attacks.Options.WithDefaults): up to 12
-// extra cycles on DRAM-served accesses, up to 2 on hits and flushes.
-func DefaultNoise() cpu.Noise { return cpu.Noise{MemJitter: 12, HitJitter: 2} }
+// DefaultNoise is the benchmark's jitter model: the core's default,
+// cpu.DefaultNoise, whose hit jitter the benchmark also draws on
+// flushes.
+func DefaultNoise() cpu.Noise { return cpu.DefaultNoise() }
 
 // newHierarchy builds the benchmark hierarchy: the evaluation's L1
 // (64x8x64B, 3 cycles) and L2 (512x8x64B, 12 cycles) over 150-cycle

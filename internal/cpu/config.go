@@ -167,6 +167,10 @@ type Noise struct {
 	HitJitter uint64 // extra cycles on cache hits
 }
 
+// DefaultNoise is the jitter model every harness runs when none is set:
+// up to 12 extra cycles on DRAM-served accesses, up to 2 on hits.
+func DefaultNoise() Noise { return Noise{MemJitter: 12, HitJitter: 2} }
+
 // VirtPCBytes is the byte size of one instruction slot: predictor
 // contexts use PC = 4*index, mirroring a fixed-width encoding.
 const VirtPCBytes = 4

@@ -48,18 +48,26 @@ func ExtendedStrategies() []Strategy {
 	}
 }
 
+// Catalog returns every named strategy: Strategies, then
+// ExtendedStrategies.
+func Catalog() []Strategy { return append(Strategies(), ExtendedStrategies()...) }
+
+// CatalogNames returns the names of Catalog, in order.
+func CatalogNames() []string {
+	var names []string
+	for _, s := range Catalog() {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
 // StrategyNamed resolves a strategy: the named catalogs first (legacy
 // Sec. VI-B names keep their exact historical stacks, extended names
 // their mechanism), then any canonical stack string — so arbitrary
 // compositions like "A+R(5)+recompute" are addressable anywhere a
 // strategy name is accepted.
 func StrategyNamed(name string) (Strategy, error) {
-	for _, s := range Strategies() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	for _, s := range ExtendedStrategies() {
+	for _, s := range Catalog() {
 		if s.Name == name {
 			return s, nil
 		}

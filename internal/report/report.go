@@ -259,12 +259,7 @@ func Generate(ctx context.Context, cfg Config, now time.Time) (*Report, error) {
 		m := cfg.spec(scenario.KindDefenseMatrix)
 		m.Runs = cfg.DefenseRuns
 		m.Slowdown = true
-		for _, s := range defense.Strategies() {
-			m.Strategies = append(m.Strategies, s.Name)
-		}
-		for _, s := range defense.ExtendedStrategies() {
-			m.Strategies = append(m.Strategies, s.Name)
-		}
+		m.Strategies = defense.CatalogNames()
 		mres, err := scenario.Execute(ctx, m)
 		if err != nil {
 			return nil, err

@@ -79,7 +79,7 @@ func Attack(ctx context.Context, cfg VictimConfig, opt AttackOptions) (AttackRes
 	if err != nil {
 		return AttackResult{}, err
 	}
-	m.Noise = cpu.Noise{MemJitter: 12, HitJitter: 2} // timing jitter on every access
+	m.Noise = cpu.DefaultNoise() // timing jitter on every access
 	proc, err := m.NewProcess(1, prog, 0)
 	if err != nil {
 		return AttackResult{}, err

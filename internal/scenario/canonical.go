@@ -9,6 +9,7 @@ import (
 
 	"vpsec/internal/attacks"
 	"vpsec/internal/core"
+	"vpsec/internal/cpu"
 	"vpsec/internal/defense"
 )
 
@@ -61,7 +62,7 @@ func (s Spec) normal() Spec {
 			n.Patterns = s.Patterns
 		}
 		n.Runs = cmp.Or(s.Runs, d.Runs)
-		n.MemJitter = s.MemJitter
+		n.MemJitter = s.memJitter()
 		return n
 	}
 
@@ -70,12 +71,10 @@ func (s Spec) normal() Spec {
 	n.Confidence = cmp.Or(s.Confidence, d.Confidence)
 	n.Channel = cmp.Or(s.Channel, d.Channel)
 	n.Runs = cmp.Or(s.Runs, d.Runs)
-	if s.Defense != nil && *s.Defense != (DefenseSpec{}) {
-		n.Defense = s.Defense
-	}
+	n.Defense = s.Defense.normal(s.Kind == KindDefenseSweep)
 	n.UsePID, n.Prefetch, n.Replay, n.ResetModify = s.UsePID, s.Prefetch, s.Replay, s.ResetModify
 	n.FPC, n.TrainIters, n.NoSyncCost = s.FPC, s.TrainIters, s.NoSyncCost
-	n.MemJitter = s.MemJitter
+	n.MemJitter = s.memJitter()
 
 	switch s.Kind {
 	case KindCase:
@@ -117,18 +116,9 @@ func (s Spec) normal() Spec {
 			n.Confidences = defaultConfidences()
 		}
 	case KindDefenseSweep:
-		// Categories is the canonical spelling of the swept list, and the
-		// sweep sets the R window per point.
+		// Categories is the canonical spelling of the swept list.
 		n.Categories = s.sweepCategories()
 		n.MaxWindow = cmp.Or(s.MaxWindow, 10)
-		if n.Defense != nil && n.Defense.Strategy == "" && n.Defense.RWindow != 0 {
-			def := *n.Defense
-			def.RWindow = 0
-			n.Defense = nil
-			if def != (DefenseSpec{}) {
-				n.Defense = &def
-			}
-		}
 	case KindDefenseMatrix:
 		// Matrix iterates every (category, channel, strategy) cell and
 		// sets each cell's defense; no strategies means all of
@@ -144,6 +134,48 @@ func (s Spec) normal() Spec {
 		n.Slowdown = s.Slowdown
 	}
 	return n
+}
+
+// normal writes the defense in its one canonical spelling. It resolves
+// d to its stack, less the R-type mechanism when dropR is set (a
+// defense-sweep sets the window per point); an empty stack is no
+// defense. Otherwise Strategy is the catalog name whose stack is equal,
+// else the stack's canonical string, which goes in Stack instead when
+// it names a catalog entry with a different stack (the catalog's
+// "A+R(5)" is A-fixed+R(5)). A defense that does not resolve is kept
+// as given, for Validate to reject.
+func (d *DefenseSpec) normal(dropR bool) *DefenseSpec {
+	stack, err := d.config()
+	if err != nil {
+		return d
+	}
+	if dropR {
+		stack = stack.WithoutRandomWindow()
+	}
+	if len(stack) == 0 {
+		return nil
+	}
+	str := stack.String()
+	named := false
+	for _, st := range defense.Catalog() {
+		if st.Stack.String() == str {
+			return &DefenseSpec{Strategy: st.Name}
+		}
+		named = named || st.Name == str
+	}
+	if named {
+		return &DefenseSpec{Stack: str}
+	}
+	return &DefenseSpec{Strategy: str}
+}
+
+// memJitter is the spec's jitter override, nil when it restates the
+// default model's value.
+func (s Spec) memJitter() *uint64 {
+	if s.MemJitter != nil && *s.MemJitter == cpu.DefaultNoise().MemJitter {
+		return nil
+	}
+	return s.MemJitter
 }
 
 // CanonicalJSON renders the result in its canonical byte form — the

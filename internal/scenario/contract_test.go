@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strconv"
@@ -11,6 +13,7 @@ import (
 
 	"vpsec/internal/cachebench"
 	"vpsec/internal/core"
+	"vpsec/internal/cpu"
 	"vpsec/internal/defense"
 )
 
@@ -66,7 +69,8 @@ func respellings() []respelling {
 	cat := func(lists ...[]string) []string { return slices.Concat(lists...) }
 	attack := cat(simOnly, benchOnly)
 	// Every attack kind spells these out the same way.
-	harnessDefaults := []string{`"predictor":"lvp"`, `"confidence":4`, `"defense":{}`}
+	defaultJitter := fmt.Sprintf(`"mem_jitter":%d`, cpu.DefaultNoise().MemJitter)
+	harnessDefaults := []string{`"predictor":"lvp"`, `"confidence":4`, `"defense":{}`, defaultJitter}
 	variant := strconv.Quote(core.Reduce()[0].Pattern.String())
 	var strategies []string
 	for _, st := range defense.Strategies() {
@@ -76,7 +80,8 @@ func respellings() []respelling {
 	return []respelling{
 		{base: `{"kind":"case","category":"Train + Test","runs":2}`,
 			ignored: cat(knobs, attack),
-			spelled: cat(harnessDefaults, []string{`"channel":"timing-window"`})},
+			spelled: cat(harnessDefaults, []string{`"channel":"timing-window"`,
+				`"defense":{"strategy":"none"}`, `"defense":{"stack":"none"}`})},
 		{base: `{"kind":"case","category":"Test + Hit"}`, spelled: []string{`"runs":100`}},
 		{base: `{"kind":"variant","variant":` + variant + `,"runs":2}`,
 			ignored: cat(but(knobs, "variant"), []string{"category", "channel"}, attack),
@@ -101,7 +106,7 @@ func respellings() []respelling {
 			spelled: []string{`"predictor":"lvp"`, `"defense":{}`, `"confidences":[2,3,4,6,8]`}},
 		{base: `{"kind":"defense-sweep","categories":["Test + Hit"],"max_window":2,"runs":2}`,
 			ignored: cat(but(knobs, "categories", "max_window"), []string{"category"}, attack),
-			spelled: cat(harnessDefaults, []string{`"defense":{"r_window":5}`})},
+			spelled: cat(harnessDefaults, []string{`"defense":{"strategy":"R(5)"}`, `"defense":{"stack":"R(5)"}`})},
 		{base: `{"kind":"defense-sweep","category":"Test + Hit","runs":2}`,
 			spelled: []string{`"max_window":10`, `"categories":["Test + Hit"]`}},
 		{base: `{"kind":"defense-matrix","strategies":["none","A"],"runs":2}`,
@@ -115,16 +120,41 @@ func respellings() []respelling {
 		{base: `{"kind":"cachebench","pattern":"` + pats[0] + `","runs":2}`,
 			ignored:  cat(but(harness, "runs", "mem_jitter"), knobs, simOnly),
 			rejected: []string{"patterns"}},
-		{base: `{"kind":"cachebench","pattern":"` + pats[0] + `"}`, spelled: []string{`"runs":100`}},
+		{base: `{"kind":"cachebench","pattern":"` + pats[0] + `"}`, spelled: []string{`"runs":100`, defaultJitter}},
 		{base: `{"kind":"cachebench-matrix","patterns":["` + pats[0] + `","` + pats[1] + `"],"runs":2}`,
 			ignored:  cat(but(harness, "runs", "mem_jitter"), knobs, simOnly),
 			rejected: []string{"pattern"}},
+		// A defense has one canonical spelling: the catalog name whose
+		// stack is equal, else the stack string.
+		{base: `{"kind":"case","category":"Test + Hit","runs":2,"defense":{"strategy":"D"}}`,
+			spelled: []string{`"defense":{"stack":"D"}`}},
+		{base: `{"kind":"case","category":"Test + Hit","runs":2,"defense":{"strategy":"A+R(5)"}}`,
+			spelled: []string{`"defense":{"strategy":"A-fixed+R(5)"}`, `"defense":{"stack":"A-fixed+R(5)"}`}},
+		{base: `{"kind":"case","category":"Test + Hit","runs":2,"defense":{"stack":"A+R(5)"}}`,
+			spelled: []string{`"defense":{"stack":"A + R(5)"}`, `"defense":{"strategy":"A + R(5)"}`}},
+		// A defense-sweep sets the window, so it drops a stack's R-type
+		// mechanism.
+		{base: `{"kind":"defense-sweep","categories":["Test + Hit"],"max_window":2,"runs":2,"defense":{"strategy":"A"}}`,
+			spelled: []string{`"defense":{"strategy":"A+R(3)"}`, `"defense":{"stack":"R(9)+A"}`}},
 	}
 }
 
-// with returns the JSON object spec with one more member.
+// with returns the JSON object spec with member set, replacing a
+// member of the same key.
 func with(spec, member string) string {
-	return strings.TrimSuffix(spec, "}") + "," + member + "}"
+	var obj, add map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(spec), &obj); err != nil {
+		panic(err)
+	}
+	if err := json.Unmarshal([]byte("{"+member+"}"), &add); err != nil {
+		panic(err)
+	}
+	maps.Copy(obj, add)
+	out, err := json.Marshal(obj)
+	if err != nil {
+		panic(err)
+	}
+	return string(out)
 }
 
 // TestExecuteRunsCanonicalForm is the contract a content-addressed cache
@@ -181,6 +211,22 @@ func TestExecuteRunsCanonicalForm(t *testing.T) {
 				}
 			}
 		})
+	}
+
+	// The catalog name "A+R(5)" is A-fixed+R(5); the stack spelling
+	// bypasses the catalog, so it is another experiment.
+	stack := `{"kind":"case","category":"Test + Hit","runs":2,"defense":{"stack":"A+R(5)"}}`
+	named := with(stack, `"defense":{"strategy":"A+R(5)"}`)
+	hash, data := run(t, stack)
+	if h, _ := run(t, named); h == hash {
+		t.Errorf("%s hashes like %s", stack, named)
+	}
+	var ran struct{ Opt struct{ Defense string } }
+	if err := json.Unmarshal(data, &ran); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Opt.Defense != "A+R(5)" {
+		t.Errorf("%s ran defense %s, want A+R(5)", stack, ran.Opt.Defense)
 	}
 
 	// The ignored lists must cover every field Canonical drops or

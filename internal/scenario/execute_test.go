@@ -142,14 +142,14 @@ func TestExecuteDefenseMatchesStrategy(t *testing.T) {
 	}
 	sameCase(t, "defense", res.Case(), want)
 
-	// Explicit fields spell the same configuration.
-	explicit := Spec{Kind: KindCase, Category: string(core.TestHit), Runs: small, Seed: 9,
-		Defense: &DefenseSpec{AType: true, RWindow: 9, DType: true}}
-	res2, err := Execute(context.Background(), explicit)
+	// The stack spelling runs the same configuration.
+	stack := Spec{Kind: KindCase, Category: string(core.TestHit), Runs: small, Seed: 9,
+		Defense: &DefenseSpec{Stack: "A+R(9)+D"}}
+	res2, err := Execute(context.Background(), stack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameCase(t, "defense-explicit", res2.Case(), want)
+	sameCase(t, "defense-stack", res2.Case(), want)
 }
 
 // TestExecuteNoiseAndConfSweeps cover the sweep kinds against their

@@ -31,9 +31,9 @@ func FuzzSpec(f *testing.F) {
 		`{"kind":"case","category":"Train + Test","runs":1e3}`,
 		`{"kind":"case","category":"Train + Test","rnus":5}`,
 		`{"kind":"case","category":"Train + Test","defense":{}}`,
-		`{"kind":"case","category":"Train + Test","defense":{"strategy":"A","d_type":true}}`,
+		`{"kind":"case","category":"Train + Test","defense":{"strategy":"A","stack":"D"}}`,
 		`{"kind":"variant","variant":"R^KI, S^SI', R^KI","category":"Test + Hit"}`,
-		`{"kind":"defense-sweep","defense":{"r_window":-3}}`,
+		`{"kind":"defense-sweep","defense":{"stack":"R(-3)"}}`,
 		`{"kind":"defense-matrix","strategies":["R(","A+R(9)+D"]}`,
 		`{"kind":"noise-sweep","category":"Train + Test","jitters":[],"mem_jitter":5}`,
 		`{"kind":"conf-sweep","category":"Train + Test","confidences":[0]}`,

@@ -222,18 +222,11 @@ func init() {
 	// value recomputation (Sakalis-style shadow buffer) and
 	// context-tagged predictor isolation — and prices every strategy
 	// with the security-vs-slowdown summary.
-	extended := make([]string, 0, len(defense.Strategies())+2)
-	for _, s := range defense.Strategies() {
-		extended = append(extended, s.Name)
-	}
-	for _, s := range defense.ExtendedStrategies() {
-		extended = append(extended, s.Name)
-	}
 	register(Spec{
 		Name:       "defense-matrix-extended",
 		Title:      "Defense matrix with value recomputation and context isolation, priced by slowdown",
 		Kind:       KindDefenseMatrix,
-		Strategies: extended,
+		Strategies: defense.CatalogNames(),
 		Slowdown:   true,
 		Runs:       DefaultDefenseRuns(),
 		Seed:       d.Seed,

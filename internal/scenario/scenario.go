@@ -87,69 +87,41 @@ func Kinds() []Kind {
 		KindDefenseMatrix, KindSim, KindCacheBench, KindCacheMatrix}
 }
 
-// DefenseSpec selects the Sec. VI defenses, either by a named strategy
-// or canonical stack string (e.g. "A+R(9)+D", "A+R(5)+recompute") or
-// by explicit fields — never both.
+// DefenseSpec selects the Sec. VI defenses by one of two spellings,
+// never both; normal folds every defense to one of them (DESIGN §11).
 type DefenseSpec struct {
 	// Strategy names a configuration: a defense.Strategies or
 	// defense.ExtendedStrategies catalog name, resolved first, else a
-	// canonical mechanism-stack string. A catalog name shadows the
-	// stack it spells: "A+R(5)" is the catalog's A-fixed+R(5), so the
-	// history-flavor A then R(5) stack (a_type with r_window 5) has no
-	// Strategy spelling; "R(5)+A" applies the same mechanisms in the
-	// other order. When set, the explicit fields below must be zero.
+	// canonical mechanism-stack string (e.g. "A+R(9)+D",
+	// "A+R(5)+recompute"). A catalog name shadows the stack it spells:
+	// "A+R(5)" is the catalog's A-fixed+R(5).
 	Strategy string `json:"strategy,omitempty"`
-
-	AType         bool `json:"a_type,omitempty"`          // always predict (history value)
-	AFixedOnly    bool `json:"a_fixed_only,omitempty"`    // A-type predicts a fixed value (implies a_type)
-	RWindow       int  `json:"r_window,omitempty"`        // R-type window size; <= 1 disables
-	DType         bool `json:"d_type,omitempty"`          // delay side-effects until commit
-	FlushOnSwitch bool `json:"flush_on_switch,omitempty"` // flush the VPS on context switches
-	Recompute     bool `json:"recompute,omitempty"`       // value recomputation (shadow-buffered speculation)
-	Isolate       bool `json:"isolate,omitempty"`         // context-tagged predictor isolation
+	// Stack is a mechanism-stack string read by attacks.ParseStack
+	// alone, never the catalog: "A+R(5)" is the history-flavor A
+	// followed by R(5).
+	Stack string `json:"stack,omitempty"`
 }
 
-// config compiles the defense spec into the harness mechanism stack,
-// mirroring the legacy vpattack flag semantics (-afixed implies
-// -atype; explicit fields compile in the legacy A, R, D, flush order,
-// with the new mechanisms appended).
+// config resolves the defense spec to its mechanism stack; an empty
+// spec is the undefended baseline.
 func (d *DefenseSpec) config() (attacks.DefenseStack, error) {
-	if d == nil {
+	switch {
+	case d == nil:
 		return nil, nil
-	}
-	if d.Strategy != "" {
-		if d.AType || d.AFixedOnly || d.RWindow != 0 || d.DType || d.FlushOnSwitch || d.Recompute || d.Isolate {
-			return nil, fmt.Errorf(
-				"scenario: defense strategy %q combined with explicit defense fields", d.Strategy)
-		}
-		s, err := defense.StrategyNamed(d.Strategy)
+	case d.Strategy != "" && d.Stack != "":
+		return nil, fmt.Errorf("scenario: defense sets both strategy %q and stack %q", d.Strategy, d.Stack)
+	case d.Stack != "":
+		stack, err := attacks.ParseStack(d.Stack)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("scenario: defense stack %q: %v", d.Stack, err)
 		}
-		return s.Stack, nil
+		return stack, nil
 	}
-	var stack attacks.DefenseStack
-	if d.AType || d.AFixedOnly {
-		stack = append(stack, attacks.AlwaysPredict(d.AFixedOnly))
+	s, err := defense.StrategyNamed(d.Strategy)
+	if err != nil {
+		return nil, err
 	}
-	if d.RWindow > 1 || d.RWindow < 0 {
-		// Window 1 is the legacy "disabled" spelling and compiles to no
-		// mechanism; negative windows compile so validation rejects them.
-		stack = append(stack, attacks.RandomWindow(d.RWindow))
-	}
-	if d.DType {
-		stack = append(stack, attacks.DelayEffects())
-	}
-	if d.FlushOnSwitch {
-		stack = append(stack, attacks.FlushVPS())
-	}
-	if d.Recompute {
-		stack = append(stack, attacks.Recompute())
-	}
-	if d.Isolate {
-		stack = append(stack, attacks.IsolateContexts())
-	}
-	return stack, nil
+	return s.Stack, nil
 }
 
 // Spec is one declarative experiment. The zero value of every optional
@@ -355,7 +327,9 @@ func (s *Spec) noise() cpu.Noise {
 	if s.MemJitter == nil {
 		return cpu.Noise{}
 	}
-	return cpu.Noise{MemJitter: *s.MemJitter, HitJitter: 2}
+	n := cpu.DefaultNoise()
+	n.MemJitter = *s.MemJitter
+	return n
 }
 
 // category resolves the spec's single category field.
@@ -368,8 +342,8 @@ func (s *Spec) category() (core.Category, error) {
 
 // Validate reports whether the spec is executable: the kind is known,
 // names resolve (predictor kind, category, Table II pattern, channel,
-// defense strategy), the kind's required fields are present, and the
-// numeric knobs pass attacks.Options validation.
+// defense strategy or stack), the kind's required fields are present,
+// and the numeric knobs pass attacks.Options validation.
 func (s *Spec) Validate() error {
 	known := false
 	for _, k := range Kinds() {

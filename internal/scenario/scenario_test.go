@@ -129,10 +129,12 @@ func TestValidateRejects(t *testing.T) {
 		{"unknown variant", Spec{Kind: KindVariant, Variant: "nope"}},
 		{"figure category", Spec{Kind: KindFigure, Category: string(core.FillUp)}},
 		{"negative runs", Spec{Kind: KindCase, Category: string(core.TrainTest), Runs: -1}},
-		{"strategy plus fields", Spec{Kind: KindCase, Category: string(core.TrainTest),
-			Defense: &DefenseSpec{Strategy: "A", DType: true}}},
+		{"strategy plus stack", Spec{Kind: KindCase, Category: string(core.TrainTest),
+			Defense: &DefenseSpec{Strategy: "A", Stack: "D"}}},
 		{"unknown strategy", Spec{Kind: KindCase, Category: string(core.TrainTest),
 			Defense: &DefenseSpec{Strategy: "B"}}},
+		{"unknown stack mechanism", Spec{Kind: KindCase, Category: string(core.TrainTest),
+			Defense: &DefenseSpec{Stack: "Q(1)"}}},
 		{"unknown matrix strategy", Spec{Kind: KindDefenseMatrix, Strategies: []string{"Q"}}},
 		{"bad sweep category", Spec{Kind: KindDefenseSweep, Categories: []string{"x"}}},
 		{"conf below 1", Spec{Kind: KindConfSweep, Category: string(core.TrainTest), Confidences: []int{0}}},
